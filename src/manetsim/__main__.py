@@ -1,0 +1,7 @@
+"""`python -m manetsim`: the command-line entry point."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -1,6 +1,6 @@
 """Per-node energy ledger splitting consumption into control and data classes."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 # Ledger arithmetic runs on integer picojoules so the books close exactly:
@@ -21,36 +21,39 @@ class EnergyParams:
             raise ValueError("energy.initial must be > 0")
 
 
+# A charge is booked under one of four counters: direction x traffic class.
+TX_CONTROL, TX_DATA, RX_CONTROL, RX_DATA = range(4)
+
+
 @dataclass(slots=True)
 class EnergyState:
     remaining_pj: int
-    tx_control_pj: int = 0
-    tx_data_pj: int = 0
-    rx_control_pj: int = 0
-    rx_data_pj: int = 0
+    consumed_by: list[int] = field(default_factory=lambda: [0, 0, 0, 0])  # pJ per counter
     alive: bool = True
 
     @property
     def consumed_tx(self) -> float:
-        return (self.tx_control_pj + self.tx_data_pj) / PJ
+        return (self.consumed_by[TX_CONTROL] + self.consumed_by[TX_DATA]) / PJ
 
     @property
     def consumed_rx(self) -> float:
-        return (self.rx_control_pj + self.rx_data_pj) / PJ
+        return (self.consumed_by[RX_CONTROL] + self.consumed_by[RX_DATA]) / PJ
 
     @property
     def consumed_control(self) -> float:
-        return (self.tx_control_pj + self.rx_control_pj) / PJ
+        return self.control_pj / PJ
 
     @property
     def consumed_data(self) -> float:
-        return (self.tx_data_pj + self.rx_data_pj) / PJ
+        return (self.consumed_by[TX_DATA] + self.consumed_by[RX_DATA]) / PJ
+
+    @property
+    def control_pj(self) -> int:
+        return self.consumed_by[TX_CONTROL] + self.consumed_by[RX_CONTROL]
 
     @property
     def consumed_pj(self) -> int:
-        return (
-            self.tx_control_pj + self.tx_data_pj + self.rx_control_pj + self.rx_data_pj
-        )
+        return sum(self.consumed_by)
 
     @property
     def remaining(self) -> float:
@@ -70,41 +73,37 @@ class EnergyLedger:
         self.params = params
         self.initial_pj = round(params.initial * PJ)
         self.states = [EnergyState(self.initial_pj) for _ in range(node_count)]
+        self._power = (params.p_tx, params.p_tx, params.p_rx, params.p_rx)  # by counter
         self.on_death = on_death
 
     def alive(self, node: int) -> bool:
         return self.states[node].alive
 
-    def debit(self, node: int, direction: str, duration: float, kind: str) -> float:
-        """Charge p_dir * duration, clamped at zero; returns remaining joules.
+    def cost_pj(self, counter: int, duration: float) -> int:
+        """Integer pJ that `duration` seconds on air cost under `counter`."""
+        if duration < 0:
+            raise ValueError("debit duration must be >= 0")
+        return round(self._power[counter] * duration * PJ)
+
+    def debit(self, node: int, counter: int, amount_pj: int) -> bool:
+        """Charge amount_pj under `counter`, clamped at zero; returns whether
+        the node is still alive afterwards.
 
         Debiting a dead node is a no-op (it can no longer process packets).
         """
-        if duration < 0:
-            raise ValueError("debit duration must be >= 0")
         st = self.states[node]
         if not st.alive:
-            return 0.0
-        power = self.params.p_tx if direction == "tx" else self.params.p_rx
-        amount = round(power * duration * PJ)
-        if amount > st.remaining_pj:
-            amount = st.remaining_pj
-        st.remaining_pj -= amount
-        if direction == "tx":
-            if kind == "control":
-                st.tx_control_pj += amount
-            else:
-                st.tx_data_pj += amount
-        else:
-            if kind == "control":
-                st.rx_control_pj += amount
-            else:
-                st.rx_data_pj += amount
+            return False
+        if amount_pj > st.remaining_pj:
+            amount_pj = st.remaining_pj
+        st.remaining_pj -= amount_pj
+        st.consumed_by[counter] += amount_pj
         if st.remaining_pj == 0:
             st.alive = False
             if self.on_death is not None:
                 self.on_death(node)
-        return st.remaining_pj / PJ
+            return False
+        return True
 
     def network_consumed(self) -> float:
         """Total joules burned by all nodes so far."""
@@ -112,13 +111,13 @@ class EnergyLedger:
 
     def routing_consumed(self) -> float:
         """Joules burned on control traffic (discovery plus maintenance)."""
-        return sum(st.tx_control_pj + st.rx_control_pj for st in self.states) / PJ
+        return sum(st.control_pj for st in self.states) / PJ
 
     def network_consumed_pj(self) -> int:
         return sum(st.consumed_pj for st in self.states)
 
     def routing_consumed_pj(self) -> int:
-        return sum(st.tx_control_pj + st.rx_control_pj for st in self.states)
+        return sum(st.control_pj for st in self.states)
 
     def closed(self) -> bool:
         """Every node's books balance exactly: initial == remaining + debits."""

@@ -68,32 +68,34 @@ def generate_schedule(
     return legs
 
 
-def position_at(legs: list[WaypointLeg], t: float) -> tuple[float, float]:
-    """Exact position at time t: linear along the current leg, fixed in pauses."""
-    idx = bisect_right(_depart_times(legs), t) - 1
-    if idx < 0:
-        idx = 0
-    leg = legs[idx]
-    dt = t - leg.depart_time
-    travel = leg.travel_time
-    if dt >= travel:
-        return leg.end_pos
-    frac = dt / travel
-    x0, y0 = leg.start_pos
-    x1, y1 = leg.end_pos
-    return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
-
-
-def _depart_times(legs: list[WaypointLeg]) -> list[float]:
-    return [leg.depart_time for leg in legs]
-
-
 class MobilityModel:
-    """Per-node waypoint schedules generated once, queried analytically."""
+    """Per-node waypoint schedules generated once, queried analytically.
+
+    Each node keeps a cursor on the leg it was last queried on. Simulation
+    queries come in non-decreasing time, so the cursor only steps forward;
+    a query earlier than the cursor's leg re-seats it by bisection.
+    """
 
     def __init__(self, schedules: list[list[WaypointLeg]]):
         self.schedules = schedules
         self._departs = [[leg.depart_time for leg in legs] for legs in schedules]
+        # per leg: (depart, travel, x0, y0, x1 - x0, y1 - y0, end_pos)
+        self._legs = [
+            [
+                (
+                    leg.depart_time,
+                    leg.travel_time,
+                    leg.start_pos[0],
+                    leg.start_pos[1],
+                    leg.end_pos[0] - leg.start_pos[0],
+                    leg.end_pos[1] - leg.start_pos[1],
+                    leg.end_pos,
+                )
+                for leg in legs
+            ]
+            for legs in schedules
+        ]
+        self._cursor = [0] * len(schedules)
 
     @classmethod
     def generate(
@@ -115,19 +117,22 @@ class MobilityModel:
         return len(self.schedules)
 
     def position(self, node: int, t: float) -> tuple[float, float]:
-        legs = self.schedules[node]
-        idx = bisect_right(self._departs[node], t) - 1
-        if idx < 0:
-            idx = 0
-        leg = legs[idx]
-        dt = t - leg.depart_time
-        travel = leg.travel_time
+        """Exact position at time t: linear along the current leg, fixed in pauses."""
+        departs = self._departs[node]
+        i = self._cursor[node]
+        if t < departs[i]:
+            i = max(bisect_right(departs, t) - 1, 0)
+        else:
+            last = len(departs) - 1
+            while i < last and departs[i + 1] <= t:
+                i += 1
+        self._cursor[node] = i
+        depart, travel, x0, y0, dx, dy, end_pos = self._legs[node][i]
+        dt = t - depart
         if dt >= travel:
-            return leg.end_pos
+            return end_pos
         frac = dt / travel
-        x0, y0 = leg.start_pos
-        x1, y1 = leg.end_pos
-        return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
+        return (x0 + dx * frac, y0 + dy * frac)
 
     def export_text(self) -> str:
         """Line-based schedule dump: 'node time x y speed pause'."""

@@ -168,19 +168,23 @@ class RouterBase:
 
     # -- frame dispatch ----------------------------------------------------
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # packet type -> handler, resolved once per protocol class
+        cls._frame_handlers = {
+            Hello: cls._on_hello,
+            Data: cls._handle_data,
+            Rreq: cls._handle_rreq,
+            Rrep: cls._handle_rrep,
+            Rerr: cls._handle_rerr,
+        }
+
     def on_frame(self, packet, sender: int) -> None:
-        if isinstance(packet, Hello):
-            self._on_hello(packet)
-        elif isinstance(packet, Data):
-            self._handle_data(packet, sender)
-        elif isinstance(packet, Rreq):
-            self._handle_rreq(packet, sender)
-        elif isinstance(packet, Rrep):
-            self._handle_rrep(packet, sender)
-        elif isinstance(packet, Rerr):
-            self._handle_rerr(packet, sender)
-        else:
-            raise SimulationError(f"unknown packet type {packet!r}")
+        try:
+            handler = self._frame_handlers[type(packet)]
+        except KeyError:
+            raise SimulationError(f"unknown packet type {packet!r}") from None
+        handler(self, packet, sender)
 
     # -- hello & liveness ---------------------------------------------------
 
@@ -197,7 +201,7 @@ class RouterBase:
                 self.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
             )
 
-    def _on_hello(self, hello: Hello) -> None:
+    def _on_hello(self, hello: Hello, sender: int) -> None:
         self.hello_deadline[hello.sender] = self.now + self.params.hello_allowance
 
     def watch(self, neighbor: int) -> None:

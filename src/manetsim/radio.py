@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA
 from .engine import Engine, EventKind, RngStream
 from .mobility import MobilityModel
 from .proto_common import Data
@@ -53,8 +54,8 @@ class Radio:
         self.trace = trace
         self.loss_rng = loss_rng
         self.deliver_fn: Callable | None = None
-        # frames cluster at shared instants (flood waves, hello ticks), so
-        # one whole-network position snapshot per timestamp pays off
+        # broadcasts cluster at shared instants (flood waves, hello ticks),
+        # so one whole-network position snapshot per timestamp pays off
         self._pos_time = -1.0
         self._pos_cache: list[tuple[float, float]] = []
 
@@ -63,8 +64,8 @@ class Radio:
 
     def positions(self, t: float) -> list[tuple[float, float]]:
         if t != self._pos_time:
-            mob = self.mobility
-            self._pos_cache = [mob.position(n, t) for n in range(mob.node_count)]
+            position = self.mobility.position
+            self._pos_cache = [position(n, t) for n in range(self.mobility.node_count)]
             self._pos_time = t
         return self._pos_cache
 
@@ -73,33 +74,38 @@ class Radio:
         pos = self.positions(t)
         px, py = pos[node]
         rng2 = self.params.range * self.params.range
+        states = self.energy.states
         out = []
-        for other in range(self.mobility.node_count):
-            if other == node or not self.energy.alive(other):
-                continue
-            ox, oy = pos[other]
+        for other, (ox, oy) in enumerate(pos):
             dx, dy = ox - px, oy - py
-            if dx * dx + dy * dy <= rng2:
+            if dx * dx + dy * dy <= rng2 and other != node and states[other].alive:
                 out.append(other)
         return out
+
+    def reaches(self, sender: int, recv: int, t: float) -> bool:
+        """Whether `recv` is among neighbors(sender, t), from two positions."""
+        return (
+            recv != sender
+            and self.energy.states[recv].alive
+            and self._distance2(sender, recv, t) <= self.params.range * self.params.range
+        )
+
+    def _distance2(self, a: int, b: int, t: float) -> float:
+        ax, ay = self.mobility.position(a, t)
+        bx, by = self.mobility.position(b, t)
+        dx, dy = bx - ax, by - ay
+        return dx * dx + dy * dy
 
     def send(self, sender: int, packet, size_bytes: int, addressee: int | None = None) -> int:
         """Transmit a frame; returns the number of deliveries scheduled."""
         now = self.engine.now
-        is_data = isinstance(packet, Data)
-        kind = "data" if is_data else "control"
-        if not self.energy.alive(sender):
-            # A dead node transmits nothing; data it tried to send is lost.
-            if is_data:
-                self.metrics.on_dropped(packet, "dead_node")
-                if self.trace.enabled:
-                    self.trace.emit(now, sender, "drop", packet.pkt_id, "dead_node")
-            return 0
-
+        energy = self.energy
+        is_data = type(packet) is Data
         duration = self.tx_duration(size_bytes)
-        self.energy.debit(sender, "tx", duration, kind)
-        if not self.energy.alive(sender):
-            # battery drained mid-transmission; the frame never completes
+        tx = TX_DATA if is_data else TX_CONTROL
+        if not energy.debit(sender, tx, energy.cost_pj(tx, duration)):
+            # A dead node transmits nothing, and a battery drained
+            # mid-transmission never completes the frame; data is lost.
             if is_data:
                 self.metrics.on_dropped(packet, "dead_node")
                 if self.trace.enabled:
@@ -115,26 +121,15 @@ class Radio:
             pid = packet.pkt_id if is_data else "-"
             self.trace.emit(now, sender, f"tx_{label}", pid, f"to={tgt}")
 
-        pos = self.positions(now)
-        px, py = pos[sender]
-        rng2 = self.params.range * self.params.range
-        loss_p = self.params.per_frame_loss_prob
-        if addressee is not None:
-            candidates = (addressee,)
+        # a broadcast needs every position, a unicast only two
+        if addressee is None:
+            receivers = self.neighbors(sender, now)
         else:
-            candidates = range(self.mobility.node_count)
-        receivers = []
-        for recv in candidates:
-            if recv == sender or not self.energy.alive(recv):
-                continue
-            ox, oy = pos[recv]
-            dx, dy = ox - px, oy - py
-            d2 = dx * dx + dy * dy
-            if d2 > rng2:
-                continue
-            if loss_p > 0.0 and self.loss_rng is not None and self.loss_rng.random() < loss_p:
-                continue
-            receivers.append((recv, d2))
+            receivers = [addressee] if self.reaches(sender, addressee, now) else []
+        loss_p = self.params.per_frame_loss_prob
+        if receivers and loss_p > 0.0 and self.loss_rng is not None:
+            # one draw per in-range receiver, in ascending id order
+            receivers = [r for r in receivers if not self.loss_rng.random() < loss_p]
         if not receivers:
             if addressee is not None and is_data:
                 # Unicast into the void: the frame reaches nobody.
@@ -142,38 +137,36 @@ class Radio:
                 if self.trace.enabled:
                     self.trace.emit(now, sender, "drop", packet.pkt_id, "link_break")
             return 0
+        rx = RX_DATA if is_data else RX_CONTROL
+        amount = energy.cost_pj(rx, duration)
         if self.params.propagation_delay == 0.0:
             # one shared delivery instant; batching keeps ordering identical
-            batch = tuple(recv for recv, _ in receivers)
             self.engine.schedule(
                 now + duration,
                 EventKind.FRAME_DELIVERY,
-                lambda rs=batch, p=packet, s=sender, dur=duration, k=kind: self._deliver_batch(
-                    rs, p, s, dur, k
+                lambda rs=tuple(receivers), p=packet, s=sender: self._deliver_batch(
+                    rs, p, s, rx, amount
                 ),
             )
         else:
-            for recv, d2 in receivers:
-                delay = duration + self.params.propagation_delay * math.sqrt(d2)
+            for recv in receivers:
+                distance = math.sqrt(self._distance2(sender, recv, now))
+                delay = duration + self.params.propagation_delay * distance
                 self.engine.schedule(
                     now + delay,
                     EventKind.FRAME_DELIVERY,
-                    lambda rs=(recv,), p=packet, s=sender, dur=duration, k=kind: self._deliver_batch(
-                        rs, p, s, dur, k
+                    lambda rs=(recv,), p=packet, s=sender: self._deliver_batch(
+                        rs, p, s, rx, amount
                     ),
                 )
         return len(receivers)
 
     def _deliver_batch(
-        self, receivers: tuple[int, ...], packet, sender: int, duration: float, kind: str
+        self, receivers: tuple[int, ...], packet, sender: int, rx: int, amount_pj: int
     ) -> None:
-        energy = self.energy
+        debit = self.energy.debit
         deliver = self.deliver_fn
         for recv in receivers:
-            if not energy.alive(recv):
-                continue
-            energy.debit(recv, "rx", duration, kind)
-            if not energy.alive(recv):
-                # reception drained the battery; frame is not processed
-                continue
-            deliver(recv, packet, sender)
+            # a receiver drained by this reception does not process the frame
+            if debit(recv, rx, amount_pj):
+                deliver(recv, packet, sender)

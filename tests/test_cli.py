@@ -1,5 +1,10 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import manetsim
 from manetsim.cli import main
 from manetsim.scenario import Scenario, scenario_text
 
@@ -108,3 +113,22 @@ def test_sweep_rejects_bad_axis(tmp_path, capsys):
         "--seeds", "1", "--out", str(out),
     ])
     assert code == 2
+
+
+def test_module_entry_point(tmp_path):
+    """`python -m manetsim` runs the CLI and passes its exit code through."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(Path(manetsim.__file__).parent.parent))
+    bad = tmp_path / "bad.scn"
+    bad.write_text("node_count = 1\n")
+
+    def run(scenario):
+        cmd = [sys.executable, "-m", "manetsim", "validate", str(scenario)]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+
+    ok = run(root / "scenarios" / "baseline.scn")
+    assert ok.returncode == 0, ok.stderr
+    assert "ok" in ok.stdout
+    failed = run(bad)
+    assert failed.returncode == 2
+    assert "node_count" in failed.stderr

@@ -1,7 +1,20 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim.energy import PJ, EnergyLedger, EnergyParams
+from manetsim.energy import (
+    PJ,
+    RX_CONTROL,
+    RX_DATA,
+    TX_CONTROL,
+    TX_DATA,
+    EnergyLedger,
+    EnergyParams,
+)
+
+
+def spend(ledger, node, counter, duration):
+    """Charge `duration` seconds on air; returns whether the node survives."""
+    return ledger.debit(node, counter, ledger.cost_pj(counter, duration))
 
 
 def test_initial_value_untouched():
@@ -11,18 +24,21 @@ def test_initial_value_untouched():
 
 def test_debit_arithmetic():
     ledger = EnergyLedger(1, EnergyParams())
-    remaining = ledger.debit(0, "tx", 2.048e-3, "data")
-    consumed = 10.0 - remaining
+    assert spend(ledger, 0, TX_DATA, 2.048e-3)
+    consumed = 10.0 - ledger.states[0].remaining
     assert consumed == pytest.approx(0.66 * 2.048e-3, abs=1e-12)
     assert consumed == pytest.approx(1.35168e-3)
+    # reception is priced at p_rx, for either traffic class
+    assert ledger.cost_pj(RX_CONTROL, 2.048e-3) == round(0.395 * 2.048e-3 * PJ)
+    assert ledger.cost_pj(RX_DATA, 2.048e-3) == ledger.cost_pj(RX_CONTROL, 2.048e-3)
 
 
 def test_clamp_and_die():
     ledger = EnergyLedger(1, EnergyParams(initial=0.5e-3))
     deaths = []
     ledger.on_death = deaths.append
-    remaining = ledger.debit(0, "tx", 2.048e-3, "data")  # wants 1.35 mJ
-    assert remaining == 0.0
+    assert not spend(ledger, 0, TX_DATA, 2.048e-3)  # wants 1.35 mJ
+    assert ledger.states[0].remaining == 0.0
     assert not ledger.states[0].alive
     assert deaths == [0]
     # ledger still closes exactly after the clamp
@@ -31,48 +47,45 @@ def test_clamp_and_die():
 
 def test_debit_on_dead_node_is_noop():
     ledger = EnergyLedger(1, EnergyParams(initial=1e-6))
-    ledger.debit(0, "tx", 1.0, "data")
+    spend(ledger, 0, TX_DATA, 1.0)
     assert not ledger.states[0].alive
     before = ledger.states[0].consumed_pj
-    ledger.debit(0, "rx", 1.0, "data")
+    assert not spend(ledger, 0, RX_DATA, 1.0)
     assert ledger.states[0].consumed_pj == before
 
 
 def test_negative_duration_rejected():
     ledger = EnergyLedger(1, EnergyParams())
     with pytest.raises(ValueError):
-        ledger.debit(0, "tx", -1.0, "data")
+        ledger.cost_pj(TX_DATA, -1.0)
 
 
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["tx", "rx"]),
+            st.sampled_from([TX_CONTROL, TX_DATA, RX_CONTROL, RX_DATA]),
             st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-            st.sampled_from(["control", "data"]),
         ),
         max_size=60,
     )
 )
 def test_ledger_closes_exactly(debits):
     ledger = EnergyLedger(1, EnergyParams())
-    for direction, duration, kind in debits:
-        ledger.debit(0, direction, duration, kind)
+    for counter, duration in debits:
+        spend(ledger, 0, counter, duration)
     state = ledger.states[0]
     # integer bookkeeping: the books close with zero drift
     assert state.remaining_pj + state.consumed_pj == ledger.initial_pj
-    assert (
-        state.tx_control_pj + state.tx_data_pj + state.rx_control_pj + state.rx_data_pj
-        == state.consumed_pj
-    )
+    c = state.consumed_by
+    assert c[TX_CONTROL] + c[TX_DATA] + c[RX_CONTROL] + c[RX_DATA] == state.consumed_pj
 
 
 def test_class_split_matches_direction_split():
     ledger = EnergyLedger(1, EnergyParams())
-    ledger.debit(0, "tx", 0.01, "control")
-    ledger.debit(0, "rx", 0.02, "control")
-    ledger.debit(0, "tx", 0.03, "data")
-    ledger.debit(0, "rx", 0.04, "data")
+    spend(ledger, 0, TX_CONTROL, 0.01)
+    spend(ledger, 0, RX_CONTROL, 0.02)
+    spend(ledger, 0, TX_DATA, 0.03)
+    spend(ledger, 0, RX_DATA, 0.04)
     state = ledger.states[0]
     assert state.consumed_control + state.consumed_data == pytest.approx(
         state.consumed_tx + state.consumed_rx, abs=0
@@ -83,7 +96,7 @@ def test_remaining_non_increasing():
     ledger = EnergyLedger(1, EnergyParams())
     last = ledger.states[0].remaining
     for _ in range(50):
-        ledger.debit(0, "rx", 0.013, "data")
+        spend(ledger, 0, RX_DATA, 0.013)
         now = ledger.states[0].remaining
         assert now <= last
         last = now
@@ -91,8 +104,8 @@ def test_remaining_non_increasing():
 
 def test_routing_never_exceeds_network():
     ledger = EnergyLedger(2, EnergyParams())
-    ledger.debit(0, "tx", 0.5, "control")
-    ledger.debit(1, "rx", 0.25, "data")
+    spend(ledger, 0, TX_CONTROL, 0.5)
+    spend(ledger, 1, RX_DATA, 0.25)
     assert ledger.routing_consumed() <= ledger.network_consumed()
 
 

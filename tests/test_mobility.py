@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,21 @@ from manetsim.mobility import (
     MobilityParams,
     WaypointLeg,
     generate_schedule,
-    position_at,
 )
+
+
+def bisect_position(legs, t):
+    """Reference query: bisect for the leg, then interpolate along it."""
+    idx = max(bisect_right([leg.depart_time for leg in legs], t) - 1, 0)
+    leg = legs[idx]
+    dt = t - leg.depart_time
+    travel = leg.travel_time
+    if dt >= travel:
+        return leg.end_pos
+    frac = dt / travel
+    x0, y0 = leg.start_pos
+    x1, y1 = leg.end_pos
+    return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
 
 
 def velocity_at(legs, t):
@@ -46,15 +60,16 @@ def integrate_position(legs, t_query, dt=1e-3):
 def test_position_at_zero_is_initial_placement():
     rng = RngStream(1, "mobility/0")
     legs = generate_schedule(MobilityParams(), horizon=100.0, rng=rng)
-    assert position_at(legs, 0.0) == legs[0].start_pos
+    assert MobilityModel([legs]).position(0, 0.0) == legs[0].start_pos
 
 
 def test_straight_line_kinematics():
     leg = WaypointLeg((0.0, 0.0), (100.0, 0.0), 0.0, 5.0, 0.0)
     tail = WaypointLeg((100.0, 0.0), (100.0, 0.0), 20.0, 0.0, 1e9)
-    assert position_at([leg, tail], 10.0) == (50.0, 0.0)
-    assert position_at([leg, tail], 20.0) == (100.0, 0.0)
-    assert position_at([leg, tail], 25.0) == (100.0, 0.0)
+    model = MobilityModel([[leg, tail]])
+    assert model.position(0, 10.0) == (50.0, 0.0)
+    assert model.position(0, 20.0) == (100.0, 0.0)
+    assert model.position(0, 25.0) == (100.0, 0.0)
 
 
 def test_matches_numeric_integration_oracle():
@@ -62,9 +77,10 @@ def test_matches_numeric_integration_oracle():
     params = MobilityParams(pause_time=3.0)
     legs = generate_schedule(params, horizon=900.0, rng=rng)
     assert len(legs) >= 3
+    model = MobilityModel([legs])
     for t in (0.0, 1.7, 12.34, 55.5, 120.0, 433.0, 890.0):
         expected = integrate_position(legs, t)
-        actual = position_at(legs, t)
+        actual = model.position(0, t)
         assert math.dist(expected, actual) <= 1e-6
 
 
@@ -96,8 +112,9 @@ def test_pause_beyond_horizon_means_static():
     legs = generate_schedule(params, horizon=120.0, rng=RngStream(8, "m"))
     assert len(legs) == 1
     start = legs[0].start_pos
+    model = MobilityModel([legs])
     for t in (0.0, 50.0, 119.9):
-        assert position_at(legs, t) == start
+        assert model.position(0, t) == start
 
 
 def test_pause_zero_gives_perpetual_motion():
@@ -116,9 +133,43 @@ def test_pause_zero_gives_perpetual_motion():
 def test_position_is_continuous(t, eps):
     params = MobilityParams(pause_time=1.0)
     legs = generate_schedule(params, horizon=200.0, rng=RngStream(21, "m"))
-    a = position_at(legs, t)
-    b = position_at(legs, t + eps)
+    model = MobilityModel([legs])
+    a = model.position(0, t)
+    b = model.position(0, t + eps)
     assert math.dist(a, b) <= params.v_max * eps + 1e-9
+
+
+# (dx, dy, speed, pause) per move; zero moves with zero pause give legs
+# that share a depart time
+_moves = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 3.5, -120.25, 400.0]),
+        st.sampled_from([0.0, 7.75, -60.0]),
+        st.floats(min_value=0.5, max_value=5.0),
+        st.sampled_from([0.0, 0.0, 2.5]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150)
+@given(moves=_moves, queries=st.lists(st.floats(min_value=0.0, max_value=600.0), max_size=30))
+def test_cursor_matches_bisect_for_any_query_order(moves, queries):
+    pos, t = (100.0, 200.0), 1.0
+    legs = [WaypointLeg(pos, pos, 0.0, 0.0, t)]
+    for dx, dy, speed, pause in moves:
+        target = (pos[0] + dx, pos[1] + dy)
+        leg = WaypointLeg(pos, target, t, speed, pause)
+        legs.append(leg)
+        t = leg.arrival_time + pause
+        pos = target
+    model = MobilityModel([legs])
+    # the query times as given (any order, repeats included), the leg
+    # boundaries backwards, then everything rising
+    times = queries + [leg.depart_time for leg in reversed(legs)]
+    for t in times + sorted(times):
+        assert model.position(0, t) == bisect_position(legs, t)
 
 
 def test_position_query_is_pure():

@@ -53,7 +53,7 @@ def test_hello_deadline_refresh_rule():
     from manetsim.proto_common import Hello
 
     net.engine.run_until(10.0)
-    net.routers[1]._on_hello(Hello(0, 1))
+    net.routers[1]._on_hello(Hello(0, 1), sender=0)
     assert net.routers[1].hello_deadline[0] == 12.0
 
 

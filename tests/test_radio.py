@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from manetsim.energy import EnergyLedger, EnergyParams
+from manetsim.energy import TX_DATA, EnergyLedger, EnergyParams
 from manetsim.engine import Engine, RngStream
 from manetsim.metrics import PacketLedger
 from manetsim.proto_common import Data, Hello
@@ -71,13 +71,24 @@ def test_two_nodes_list_each_other():
 def test_neighbors_match_brute_force_oracle():
     rng = np.random.default_rng(5)
     pts = rng.uniform((0, 0), (800, 600), size=(20, 2))
-    engine, radio, _, _, _ = make_radio([tuple(p) for p in pts])
+    engine, radio, energy, _, inbox = make_radio([tuple(p) for p in pts])
+    dead = {4, 11}
+    for node in dead:
+        energy.debit(node, TX_DATA, energy.states[node].remaining_pj)
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    for node in range(20):
+    for node in sorted(set(range(20)) - dead):
         expected = sorted(
-            j for j in range(20) if j != node and d[node, j] <= 250.0
+            j for j in range(20) if j != node and j not in dead and d[node, j] <= 250.0
         )
         assert radio.neighbors(node, 0.0) == expected
+        # broadcast and unicast sends reach exactly the oracle's receivers
+        assert [j for j in range(20) if radio.reaches(node, j, 0.0)] == expected
+        inbox.clear()
+        assert radio.send(node, Hello(node, 1), 64) == len(expected)
+        for j in range(20):
+            radio.send(node, Hello(node, 1), 64, addressee=j)
+        engine.run_until(engine.now + 1.0)
+        assert [r for r, _, _ in inbox] == expected * 2
 
 
 def test_link_symmetry():
@@ -122,7 +133,7 @@ def test_unicast_void_counts_link_break():
 
 def test_dead_sender_sends_nothing():
     engine, radio, energy, metrics, inbox = make_radio([(0, 0), (50, 0)])
-    energy.debit(0, "tx", 1e9, "data")  # drain completely
+    energy.debit(0, TX_DATA, energy.states[0].remaining_pj)  # drain completely
     assert not energy.alive(0)
     pkt = data_pkt(0, 1)
     metrics.on_sent(pkt)
