@@ -3,7 +3,6 @@ hop-by-hop table forwarding, local repair, and error propagation."""
 
 from dataclasses import dataclass, field
 
-from .engine import EventKind
 from .proto_common import (
     Data,
     Rerr,
@@ -13,15 +12,6 @@ from .proto_common import (
     RoutingTableEntry,
     fresher,
 )
-
-
-@dataclass(slots=True)
-class PendingDiscovery:
-    dest: int
-    attempts_left: int
-    requested_seq: int
-    buffered: list = field(default_factory=list)
-    timer: object = None
 
 
 @dataclass(slots=True)
@@ -36,12 +26,9 @@ class RepairState:
 class AodvRouter(RouterBase):
     def __init__(self, node, ctx):
         super().__init__(node, ctx)
-        self.table: dict[int, RoutingTableEntry] = {}
-        self.pending: dict[int, PendingDiscovery] = {}
         self.repairs: dict[int, RepairState] = {}
         self.rreq_seen: dict[tuple[int, int], float] = {}
         self.last_dest_seq: dict[int, int] = {}
-        self.sourced: set[int] = set()
 
     # -- helpers -------------------------------------------------------------
 
@@ -73,6 +60,11 @@ class AodvRouter(RouterBase):
             e.expires_at = max(e.expires_at, self.now + life)
         return e
 
+    def _requested_seq(self, dest: int, bump: bool = False) -> int:
+        # after a break, ask for a route fresher than the one that failed
+        known = self.last_dest_seq.get(dest, 0)
+        return known + 1 if bump and known else known
+
     def _note_dest_seq(self, dest: int, seq: int) -> None:
         known = self.last_dest_seq.get(dest)
         if known is None or fresher(seq, known):
@@ -84,9 +76,7 @@ class AodvRouter(RouterBase):
             # back through a node this packet already crossed. The tables are
             # consistent for future traffic; this one packet is sacrificed
             # rather than allowed to revisit a node.
-            self.ctx.metrics.on_dropped(pkt, "loop_avoided")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "loop_avoided")
+            self.ctx.metrics.on_dropped(pkt, "loop_avoided", self.now, self.node)
             return
         e.last_used = self.now
         e.expires_at = self.now + self.params.route_lifetime
@@ -121,27 +111,22 @@ class AodvRouter(RouterBase):
         ]
         if not affected:
             return
-        self.ctx.metrics.on_event("link_break")
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(now, self.node, "link_break", "-", f"neighbor={neighbor}")
+        self.ctx.metrics.on_event("link_break", now, self.node, f"neighbor={neighbor}")
         for e in affected:
             e.expires_at = now
             dest = e.dest
             if dest == neighbor or dest in self.sourced:
                 # At the source the break point is the source itself, so
                 # repair degenerates to a fresh discovery.
-                if dest in self.sourced and dest not in self.pending and self.may_discover(dest):
-                    self._start_discovery(dest, bump=True)
+                if dest in self.sourced and self.may_discover(dest):
+                    self.start_discovery(dest, self._requested_seq(dest, bump=True))
             elif dest not in self.repairs:
                 self._begin_repair(dest, neighbor, set(e.active_neighbors))
 
     # -- traffic entry ---------------------------------------------------------
 
     def send_data(self, pkt: Data) -> None:
-        if pkt.dest == self.node:
-            self.ctx.metrics.on_delivered(pkt, self.now)
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "deliver", pkt.pkt_id, "local")
+        if self._deliver_local(pkt):
             return
         self.sourced.add(pkt.dest)
         e = self._valid_entry(pkt.dest)
@@ -150,106 +135,18 @@ class AodvRouter(RouterBase):
         else:
             self._buffer_for_discovery(pkt)
 
-    def _buffer_for_discovery(self, pkt: Data) -> None:
-        pending = self.pending.get(pkt.dest)
-        if pending is None:
-            if not self.may_discover(pkt.dest):
-                self.ctx.metrics.on_dropped(pkt, "no_route")
-                if self.ctx.trace.enabled:
-                    self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "no_route")
-                return
-            pending = self._start_discovery(pkt.dest)
-        if len(pending.buffered) >= self.params.queue_capacity:
-            self.ctx.metrics.on_dropped(pkt, "queue_overflow")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "queue_overflow")
-            return
-        pending.buffered.append(pkt)
-
-    # -- discovery ---------------------------------------------------------------
-
-    def _start_discovery(self, dest: int, bump: bool = False) -> PendingDiscovery:
-        known = self.last_dest_seq.get(dest, 0)
-        requested = known + 1 if bump and known else known
-        pending = PendingDiscovery(dest, self.params.rreq_retries, requested)
-        self.pending[dest] = pending
-        self.ctx.metrics.on_event("discovery_start")
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(self.now, self.node, "discovery_start", "-", f"dest={dest}")
-        self._flood_rreq(pending)
-        return pending
-
-    def _flood_rreq(self, pending: PendingDiscovery) -> None:
-        self.seq += 1
-        self.rreq_counter += 1
-        rreq = Rreq(
-            origin=self.node,
-            dest=pending.dest,
-            rreq_id=self.rreq_counter,
-            origin_seq=self.seq,
-            dest_seq_known=pending.requested_seq,
-            hop_count=0,
-            route_record=(self.node,),
-        )
-        self.ctx.radio.send(self.node, rreq, self.params.control_bytes)
-        pending.timer = self.ctx.engine.schedule(
-            self.now + self.ctx.discovery_timeout,
-            EventKind.TIMER,
-            lambda d=pending.dest: self._discovery_timeout(d),
-        )
-
-    def _discovery_timeout(self, dest: int) -> None:
-        if not self.alive:
-            return
-        pending = self.pending.get(dest)
-        if pending is None:
-            return
-        if pending.attempts_left > 0:
-            pending.attempts_left -= 1
-            self.ctx.metrics.on_event("discovery_retry")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "discovery_retry", "-", f"dest={dest}")
-            self._flood_rreq(pending)
-            return
-        del self.pending[dest]
-        self.note_discovery_failure(dest)
-        self.ctx.metrics.on_event("discovery_fail")
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(self.now, self.node, "discovery_fail", "-", f"dest={dest}")
-        for pkt in pending.buffered:
-            self.ctx.metrics.on_dropped(pkt, "no_route")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "no_route")
-
     # -- local repair ---------------------------------------------------------
 
     def _begin_repair(self, dest: int, broken_hop: int, precursors: set) -> None:
         repair = RepairState(dest, broken_hop, precursors)
         self.repairs[dest] = repair
-        self.ctx.metrics.on_event("repair_start")
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(self.now, self.node, "repair_start", "-", f"dest={dest}")
-        known = self.last_dest_seq.get(dest, 0)
-        self._flood_repair(repair, known + 1 if known else 0)
-
-    def _flood_repair(self, repair: RepairState, requested: int) -> None:
-        self.seq += 1
-        self.rreq_counter += 1
-        rreq = Rreq(
-            origin=self.node,
-            dest=repair.dest,
-            rreq_id=self.rreq_counter,
-            origin_seq=self.seq,
-            dest_seq_known=requested,
-            hop_count=0,
-            route_record=(self.node,),
+        self.ctx.metrics.on_event("repair_start", self.now, self.node, f"dest={dest}")
+        repair.timer = self._flood_rreq(
+            dest,
+            self._requested_seq(dest, bump=True),
+            2 * self.params.hello_interval,
+            self._repair_timeout,
             repair=True,
-        )
-        self.ctx.radio.send(self.node, rreq, self.params.control_bytes)
-        repair.timer = self.ctx.engine.schedule(
-            self.now + 2 * self.params.hello_interval,
-            EventKind.TIMER,
-            lambda d=repair.dest: self._repair_timeout(d),
         )
 
     def _repair_timeout(self, dest: int) -> None:
@@ -258,13 +155,9 @@ class AodvRouter(RouterBase):
         repair = self.repairs.pop(dest, None)
         if repair is None:
             return
-        self.ctx.metrics.on_event("repair_fail")
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(self.now, self.node, "repair_fail", "-", f"dest={dest}")
+        self.ctx.metrics.on_event("repair_fail", self.now, self.node, f"dest={dest}")
         for pkt in repair.buffered:
-            self.ctx.metrics.on_dropped(pkt, "no_route")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "no_route")
+            self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
         self._emit_rerr((self.node, repair.broken_hop), (dest,))
 
     # -- control handlers --------------------------------------------------------
@@ -325,8 +218,7 @@ class AodvRouter(RouterBase):
     def _forward_rrep(self, rrep: Rrep) -> None:
         e = self._valid_entry(rrep.origin)
         if e is None:
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "rrep_lost", "-", "no_reverse_route")
+            self.ctx.trace.emit(self.now, self.node, "rrep_lost", "-", "no_reverse_route")
             return
         # The reverse route carries the reply and will carry errors back;
         # treat that as use so its nodes keep announcing themselves.
@@ -359,22 +251,15 @@ class AodvRouter(RouterBase):
     def _reply_reached_origin(self, dest: int) -> None:
         repair = self.repairs.pop(dest, None)
         if repair is not None:
-            if repair.timer is not None:
-                self.ctx.engine.cancel(repair.timer)
-            self.ctx.metrics.on_event("repair_ok")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "repair_ok", "-", f"dest={dest}")
+            self.ctx.engine.cancel(repair.timer)
+            self.ctx.metrics.on_event("repair_ok", self.now, self.node, f"dest={dest}")
             for pkt in repair.buffered:
                 self._forward_transit(pkt)
-        pending = self.pending.pop(dest, None)
-        if pending is not None:
-            if pending.timer is not None:
-                self.ctx.engine.cancel(pending.timer)
+        discovery = self._end_discovery(dest)
+        if discovery is not None:
             self.discovery_backoff.pop(dest, None)
-            self.ctx.metrics.on_event("discovery_ok")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "discovery_ok", "-", f"dest={dest}")
-            for pkt in pending.buffered:
+            self.ctx.metrics.on_event("discovery_ok", self.now, self.node, f"dest={dest}")
+            for pkt in discovery.buffered:
                 self.send_data(pkt)
 
     def _handle_rerr(self, rerr: Rerr, sender: int) -> None:
@@ -387,11 +272,10 @@ class AodvRouter(RouterBase):
                 affected.append(dest)
         if not affected:
             return
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(now, self.node, "route_invalid", "-", f"dests={affected}")
+        self.ctx.trace.emit(now, self.node, "route_invalid", "-", f"dests={affected}")
         for dest in affected:
-            if dest in self.sourced and dest not in self.pending and self.may_discover(dest):
-                self._start_discovery(dest, bump=True)
+            if dest in self.sourced and self.may_discover(dest):
+                self.start_discovery(dest, self._requested_seq(dest, bump=True))
         self._emit_rerr(rerr.broken_link, tuple(affected))
 
     def _emit_rerr(self, broken_link: tuple[int, int], dests: tuple[int, ...]) -> None:
@@ -401,36 +285,23 @@ class AodvRouter(RouterBase):
     # -- data plane -----------------------------------------------------------
 
     def _handle_data(self, pkt: Data, sender: int) -> None:
-        if self.node in pkt.traversed:
-            self.ctx.metrics.on_event("loop")
-            self.ctx.metrics.on_dropped(pkt, "loop")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "loop")
+        if not self._admit_data(pkt):
             return
-        pkt.traversed.append(self.node)
         if pkt.dest == self.node:
             self._touch_reverse(pkt, sender, install=True)
             self.ctx.metrics.on_delivered(pkt, self.now)
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(
-                    self.now, self.node, "deliver", pkt.pkt_id, f"hops={len(pkt.traversed) - 1}"
-                )
             return
         self._touch_reverse(pkt, sender, install=False)
         if pkt.dest in self.repairs:
             repair = self.repairs[pkt.dest]
             if len(repair.buffered) >= self.params.queue_capacity:
-                self.ctx.metrics.on_dropped(pkt, "queue_overflow")
-                if self.ctx.trace.enabled:
-                    self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "queue_overflow")
+                self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.now, self.node)
             else:
                 repair.buffered.append(pkt)
             return
         e = self._valid_entry(pkt.dest)
         if e is None:
-            self.ctx.metrics.on_dropped(pkt, "no_route")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "no_route")
+            self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
             self._emit_rerr((self.node, self.node), (pkt.dest,))
             return
         e.active_neighbors.add(sender)
@@ -439,9 +310,7 @@ class AodvRouter(RouterBase):
     def _forward_transit(self, pkt: Data) -> None:
         e = self._valid_entry(pkt.dest)
         if e is None:
-            self.ctx.metrics.on_dropped(pkt, "no_route")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "no_route")
+            self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
             return
         self._transmit(pkt, e)
 

@@ -82,11 +82,10 @@ class CachedRoute:
 class PathCache:
     """Source-held ordered set of node-disjoint routes with validity flags."""
 
-    def __init__(self, dest: int, routes, n0: int, s0: int):
+    def __init__(self, dest: int, routes, s0: int):
         self.dest = dest
         self.routes = [CachedRoute(tuple(r)) for r in routes]
         self.primary_index = 0
-        self.n0 = n0
         self.s0 = s0
         self.check_disjoint()
 
@@ -124,20 +123,12 @@ class PathCache:
                     break
         return changed
 
-    def add_routes(self, new_routes, rank=None) -> None:
-        """Merge replenished routes behind the surviving ones.
-
-        By default the route in use keeps its place and carries the flow
-        until it breaks; passing a rank re-sorts the valid set instead, so
-        the best available route leads after the merge.
-        """
+    def add_routes(self, new_routes) -> None:
+        """Merge replenished routes behind the surviving ones: the route in
+        use keeps its place and carries the flow until it breaks."""
         for nodes in new_routes:
             self.routes.append(CachedRoute(tuple(nodes)))
         self.check_disjoint()
-        if rank is not None:
-            valid = sorted((r for r in self.routes if r.valid), key=lambda r: rank(r.nodes))
-            invalid = [r for r in self.routes if not r.valid]
-            self.routes = valid + invalid
         self.promote()
 
     def check_disjoint(self) -> None:
@@ -154,12 +145,13 @@ class PathCache:
 
 
 @dataclass(slots=True)
-class SourceSession:
-    dest: int
-    attempts_left: int
-    parallel: bool
-    buffered: list = field(default_factory=list)
-    timer: object = None
+class RreqFlood:
+    """What a forwarding node remembers of one request flood (origin,
+    rreq_id): the fewest hops any copy arrived with, and the route records
+    it has forwarded, one per copy."""
+
+    best_hops: int
+    forwarded: set = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -190,15 +182,10 @@ class MaodvRouter(RouterBase):
     def __init__(self, node, ctx):
         super().__init__(node, ctx)
         self.caches: dict[int, PathCache] = {}
-        self.sessions: dict[int, SourceSession] = {}
         self.collect: dict[tuple[int, int], CollectSession] = {}
-        self.rreq_best: dict[tuple[int, int], int] = {}
-        self.rreq_copies: dict[tuple[int, int], int] = {}
-        self.rreq_forwarded: dict[tuple[int, int], set] = {}
+        self.floods: dict[tuple[int, int], RreqFlood] = {}
         self.rrep_seen: set[tuple[int, int]] = set()
         self.carried: dict[tuple[int, int], CarriedFlow] = {}
-        self.table: dict[int, RoutingTableEntry] = {}
-        self.sourced: set[int] = set()
 
     # -- hello scoping and liveness -------------------------------------------
 
@@ -228,10 +215,7 @@ class MaodvRouter(RouterBase):
         return False
 
     def on_neighbor_lost(self, neighbor: int) -> None:
-        now = self.now
-        self.ctx.metrics.on_event("link_break")
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(now, self.node, "link_break", "-", f"neighbor={neighbor}")
+        self.ctx.metrics.on_event("link_break", self.now, self.node, f"neighbor={neighbor}")
         for (origin, dest), car in list(self.carried.items()):
             if origin == self.node:
                 cache = self.caches.get(dest)
@@ -275,29 +259,13 @@ class MaodvRouter(RouterBase):
     # -- traffic entry ----------------------------------------------------------
 
     def send_data(self, pkt: Data) -> None:
-        if pkt.dest == self.node:
-            self.ctx.metrics.on_delivered(pkt, self.now)
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "deliver", pkt.pkt_id, "local")
+        if self._deliver_local(pkt):
             return
         self.sourced.add(pkt.dest)
         cache = self.caches.get(pkt.dest)
         route = cache.primary_route() if cache is not None else None
         if route is None:
-            session = self.sessions.get(pkt.dest)
-            if session is None:
-                if not self.may_discover(pkt.dest):
-                    self.ctx.metrics.on_dropped(pkt, "no_route")
-                    if self.ctx.trace.enabled:
-                        self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "no_route")
-                    return
-                session = self._start_discovery(pkt.dest, parallel=False)
-            if len(session.buffered) >= self.params.queue_capacity:
-                self.ctx.metrics.on_dropped(pkt, "queue_overflow")
-                if self.ctx.trace.enabled:
-                    self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "queue_overflow")
-                return
-            session.buffered.append(pkt)
+            self._buffer_for_discovery(pkt)
             return
         pkt.source_route = route
         car = self.carried.get((self.node, pkt.dest))
@@ -305,60 +273,6 @@ class MaodvRouter(RouterBase):
             car.last_used = self.now
         self.ctx.radio.send(self.node, pkt, pkt.payload_size, addressee=route[1])
         self.watch(route[1])
-
-    # -- discovery (source side) --------------------------------------------------
-
-    def _start_discovery(self, dest: int, parallel: bool) -> SourceSession:
-        session = SourceSession(dest, self.params.rreq_retries, parallel)
-        self.sessions[dest] = session
-        name = "replenish_start" if parallel else "discovery_start"
-        self.ctx.metrics.on_event(name)
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(self.now, self.node, name, "-", f"dest={dest}")
-        self._flood_rreq(session)
-        return session
-
-    def _flood_rreq(self, session: SourceSession) -> None:
-        self.seq += 1
-        self.rreq_counter += 1
-        rreq = Rreq(
-            origin=self.node,
-            dest=session.dest,
-            rreq_id=self.rreq_counter,
-            origin_seq=self.seq,
-            dest_seq_known=0,
-            hop_count=0,
-            route_record=(self.node,),
-        )
-        self.ctx.radio.send(self.node, rreq, self.params.control_bytes)
-        session.timer = self.ctx.engine.schedule(
-            self.now + self.ctx.discovery_timeout,
-            EventKind.TIMER,
-            lambda d=session.dest: self._discovery_timeout(d),
-        )
-
-    def _discovery_timeout(self, dest: int) -> None:
-        if not self.alive:
-            return
-        session = self.sessions.get(dest)
-        if session is None:
-            return
-        if session.attempts_left > 0:
-            session.attempts_left -= 1
-            self.ctx.metrics.on_event("discovery_retry")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "discovery_retry", "-", f"dest={dest}")
-            self._flood_rreq(session)
-            return
-        del self.sessions[dest]
-        self.note_discovery_failure(dest)
-        self.ctx.metrics.on_event("discovery_fail")
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(self.now, self.node, "discovery_fail", "-", f"dest={dest}")
-        for pkt in session.buffered:
-            self.ctx.metrics.on_dropped(pkt, "no_route")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "no_route")
 
     # -- request flood (everyone else) ---------------------------------------------
 
@@ -392,22 +306,18 @@ class MaodvRouter(RouterBase):
             sess.seen.add(record)
             sess.paths.append(record)
             return
-        best = self.rreq_best.get(key)
-        if best is None:
-            self.rreq_best[key] = hops
-        else:
-            if hops > best + params.mpath_slack:
-                return
-            if hops < best:
-                self.rreq_best[key] = hops
-        forwarded = self.rreq_forwarded.setdefault(key, set())
-        if record in forwarded:
+        flood = self.floods.get(key)
+        if flood is None:
+            flood = self.floods[key] = RreqFlood(hops)
+        elif hops > flood.best_hops + params.mpath_slack:
             return
-        copies = self.rreq_copies.get(key, 0)
-        if params.mpath_max_copies and copies >= params.mpath_max_copies:
+        elif hops < flood.best_hops:
+            flood.best_hops = hops
+        if record in flood.forwarded:
             return
-        self.rreq_copies[key] = copies + 1
-        forwarded.add(record)
+        if params.mpath_max_copies and len(flood.forwarded) >= params.mpath_max_copies:
+            return
+        flood.forwarded.add(record)
         fwd = Rreq(
             origin=rreq.origin,
             dest=rreq.dest,
@@ -440,12 +350,9 @@ class MaodvRouter(RouterBase):
             lifetime=self.params.route_lifetime,
             rreq_id=sess.rreq_id,
         )
-        self.ctx.metrics.on_event("paths_collected")
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(
-                self.now, self.node, "paths_collected", "-",
-                f"origin={sess.origin} n={len(sess.paths)}",
-            )
+        self.ctx.metrics.on_event(
+            "paths_collected", self.now, self.node, f"origin={sess.origin} n={len(sess.paths)}"
+        )
         self.rrep_seen.add(key)
         self._install_carried(rrep)
         self.ctx.radio.send(self.node, rrep, self.params.control_bytes)
@@ -508,16 +415,14 @@ class MaodvRouter(RouterBase):
 
     def _discovery_complete(self, rrep: Rrep) -> None:
         dest = rrep.dest
-        session = self.sessions.pop(dest, None)
-        if session is not None and session.timer is not None:
-            self.ctx.engine.cancel(session.timer)
+        discovery = self._end_discovery(dest)
         paths = [tuple(p) for p in rrep.path_set]
         cache = self.caches.get(dest)
         if cache is None or cache.valid_count() == 0:
             routes = select_disjoint(
                 paths, self.params.n0, degree_tiebreak=self.params.degree_tiebreak
             )
-            cache = PathCache(dest, routes, self.params.n0, self.params.s0)
+            cache = PathCache(dest, routes, self.params.s0)
             self.caches[dest] = cache
         else:
             existing = tuple(r.nodes for r in cache.valid_routes())
@@ -530,20 +435,17 @@ class MaodvRouter(RouterBase):
             # replenished routes join behind the surviving ones: the route
             # in use keeps carrying the flow until it actually breaks
             cache.add_routes(new_routes)
-        self.ctx.metrics.on_event("routes_selected")
-        if self.ctx.trace.enabled:
-            routes_text = ";".join(
-                "-".join(str(n) for n in r.nodes) for r in cache.valid_routes()
-            )
-            self.ctx.trace.emit(
-                self.now, self.node, "routes_selected", "-", f"dest={dest} routes={routes_text}"
-            )
+        routes_text = ";".join("-".join(str(n) for n in r.nodes) for r in cache.valid_routes())
+        self.ctx.metrics.on_event(
+            "routes_selected", self.now, self.node, f"dest={dest} routes={routes_text}"
+        )
+        # cleared even when the reply outlived its discovery
         self.discovery_backoff.pop(dest, None)
         for route in cache.valid_routes():
             if len(route.nodes) > 1:
                 self.watch(route.nodes[1])
-        if session is not None:
-            for pkt in session.buffered:
+        if discovery is not None:
+            for pkt in discovery.buffered:
                 self.send_data(pkt)
 
     # -- failure handling ----------------------------------------------------------
@@ -569,40 +471,28 @@ class MaodvRouter(RouterBase):
         if not cache.invalidate_link(link):
             return
         now = self.now
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(now, self.node, "route_invalid", "-", f"dest={dest} link={link}")
+        self.ctx.trace.emit(now, self.node, "route_invalid", "-", f"dest={dest} link={link}")
         if cache.valid_count() == 0:
-            if dest in self.sourced and dest not in self.sessions and self.may_discover(dest):
-                self._start_discovery(dest, parallel=False)
+            if dest in self.sourced and self.may_discover(dest):
+                self.start_discovery(dest)
             return
         if cache.primary_route() is None:
-            promoted = cache.promote()
-            self.ctx.metrics.on_event("failover")
-            if self.ctx.trace.enabled:
-                route_text = "-".join(str(n) for n in promoted)
-                self.ctx.trace.emit(now, self.node, "failover", "-", f"dest={dest} route={route_text}")
-        if cache.valid_count() <= cache.s0 and dest not in self.sessions and self.may_discover(dest):
-            self._start_discovery(dest, parallel=True)
+            route_text = "-".join(str(n) for n in cache.promote())
+            self.ctx.metrics.on_event("failover", now, self.node, f"dest={dest} route={route_text}")
+        if cache.valid_count() <= cache.s0 and self.may_discover(dest):
+            # replenish in parallel with data still flowing on the spares
+            self.start_discovery(dest, event="replenish_start")
 
     # -- data plane -------------------------------------------------------------------
 
     def _handle_data(self, pkt: Data, sender: int) -> None:
-        if self.node in pkt.traversed:
-            self.ctx.metrics.on_event("loop")
-            self.ctx.metrics.on_dropped(pkt, "loop")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(self.now, self.node, "drop", pkt.pkt_id, "loop")
+        if not self._admit_data(pkt):
             return
-        pkt.traversed.append(self.node)
         car = self.carried.get((pkt.origin, pkt.dest))
         if car is not None:
             car.last_used = self.now
         if pkt.dest == self.node:
             self.ctx.metrics.on_delivered(pkt, self.now)
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(
-                    self.now, self.node, "deliver", pkt.pkt_id, f"hops={len(pkt.traversed) - 1}"
-                )
             return
         route = pkt.source_route
         if self.node not in route:

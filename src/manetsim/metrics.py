@@ -2,10 +2,11 @@
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import SimulationError
 from .proto_common import Data
+from .trace import Trace
 
 
 @dataclass(slots=True)
@@ -51,9 +52,14 @@ class MetricsReport:
 
 
 class PacketLedger:
-    """Records every data packet's lifecycle exactly once per stage."""
+    """Records every data packet's lifecycle exactly once per stage.
 
-    def __init__(self) -> None:
+    It is also the run's one event sink: each record below writes its own
+    trace line, so a fact and its line cannot drift apart.
+    """
+
+    def __init__(self, trace: Trace | None = None) -> None:
+        self.trace = trace if trace is not None else Trace(enabled=False)
         self.records: dict[int, PacketRecord] = {}
         self.control_transmissions = 0
         self.data_transmissions = 0
@@ -69,8 +75,15 @@ class PacketLedger:
         self.records[pkt.pkt_id] = PacketRecord(
             pkt.pkt_id, pkt.flow_id, pkt.data_seq, pkt.payload_size, pkt.sent_at
         )
+        if self.trace.enabled:
+            self.trace.emit(
+                pkt.sent_at, pkt.origin, "cbr_send", pkt.pkt_id,
+                f"flow={pkt.flow_id} seq={pkt.data_seq}",
+            )
 
-    def on_delivered(self, pkt: Data, t: float) -> None:
+    def on_delivered(self, pkt: Data, t: float, local: bool = False) -> None:
+        """pkt reached its destination at t; `local` when it never left its
+        source because it was addressed there."""
         rec = self.records[pkt.pkt_id]
         if rec.terminal:
             raise SimulationError(
@@ -82,13 +95,17 @@ class PacketLedger:
         rec.traversed = tuple(pkt.traversed)
         rec.source_route = tuple(pkt.source_route)
         self.deliveries += 1
+        if self.trace.enabled:
+            detail = "local" if local else f"hops={len(pkt.traversed) - 1}"
+            self.trace.emit(t, pkt.dest, "deliver", pkt.pkt_id, detail)
 
-    def on_dropped(self, pkt: Data, cause: str) -> None:
+    def on_dropped(self, pkt: Data, cause: str, t: float, node: int) -> None:
         rec = self.records[pkt.pkt_id]
         if rec.terminal:
             raise SimulationError(f"duplicate terminal state for packet {pkt.pkt_id}")
         rec.drop_cause = cause
         rec.traversed = tuple(pkt.traversed)
+        self.trace.emit(t, node, "drop", pkt.pkt_id, cause)
 
     def on_control_tx(self) -> None:
         self.control_transmissions += 1
@@ -96,8 +113,9 @@ class PacketLedger:
     def on_data_tx(self) -> None:
         self.data_transmissions += 1
 
-    def on_event(self, name: str) -> None:
+    def on_event(self, name: str, t: float, node: int, detail: str = "") -> None:
         self.events[name] += 1
+        self.trace.emit(t, node, name, "-", detail)
 
     def sample_energy(self, t: float, network_j: float, routing_j: float) -> None:
         self.energy_series.append((t, network_j, routing_j))

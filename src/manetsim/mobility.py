@@ -131,6 +131,9 @@ class MobilityModel:
         dt = t - depart
         if dt >= travel:
             return end_pos
+        if dt < 0:
+            # before the first leg departs the node waits at its start
+            return (x0, y0)
         frac = dt / travel
         return (x0 + dx * frac, y0 + dy * frac)
 

@@ -1,4 +1,5 @@
-"""Shared protocol substrate: packet types, freshness, routing table, liveness."""
+"""Shared protocol substrate: packet types, freshness, routing table, liveness,
+and the source-side route discovery both protocols run."""
 
 import math
 from dataclasses import dataclass, field
@@ -119,10 +120,6 @@ class ProtocolParams:
         if self.mpath_slack < 0:
             raise ValueError("protocol.mpath_slack must be >= 0")
 
-    @property
-    def hello_allowance(self) -> float:
-        return self.allowed_hello_loss * self.hello_interval
-
     def control_tx_duration(self, bandwidth: float) -> float:
         return self.control_bytes * 8 / bandwidth
 
@@ -139,9 +136,22 @@ class ProtocolParams:
         return 2 * diameter_hops * self.control_tx_duration(bandwidth)
 
 
+@dataclass(slots=True)
+class Discovery:
+    """A route discovery this node runs as a source. Data toward dest waits
+    in `buffered` until a reply arrives or the last retry times out."""
+
+    dest: int
+    attempts_left: int
+    requested_seq: int
+    buffered: list = field(default_factory=list)
+    timer: object = None
+
+
 class RouterBase:
     """Per-node machinery shared by both protocols: sequence number, hello
-    emission scoped to active routes, and hello-based neighbor liveness."""
+    emission scoped to active routes, hello-based neighbor liveness, and
+    source-side discovery with retry, back-off and buffering."""
 
     def __init__(self, node: int, ctx: "RunContext"):
         self.node = node
@@ -149,6 +159,10 @@ class RouterBase:
         self.params = ctx.params
         self.seq = 0
         self.rreq_counter = 0
+        self.table: dict[int, RoutingTableEntry] = {}
+        self.sourced: set[int] = set()  # destinations this node has sent data to
+        self.discoveries: dict[int, Discovery] = {}
+        self.hello_allowance = self.params.allowed_hello_loss * self.params.hello_interval
         # neighbor -> time after which it is presumed gone
         self.hello_deadline: dict[int, float] = {}
         self._watch_armed: set[int] = set()
@@ -202,7 +216,7 @@ class RouterBase:
             )
 
     def _on_hello(self, hello: Hello, sender: int) -> None:
-        self.hello_deadline[hello.sender] = self.now + self.params.hello_allowance
+        self.hello_deadline[hello.sender] = self.ctx.engine.now + self.hello_allowance
 
     def watch(self, neighbor: int) -> None:
         """Start liveness tracking for a next-hop neighbor.
@@ -211,9 +225,10 @@ class RouterBase:
         no active route) says nothing about liveness, so tracking restarts
         with a fresh allowance instead of declaring an instant break.
         """
+        now = self.ctx.engine.now
         deadline = self.hello_deadline.get(neighbor)
-        if deadline is None or deadline <= self.now:
-            self.hello_deadline[neighbor] = self.now + self.params.hello_allowance
+        if deadline is None or deadline <= now:
+            self.hello_deadline[neighbor] = now + self.hello_allowance
         if neighbor not in self._watch_armed:
             self._watch_armed.add(neighbor)
             self.ctx.engine.schedule(
@@ -223,6 +238,9 @@ class RouterBase:
             )
 
     def may_discover(self, dest: int) -> bool:
+        """True when no discovery toward dest runs and none is backing off."""
+        if dest in self.discoveries:
+            return False
         entry = self.discovery_backoff.get(dest)
         return entry is None or self.now >= entry[0]
 
@@ -249,7 +267,106 @@ class RouterBase:
         if self.watch_relevant(neighbor):
             self.on_neighbor_lost(neighbor)
 
+    # -- route discovery (source side) ---------------------------------------
+
+    def _buffer_for_discovery(self, pkt: Data) -> None:
+        """Queue a packet that has no route behind dest's discovery, starting
+        one if none runs. The packet is dropped while discovery toward dest
+        backs off, or when the queue is full."""
+        discovery = self.discoveries.get(pkt.dest)
+        if discovery is None:
+            if not self.may_discover(pkt.dest):
+                self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
+                return
+            discovery = self.start_discovery(pkt.dest, self._requested_seq(pkt.dest))
+        if len(discovery.buffered) >= self.params.queue_capacity:
+            self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.now, self.node)
+            return
+        discovery.buffered.append(pkt)
+
+    def start_discovery(
+        self, dest: int, requested_seq: int = 0, event: str = "discovery_start"
+    ) -> Discovery:
+        discovery = Discovery(dest, self.params.rreq_retries, requested_seq)
+        self.discoveries[dest] = discovery
+        self.ctx.metrics.on_event(event, self.now, self.node, f"dest={dest}")
+        discovery.timer = self._flood_rreq(
+            dest, requested_seq, self.ctx.discovery_timeout, self._discovery_timeout
+        )
+        return discovery
+
+    def _flood_rreq(
+        self, dest: int, requested_seq: int, wait: float, on_timeout, repair: bool = False
+    ):
+        """Broadcast a fresh request for dest; returns the timer that calls
+        on_timeout(dest) after `wait` unless it is cancelled first."""
+        self.seq += 1
+        self.rreq_counter += 1
+        rreq = Rreq(
+            origin=self.node,
+            dest=dest,
+            rreq_id=self.rreq_counter,
+            origin_seq=self.seq,
+            dest_seq_known=requested_seq,
+            hop_count=0,
+            route_record=(self.node,),
+            repair=repair,
+        )
+        self.ctx.radio.send(self.node, rreq, self.params.control_bytes)
+        return self.ctx.engine.schedule(
+            self.now + wait, EventKind.TIMER, lambda: on_timeout(dest)
+        )
+
+    def _discovery_timeout(self, dest: int) -> None:
+        if not self.alive:
+            return
+        discovery = self.discoveries.get(dest)
+        if discovery is None:
+            return
+        if discovery.attempts_left > 0:
+            discovery.attempts_left -= 1
+            self.ctx.metrics.on_event("discovery_retry", self.now, self.node, f"dest={dest}")
+            discovery.timer = self._flood_rreq(
+                dest, discovery.requested_seq, self.ctx.discovery_timeout, self._discovery_timeout
+            )
+            return
+        del self.discoveries[dest]
+        self.note_discovery_failure(dest)
+        self.ctx.metrics.on_event("discovery_fail", self.now, self.node, f"dest={dest}")
+        for pkt in discovery.buffered:
+            self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
+
+    def _end_discovery(self, dest: int) -> Discovery | None:
+        """Stop dest's running discovery, if any, and return it so the
+        caller can release its buffered packets."""
+        discovery = self.discoveries.pop(dest, None)
+        if discovery is not None:
+            self.ctx.engine.cancel(discovery.timer)
+        return discovery
+
+    # -- data plane ------------------------------------------------------------
+
+    def _deliver_local(self, pkt: Data) -> bool:
+        """Deliver on the spot a packet its source addressed to itself."""
+        if pkt.dest != self.node:
+            return False
+        self.ctx.metrics.on_delivered(pkt, self.now, local=True)
+        return True
+
+    def _admit_data(self, pkt: Data) -> bool:
+        """Loop check for a received data packet: one that already crossed
+        this node is dropped, any other records this hop and may proceed."""
+        if self.node in pkt.traversed:
+            self.ctx.metrics.on_dropped(pkt, "loop", self.now, self.node)
+            return False
+        pkt.traversed.append(self.node)
+        return True
+
     # -- protocol hooks ------------------------------------------------------
+
+    def _requested_seq(self, dest: int) -> int:
+        """Destination sequence number a new discovery toward dest asks for."""
+        return 0
 
     def hello_active(self) -> bool:
         raise NotImplementedError

@@ -107,9 +107,7 @@ class Radio:
             # A dead node transmits nothing, and a battery drained
             # mid-transmission never completes the frame; data is lost.
             if is_data:
-                self.metrics.on_dropped(packet, "dead_node")
-                if self.trace.enabled:
-                    self.trace.emit(now, sender, "drop", packet.pkt_id, "dead_node")
+                self.metrics.on_dropped(packet, "dead_node", now, sender)
             return 0
         if is_data:
             self.metrics.on_data_tx()
@@ -133,9 +131,7 @@ class Radio:
         if not receivers:
             if addressee is not None and is_data:
                 # Unicast into the void: the frame reaches nobody.
-                self.metrics.on_dropped(packet, "link_break")
-                if self.trace.enabled:
-                    self.trace.emit(now, sender, "drop", packet.pkt_id, "link_break")
+                self.metrics.on_dropped(packet, "link_break", now, sender)
             return 0
         rx = RX_DATA if is_data else RX_CONTROL
         amount = energy.cost_pj(rx, duration)

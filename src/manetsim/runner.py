@@ -60,7 +60,7 @@ def build_network(
             sc.node_count, sc.mobility, sc.duration, streams.stream
         )
     trace = Trace(with_trace)
-    metrics = PacketLedger()
+    metrics = PacketLedger(trace)
     ctx = RunContext(engine, sc.proto)
     ctx.node_count = sc.node_count
     ctx.bandwidth = sc.radio.bandwidth
@@ -70,9 +70,7 @@ def build_network(
     ctx.trace = trace
 
     def on_death(node: int) -> None:
-        metrics.on_event("death")
-        if trace.enabled:
-            trace.emit(engine.now, node, "death", "-", "")
+        metrics.on_event("death", engine.now, node)
 
     energy = EnergyLedger(sc.node_count, sc.energy, on_death)
     ctx.energy = energy

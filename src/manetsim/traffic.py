@@ -71,12 +71,11 @@ class TrafficSource:
 
     def start(self) -> None:
         for flow in self.flows:
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(
-                    0.0, flow.src, "flow", "-",
-                    f"id={flow.flow_id} dest={flow.dest} payload={flow.payload} "
-                    f"interval={flow.interval} start={flow.start} stop={flow.stop}",
-                )
+            self.ctx.trace.emit(
+                0.0, flow.src, "flow", "-",
+                f"id={flow.flow_id} dest={flow.dest} payload={flow.payload} "
+                f"interval={flow.interval} start={flow.start} stop={flow.stop}",
+            )
             for seq, t in enumerate(emission_times(flow)):
                 self.ctx.engine.schedule(
                     t,
@@ -98,11 +97,7 @@ class TrafficSource:
         )
         self._next_pkt_id += 1
         self.ctx.metrics.on_sent(pkt)
-        if self.ctx.trace.enabled:
-            self.ctx.trace.emit(now, flow.src, "cbr_send", pkt.pkt_id, f"flow={flow.flow_id} seq={seq}")
         if not self.ctx.energy.alive(flow.src):
-            self.ctx.metrics.on_dropped(pkt, "dead_node")
-            if self.ctx.trace.enabled:
-                self.ctx.trace.emit(now, flow.src, "drop", pkt.pkt_id, "dead_node")
+            self.ctx.metrics.on_dropped(pkt, "dead_node", now, flow.src)
             return
         self.ctx.routers[flow.src].send_data(pkt)

@@ -1,15 +1,21 @@
-"""Golden trace digests: the determinism contract for both protocols.
+"""Golden digests: the determinism contract for both protocols.
 
 A change that claims to keep behaviour (a refactor, a speedup) must leave
-every digest below byte-identical. A change that moves one on purpose
-re-records it here and says why.
+every trace digest and every report-row digest below byte-identical, and
+the trace must tell the same story as the report. A change that moves a
+digest on purpose re-records it here and says why.
 """
 
+import functools
+import hashlib
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from manetsim import parse_scenario, run_scenario
+from manetsim.sweep import report_row
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
@@ -29,11 +35,63 @@ GOLDEN = {
     ("maodv", 100, 3): "912fbb6f3a499d03359874400b7ed6c5705ef2a90c1b5a27c17f88cd2d82d54f",
 }
 
+# (protocol, node_count, seed) -> sha256 of the run's report_row as sorted JSON
+GOLDEN_ROW = {
+    ("aodv", 20, 1): "941c8fd06bb3193ce657817da7a8fb98897937dbb5b2f8377f50989a05b41afa",
+    ("aodv", 20, 2): "b46e9cb1983ee5cf0dc7a1dbbaec64a86a3df280140f1de59284b50cd8bd7410",
+    ("aodv", 20, 3): "28f9c2157461013e10eefcce268edc317ecba9aa9cc4c55f6753823bded9a630",
+    ("maodv", 20, 1): "721dc7f400a33fcfd746d7b3ab2d00e22d7233fd855b8612fe170c2113b0d470",
+    ("maodv", 20, 2): "75f42ecce9b0ce5a00008299b6067aa374e4d03a7b9ed9b29aad368eb0ee5668",
+    ("maodv", 20, 3): "19eb454b8a4a0399e00275bdf77a00b0dde8633020d33fad2d2618bbce14116f",
+    ("aodv", 100, 1): "f01c7a7f9d387e59cca4d3a715f186fd4d36f9bea3b2ecfa400299bea2c4c651",
+    ("aodv", 100, 2): "210ef6b984288d1f0d5b70093e6822bd56f58f3986040df93e6a0aba50ae8614",
+    ("aodv", 100, 3): "0274b92a409300e1b7bea3693756241d0d56cf10a1a528afeabbfb9b1efe7f6d",
+    ("maodv", 100, 1): "2ef1e3b9591ddbcfd57bc42ebf6d18123eaf39e79000ea751d50752566a7ce16",
+    ("maodv", 100, 2): "747c682e08281f24681ab056091ff826798084135dfbc34c9ba0a64cd749b717",
+    ("maodv", 100, 3): "eb21dfc708478f5b95471b65691b24ed8434dc37e1c11a29629be7c4e98d7170",
+}
 
-@pytest.mark.parametrize("protocol,node_count,seed", sorted(GOLDEN))
-def test_baseline_trace_digest(protocol, node_count, seed):
+
+@functools.cache
+def baseline_run(protocol: str, node_count: int, seed: int) -> dict:
+    """One traced baseline run, reduced to what the checks below compare."""
     base = parse_scenario(BASELINE.read_text(), "baseline")
     sc = base.variant(protocol=protocol, node_count=node_count, master_seed=seed)
     result = run_scenario(sc, with_trace=True)
-    assert result.energy_closed
-    assert result.trace_digest() == GOLDEN[protocol, node_count, seed]
+    report, trace = result.report, result.trace
+    row = report_row(sc, report)
+    # drop lines read `time node drop pkt cause`
+    traced_drops = Counter(
+        fields[4] for fields in (line.split(" ") for line in trace.lines) if fields[2] == "drop"
+    )
+    return {
+        "energy_closed": result.energy_closed,
+        "trace_sha256": trace.digest(),
+        "row_sha256": hashlib.sha256(
+            json.dumps(row, sort_keys=True, default=repr).encode()
+        ).hexdigest(),
+        "drop_breakdown": report.drop_breakdown,
+        "traced_drops": dict(sorted(traced_drops.items())),
+        "protocol_events": report.protocol_events,
+        "traced_events": {name: trace.count(name) for name in report.protocol_events},
+    }
+
+
+@pytest.mark.parametrize("protocol,node_count,seed", sorted(GOLDEN))
+def test_baseline_trace_digest(protocol, node_count, seed):
+    run = baseline_run(protocol, node_count, seed)
+    assert run["energy_closed"]
+    assert run["trace_sha256"] == GOLDEN[protocol, node_count, seed]
+
+
+@pytest.mark.parametrize("protocol,node_count,seed", sorted(GOLDEN_ROW))
+def test_baseline_report_row_digest(protocol, node_count, seed):
+    run = baseline_run(protocol, node_count, seed)
+    assert run["row_sha256"] == GOLDEN_ROW[protocol, node_count, seed]
+
+
+@pytest.mark.parametrize("protocol,node_count,seed", sorted(GOLDEN))
+def test_baseline_trace_agrees_with_report(protocol, node_count, seed):
+    run = baseline_run(protocol, node_count, seed)
+    assert run["traced_drops"] == run["drop_breakdown"]
+    assert run["traced_events"] == run["protocol_events"]

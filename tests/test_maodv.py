@@ -89,7 +89,7 @@ def test_select_disjoint_output_maximal_and_disjoint():
 
 
 def test_cache_invalidate_link_directed():
-    cache = PathCache(9, [(0, 1, 9), (0, 2, 9)], n0=3, s0=1)
+    cache = PathCache(9, [(0, 1, 9), (0, 2, 9)], s0=1)
     assert not cache.invalidate_link((9, 1))  # reversed direction: no-op
     assert cache.invalidate_link((0, 1))
     assert cache.valid_count() == 1
@@ -98,15 +98,15 @@ def test_cache_invalidate_link_directed():
 
 
 def test_cache_break_on_unknown_link_is_noop():
-    cache = PathCache(9, [(0, 1, 9)], n0=3, s0=1)
+    cache = PathCache(9, [(0, 1, 9)], s0=1)
     assert not cache.invalidate_link((5, 6))
     assert cache.valid_count() == 1
 
 
 def test_cache_disjointness_enforced():
     with pytest.raises(SimulationError):
-        PathCache(9, [(0, 1, 9), (0, 1, 2, 9)], n0=3, s0=1)
-    cache = PathCache(9, [(0, 1, 9)], n0=3, s0=1)
+        PathCache(9, [(0, 1, 9), (0, 1, 2, 9)], s0=1)
+    cache = PathCache(9, [(0, 1, 9)], s0=1)
     with pytest.raises(SimulationError):
         cache.add_routes([(0, 1, 3, 9)])
 

@@ -20,7 +20,7 @@ def test_pdr_and_loss_arithmetic():
             p.traversed.append(1)
             ledger.on_delivered(p, 0.5)
         else:
-            ledger.on_dropped(p, "no_route")
+            ledger.on_dropped(p, "no_route", 1.0, 0)
     report = ledger.finalize(120.0)
     assert report.pdr == pytest.approx(0.90)
     assert report.loss_ratio == pytest.approx(0.10)
@@ -74,7 +74,7 @@ def test_drop_then_deliver_is_hard_fault():
     ledger = PacketLedger()
     p = pkt(0)
     ledger.on_sent(p)
-    ledger.on_dropped(p, "no_route")
+    ledger.on_dropped(p, "no_route", 1.0, 0)
     with pytest.raises(SimulationError):
         ledger.on_delivered(p, 2.0)
 
@@ -83,7 +83,7 @@ def test_zero_deliveries_use_nan_sentinels():
     ledger = PacketLedger()
     p = pkt(0)
     ledger.on_sent(p)
-    ledger.on_dropped(p, "no_route")
+    ledger.on_dropped(p, "no_route", 1.0, 0)
     report = ledger.finalize(120.0)
     assert math.isnan(report.nrl)
     assert math.isnan(report.avg_e2e_delay)
@@ -101,7 +101,7 @@ def test_conservation_with_in_flight():
         p.traversed.append(1)
         ledger.on_delivered(p, 1.0)
     for p in states[6:8]:
-        ledger.on_dropped(p, "link_break")
+        ledger.on_dropped(p, "link_break", 1.0, 0)
     report = ledger.finalize(5.0)
     assert report.sent == 10
     assert report.delivered == 6

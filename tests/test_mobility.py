@@ -63,6 +63,17 @@ def test_position_at_zero_is_initial_placement():
     assert MobilityModel([legs]).position(0, 0.0) == legs[0].start_pos
 
 
+def test_before_first_departure_is_start_position():
+    # a pause leg has zero travel time: no division by it
+    pause = MobilityModel([[WaypointLeg((1.0, 2.0), (1.0, 2.0), 0.0, 0.0, 5.0)]])
+    assert pause.position(0, -0.5) == (1.0, 2.0)
+    # a move not yet begun must not extrapolate backward out of the area
+    late = MobilityModel([[WaypointLeg((0.0, 0.0), (10.0, 0.0), 5.0, 1.0, 0.0)]])
+    assert late.position(0, 2.0) == (0.0, 0.0)
+    assert late.position(0, 5.0) == (0.0, 0.0)
+    assert late.position(0, 10.0) == (5.0, 0.0)
+
+
 def test_straight_line_kinematics():
     leg = WaypointLeg((0.0, 0.0), (100.0, 0.0), 0.0, 5.0, 0.0)
     tail = WaypointLeg((100.0, 0.0), (100.0, 0.0), 20.0, 0.0, 1e9)
