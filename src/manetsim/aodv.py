@@ -18,7 +18,6 @@ from .proto_common import (
 class RepairState:
     dest: int
     broken_hop: int
-    precursors: set
     buffered: list = field(default_factory=list)
     timer: object = None
 
@@ -44,7 +43,7 @@ class AodvRouter(RouterBase):
         life = lifetime if lifetime > 0 else self.params.route_lifetime
         e = self.table.get(dest)
         if e is None:
-            e = RoutingTableEntry(dest, next_hop, hops, seq, set(), self.now + life)
+            e = RoutingTableEntry(dest, next_hop, hops, seq, self.now + life)
             self.table[dest] = e
             return e
         if (
@@ -121,7 +120,7 @@ class AodvRouter(RouterBase):
                 if dest in self.sourced and self.may_discover(dest):
                     self.start_discovery(dest, self._requested_seq(dest, bump=True))
             elif dest not in self.repairs:
-                self._begin_repair(dest, neighbor, set(e.active_neighbors))
+                self._begin_repair(dest, neighbor)
 
     # -- traffic entry ---------------------------------------------------------
 
@@ -137,8 +136,8 @@ class AodvRouter(RouterBase):
 
     # -- local repair ---------------------------------------------------------
 
-    def _begin_repair(self, dest: int, broken_hop: int, precursors: set) -> None:
-        repair = RepairState(dest, broken_hop, precursors)
+    def _begin_repair(self, dest: int, broken_hop: int) -> None:
+        repair = RepairState(dest, broken_hop)
         self.repairs[dest] = repair
         self.ctx.metrics.on_event("repair_start", self.now, self.node, f"dest={dest}")
         repair.timer = self._flood_rreq(
@@ -146,7 +145,6 @@ class AodvRouter(RouterBase):
             self._requested_seq(dest, bump=True),
             2 * self.params.hello_interval,
             self._repair_timeout,
-            repair=True,
         )
 
     def _repair_timeout(self, dest: int) -> None:
@@ -211,7 +209,6 @@ class AodvRouter(RouterBase):
             dest_seq_known=rreq.dest_seq_known,
             hop_count=hops,
             route_record=rreq.route_record + (self.node,),
-            repair=rreq.repair,
         )
         self.ctx.radio.send(self.node, fwd, self.params.control_bytes)
 
@@ -224,9 +221,6 @@ class AodvRouter(RouterBase):
         # treat that as use so its nodes keep announcing themselves.
         e.last_used = self.now
         e.expires_at = self.now + self.params.route_lifetime
-        fwd_entry = self.table.get(rrep.dest)
-        if fwd_entry is not None and rrep.dest != self.node:
-            fwd_entry.active_neighbors.add(e.next_hop)
         self.ctx.radio.send(
             self.node, rrep, self.params.control_bytes, addressee=e.next_hop
         )
@@ -279,7 +273,7 @@ class AodvRouter(RouterBase):
         self._emit_rerr(rerr.broken_link, tuple(affected))
 
     def _emit_rerr(self, broken_link: tuple[int, int], dests: tuple[int, ...]) -> None:
-        rerr = Rerr(broken_link=broken_link, unreachable_dests=dests, reporter=self.node)
+        rerr = Rerr(broken_link=broken_link, unreachable_dests=dests)
         self.ctx.radio.send(self.node, rerr, self.params.control_bytes)
 
     # -- data plane -----------------------------------------------------------
@@ -304,7 +298,6 @@ class AodvRouter(RouterBase):
             self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
             self._emit_rerr((self.node, self.node), (pkt.dest,))
             return
-        e.active_neighbors.add(sender)
         self._transmit(pkt, e)
 
     def _forward_transit(self, pkt: Data) -> None:
@@ -329,7 +322,7 @@ class AodvRouter(RouterBase):
         elif install:
             hops_back = len(pkt.traversed) - 1
             e = RoutingTableEntry(
-                origin, sender, hops_back, 0, set(), self.now + self.params.route_lifetime
+                origin, sender, hops_back, 0, self.now + self.params.route_lifetime
             )
             e.last_used = self.now
             self.table[origin] = e

@@ -246,7 +246,6 @@ class MaodvRouter(RouterBase):
             broken_link=(self.node, lost),
             unreachable_dests=(dest,),
             route_record_to_source=prefix,
-            reporter=self.node,
         )
         if self.node == origin:
             self._route_break(dest, rerr.broken_link)
@@ -405,7 +404,7 @@ class MaodvRouter(RouterBase):
     def _set_entry(self, dest: int, next_hop: int, hops: int, seq: int) -> None:
         e = self.table.get(dest)
         if e is None:
-            e = RoutingTableEntry(dest, next_hop, hops, seq, set(), 0.0)
+            e = RoutingTableEntry(dest, next_hop, hops, seq, 0.0)
             self.table[dest] = e
         e.next_hop = next_hop
         e.hop_count = hops

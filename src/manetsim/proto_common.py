@@ -26,7 +26,6 @@ class Rreq:
     dest_seq_known: int
     hop_count: int
     route_record: tuple[int, ...]
-    repair: bool = False
 
 
 @dataclass(slots=True)
@@ -45,7 +44,6 @@ class Rerr:
     broken_link: tuple[int, int]
     unreachable_dests: tuple[int, ...]
     route_record_to_source: tuple[int, ...] = ()  # reverse prefix, source-routed mode
-    reporter: int = -1
 
 
 @dataclass(slots=True)
@@ -76,7 +74,6 @@ class RoutingTableEntry:
     next_hop: int
     hop_count: int
     dest_seq: int
-    active_neighbors: set[int] = field(default_factory=set)
     expires_at: float = 0.0
     last_used: float = -math.inf
 
@@ -295,9 +292,7 @@ class RouterBase:
         )
         return discovery
 
-    def _flood_rreq(
-        self, dest: int, requested_seq: int, wait: float, on_timeout, repair: bool = False
-    ):
+    def _flood_rreq(self, dest: int, requested_seq: int, wait: float, on_timeout):
         """Broadcast a fresh request for dest; returns the timer that calls
         on_timeout(dest) after `wait` unless it is cancelled first."""
         self.seq += 1
@@ -310,7 +305,6 @@ class RouterBase:
             dest_seq_known=requested_seq,
             hop_count=0,
             route_record=(self.node,),
-            repair=repair,
         )
         self.ctx.radio.send(self.node, rreq, self.params.control_bytes)
         return self.ctx.engine.schedule(

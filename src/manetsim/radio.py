@@ -22,6 +22,8 @@ class RadioParams:
             raise ValueError("radio.range must be > 0")
         if self.bandwidth <= 0:
             raise ValueError("radio.bandwidth must be > 0")
+        if self.propagation_delay < 0:
+            raise ValueError("radio.propagation_delay must be >= 0")
         if not 0.0 <= self.per_frame_loss_prob <= 1.0:
             raise ValueError("radio.per_frame_loss_prob must be in [0, 1]")
 

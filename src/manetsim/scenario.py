@@ -1,6 +1,14 @@
-"""Scenario configuration: flat key=value text files, validation, defaults."""
+"""Scenario configuration: flat key=value text files, validation, defaults.
 
+Every key is declared once, in FIELDS, next to its report CSV column, the
+part of the Scenario that holds it and its type. Parsing, `scenario_text`,
+`Scenario.params_dict`, `Scenario.variant` and the per-field input checks all
+read that table.
+"""
+
+import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .energy import EnergyParams
 from .mobility import MobilityParams
@@ -32,17 +40,14 @@ class Scenario:
     duration: float = 120.0
     master_seed: int = 1
 
-    @property
-    def area(self) -> tuple[float, float]:
-        return self.mobility.area
-
     def validate(self) -> None:
+        # the per-field checks a file line gets, for values set through the API
+        for f in FIELDS:
+            f.convert(f.get(self))
         if self.node_count < 2:
             raise ScenarioError("node_count must be >= 2")
         if self.duration <= 0:
             raise ScenarioError("duration must be > 0")
-        if self.protocol not in PROTOCOLS:
-            raise ScenarioError(f"protocol must be one of {PROTOCOLS}")
         try:
             self.radio.validate()
             self.mobility.validate()
@@ -69,7 +74,10 @@ class Scenario:
                 raise ScenarioError("traffic_start must lie within [0, duration)")
 
     def variant(self, **overrides) -> "Scenario":
-        """Copy with some top-level fields replaced; nested params are copied."""
+        """Copy with some fields replaced; nested params are copied.
+
+        A scenario file key is set through FIELDS, converted to its type.
+        """
         sc = replace(
             self,
             radio=replace(self.radio),
@@ -79,8 +87,8 @@ class Scenario:
             flows=list(self.flows),
         )
         for key, value in overrides.items():
-            if key == "pause_time":
-                sc.mobility.pause_time = value
+            if key in FIELD_BY_KEY:
+                FIELD_BY_KEY[key].set(sc, value)
             elif hasattr(sc, key):
                 setattr(sc, key, value)
             else:
@@ -89,82 +97,122 @@ class Scenario:
 
     def params_dict(self) -> dict:
         """Every parameter, defaults included, for report headers."""
-        return {
-            "name": self.name,
-            "protocol": self.protocol,
-            "seed": self.master_seed,
-            "node_count": self.node_count,
-            "area_w": self.mobility.area[0],
-            "area_h": self.mobility.area[1],
-            "range_m": self.radio.range,
-            "bandwidth_bps": self.radio.bandwidth,
-            "propagation_delay": self.radio.propagation_delay,
-            "loss_prob": self.radio.per_frame_loss_prob,
-            "v_max": self.mobility.v_max,
-            "v_min": self.mobility.v_min,
-            "pause_time": self.mobility.pause_time,
-            "p_tx_w": self.energy.p_tx,
-            "p_rx_w": self.energy.p_rx,
-            "initial_energy_j": self.energy.initial,
-            "rreq_retries": self.proto.rreq_retries,
-            "hello_interval": self.proto.hello_interval,
-            "allowed_hello_loss": self.proto.allowed_hello_loss,
-            "route_lifetime": self.proto.route_lifetime,
-            "rreq_id_cache_ttl": self.proto.rreq_id_cache_ttl,
-            "queue_capacity": self.proto.queue_capacity,
-            "control_bytes": self.proto.control_bytes,
-            "discovery_timeout": self.proto.discovery_timeout,
-            "n0": self.proto.n0,
-            "s0": self.proto.s0,
-            "mpath_slack": self.proto.mpath_slack,
-            "mpath_max_copies": self.proto.mpath_max_copies,
-            "mpath_max_paths": self.proto.mpath_max_paths,
-            "rrep_wait": self.proto.rrep_wait,
-            "degree_tiebreak": int(self.proto.degree_tiebreak),
-            "flow_count": len(self.flows) if self.flows else self.flow_count,
-            "explicit_flows": int(bool(self.flows)),
-            "payload": self.payload,
-            "interval": self.interval,
-            "traffic_start": self.traffic_start,
-            "duration": self.duration,
-        }
+        row = {}
+        for f in FIELDS:
+            value = f.get(self)
+            if f.key == "area":
+                cells = value
+            elif f.key == "flow_count":
+                cells = (len(self.flows) if self.flows else value, int(bool(self.flows)))
+            else:
+                cells = (int(value) if f.type is _flag else value,)
+            row.update(zip(f.column.split(), cells))
+        return row
 
 
-_INT_KEYS = {
-    "node_count",
-    "master_seed",
-    "rreq_retries",
-    "allowed_hello_loss",
-    "queue_capacity",
-    "control_bytes",
-    "n0",
-    "s0",
-    "mpath_slack",
-    "mpath_max_copies",
-    "mpath_max_paths",
-    "flow_count",
-    "payload",
-}
-_FLOAT_KEYS = {
-    "range",
-    "bandwidth",
-    "propagation_delay",
-    "loss_prob",
-    "v_max",
-    "v_min",
-    "pause_time",
-    "p_tx",
-    "p_rx",
-    "initial_energy",
-    "hello_interval",
-    "route_lifetime",
-    "rreq_id_cache_ttl",
-    "discovery_timeout",
-    "rrep_wait",
-    "interval",
-    "traffic_start",
-    "duration",
-}
+def _real(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return number
+
+
+def _cap(value) -> int:
+    """A count limit where 0 means unbounded."""
+    number = int(value)
+    if number < 0:
+        raise ValueError("must be >= 0 (0 = unbounded)")
+    return number
+
+
+def _wait(value) -> float:
+    """A time where 0 means derived from the network."""
+    number = _real(value)
+    if number < 0:
+        raise ValueError("must be >= 0 (0 = derived from the network)")
+    return number
+
+
+def _protocol(value) -> str:
+    if value not in PROTOCOLS:
+        raise ValueError(f"must be one of {PROTOCOLS}")
+    return value
+
+
+def _flag(value) -> bool:
+    """Written 0/1 in files and report rows."""
+    return bool(int(value))
+
+
+def _area(value) -> tuple[float, float]:
+    parts = value.split() if isinstance(value, str) else value
+    if len(parts) != 2:
+        raise ValueError("expected 'width height'")
+    return (_real(parts[0]), _real(parts[1]))
+
+
+@dataclass(frozen=True)
+class Field:
+    key: str  # scenario file key, also a `Scenario.variant` name
+    column: str  # report CSV column; space-separated where the key fills several
+    part: str  # "" for the Scenario itself, else the attribute of its params object
+    attr: str
+    type: Callable  # file text or Python value -> stored value; ValueError if out of range
+
+    def get(self, sc: Scenario):
+        return getattr(getattr(sc, self.part) if self.part else sc, self.attr)
+
+    def convert(self, value):
+        try:
+            return self.type(value)
+        except ValueError as exc:
+            raise ScenarioError(f"field {self.key!r}: {exc}") from exc
+
+    def set(self, sc: Scenario, value) -> None:
+        setattr(getattr(sc, self.part) if self.part else sc, self.attr, self.convert(value))
+
+
+# In report CSV column order; `scenario_text` writes the keys in this order too.
+FIELDS = tuple(Field(*entry) for entry in (
+    # file key              CSV column            part        attribute              type
+    ("name",               "name",               "",         "name",                str),
+    ("protocol",           "protocol",           "",         "protocol",            _protocol),
+    ("master_seed",        "seed",               "",         "master_seed",         int),
+    ("node_count",         "node_count",         "",         "node_count",          int),
+    ("area",               "area_w area_h",      "mobility", "area",                _area),
+    ("range",              "range_m",            "radio",    "range",               _real),
+    ("bandwidth",          "bandwidth_bps",      "radio",    "bandwidth",           _real),
+    ("propagation_delay",  "propagation_delay",  "radio",    "propagation_delay",   _real),
+    ("loss_prob",          "loss_prob",          "radio",    "per_frame_loss_prob", _real),
+    ("v_max",              "v_max",              "mobility", "v_max",               _real),
+    ("v_min",              "v_min",              "mobility", "v_min",               _real),
+    ("pause_time",         "pause_time",         "mobility", "pause_time",          _real),
+    ("p_tx",               "p_tx_w",             "energy",   "p_tx",                _real),
+    ("p_rx",               "p_rx_w",             "energy",   "p_rx",                _real),
+    ("initial_energy",     "initial_energy_j",   "energy",   "initial",             _real),
+    ("rreq_retries",       "rreq_retries",       "proto",    "rreq_retries",        int),
+    ("hello_interval",     "hello_interval",     "proto",    "hello_interval",      _real),
+    ("allowed_hello_loss", "allowed_hello_loss", "proto",    "allowed_hello_loss",  int),
+    ("route_lifetime",     "route_lifetime",     "proto",    "route_lifetime",      _real),
+    ("rreq_id_cache_ttl",  "rreq_id_cache_ttl",  "proto",    "rreq_id_cache_ttl",   _real),
+    ("queue_capacity",     "queue_capacity",     "proto",    "queue_capacity",      int),
+    ("control_bytes",      "control_bytes",      "proto",    "control_bytes",       int),
+    ("discovery_timeout",  "discovery_timeout",  "proto",    "discovery_timeout",   _wait),
+    ("n0",                 "n0",                 "proto",    "n0",                  int),
+    ("s0",                 "s0",                 "proto",    "s0",                  int),
+    ("mpath_slack",        "mpath_slack",        "proto",    "mpath_slack",         int),
+    ("mpath_max_copies",   "mpath_max_copies",   "proto",    "mpath_max_copies",    _cap),
+    ("mpath_max_paths",    "mpath_max_paths",    "proto",    "mpath_max_paths",     _cap),
+    ("rrep_wait",          "rrep_wait",          "proto",    "rrep_wait",           _wait),
+    ("degree_tiebreak",    "degree_tiebreak",    "proto",    "degree_tiebreak",     _flag),
+    # ignored, and reported as the number of `flow` lines, when flows are explicit
+    ("flow_count",         "flow_count explicit_flows", "", "flow_count", int),
+    ("payload",            "payload",            "",         "payload",             int),
+    ("interval",           "interval",           "",         "interval",            _real),
+    ("traffic_start",      "traffic_start",      "",         "traffic_start",       _real),
+    ("duration",           "duration",           "",         "duration",            _real),
+))
+FIELD_BY_KEY = {f.key: f for f in FIELDS}
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
@@ -180,141 +228,46 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         key = key.strip()
         value = value.strip()
         try:
-            _apply_key(sc, key, value)
-        except ScenarioError:
-            raise
+            if key == "flow":
+                sc.flows.append(_parse_flow(value, len(sc.flows)))
+            elif key in FIELD_BY_KEY:
+                FIELD_BY_KEY[key].set(sc, value)
+            else:
+                raise ScenarioError(f"unknown scenario field: {key}")
         except ValueError as exc:
-            raise ScenarioError(f"line {lineno}: field {key!r}: {exc}") from exc
+            raise ScenarioError(f"line {lineno}: {exc}") from exc
     return sc
 
 
-def _apply_key(sc: Scenario, key: str, value: str) -> None:
-    if key == "flow":
-        parts = value.split()
+def _parse_flow(value: str, flow_id: int) -> FlowSpec:
+    parts = value.split()
+    try:
         if len(parts) != 6:
-            raise ScenarioError(
-                "field 'flow': expected 'src dest payload interval start stop'"
-            )
-        sc.flows.append(
-            FlowSpec(
-                src=int(parts[0]),
-                dest=int(parts[1]),
-                payload=int(parts[2]),
-                interval=float(parts[3]),
-                start=float(parts[4]),
-                stop=float(parts[5]),
-                flow_id=len(sc.flows),
-            )
-        )
-        return
-    if key == "area":
-        parts = value.split()
-        if len(parts) != 2:
-            raise ScenarioError("field 'area': expected 'width height'")
-        sc.mobility.area = (float(parts[0]), float(parts[1]))
-        return
-    if key == "protocol":
-        if value not in PROTOCOLS:
-            raise ScenarioError(f"field 'protocol': must be one of {PROTOCOLS}")
-        sc.protocol = value
-        return
-    if key == "name":
-        sc.name = value
-        return
-    if key == "degree_tiebreak":
-        sc.proto.degree_tiebreak = bool(int(value))
-        return
-    if key in _INT_KEYS:
-        parsed: float = int(value)
-    elif key in _FLOAT_KEYS:
-        parsed = float(value)
-    else:
-        raise ScenarioError(f"unknown scenario field: {key}")
+            raise ValueError("expected 'src dest payload interval start stop'")
+        src, dest, payload = map(int, parts[:3])
+        interval, start, stop = map(float, parts[3:])
+    except ValueError as exc:
+        raise ScenarioError(f"field 'flow': {exc}") from exc
+    return FlowSpec(src, dest, payload, interval, start, stop, flow_id=flow_id)
 
-    if key == "range":
-        sc.radio.range = parsed
-    elif key == "bandwidth":
-        sc.radio.bandwidth = parsed
-    elif key == "propagation_delay":
-        sc.radio.propagation_delay = parsed
-    elif key == "loss_prob":
-        sc.radio.per_frame_loss_prob = parsed
-    elif key == "v_max":
-        sc.mobility.v_max = parsed
-    elif key == "v_min":
-        sc.mobility.v_min = parsed
-    elif key == "pause_time":
-        sc.mobility.pause_time = parsed
-    elif key == "p_tx":
-        sc.energy.p_tx = parsed
-    elif key == "p_rx":
-        sc.energy.p_rx = parsed
-    elif key == "initial_energy":
-        sc.energy.initial = parsed
-    elif key in (
-        "rreq_retries",
-        "hello_interval",
-        "allowed_hello_loss",
-        "route_lifetime",
-        "rreq_id_cache_ttl",
-        "queue_capacity",
-        "control_bytes",
-        "discovery_timeout",
-        "n0",
-        "s0",
-        "mpath_slack",
-        "mpath_max_copies",
-        "mpath_max_paths",
-        "rrep_wait",
-    ):
-        setattr(sc.proto, key, parsed)
-    else:
-        setattr(sc, key, parsed)
+
+def _text(value) -> str:
+    """`:g` where it reads back to the same float, else the exact repr."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        short = f"{value:g}"
+        return short if float(short) == value else repr(value)
+    if isinstance(value, tuple):
+        return " ".join(map(_text, value))
+    return str(value)
 
 
 def scenario_text(sc: Scenario) -> str:
     """Serialize back to the flat file format (defaults written explicitly)."""
-    lines = [
-        f"name = {sc.name}",
-        f"node_count = {sc.node_count}",
-        f"area = {sc.mobility.area[0]:g} {sc.mobility.area[1]:g}",
-        f"range = {sc.radio.range:g}",
-        f"bandwidth = {sc.radio.bandwidth:g}",
-        f"propagation_delay = {sc.radio.propagation_delay:g}",
-        f"loss_prob = {sc.radio.per_frame_loss_prob:g}",
-        f"v_max = {sc.mobility.v_max:g}",
-        f"v_min = {sc.mobility.v_min:g}",
-        f"pause_time = {sc.mobility.pause_time:g}",
-        f"p_tx = {sc.energy.p_tx:g}",
-        f"p_rx = {sc.energy.p_rx:g}",
-        f"initial_energy = {sc.energy.initial:g}",
-        f"protocol = {sc.protocol}",
-        f"rreq_retries = {sc.proto.rreq_retries}",
-        f"hello_interval = {sc.proto.hello_interval:g}",
-        f"allowed_hello_loss = {sc.proto.allowed_hello_loss}",
-        f"route_lifetime = {sc.proto.route_lifetime:g}",
-        f"rreq_id_cache_ttl = {sc.proto.rreq_id_cache_ttl:g}",
-        f"queue_capacity = {sc.proto.queue_capacity}",
-        f"control_bytes = {sc.proto.control_bytes}",
-        f"discovery_timeout = {sc.proto.discovery_timeout:g}",
-        f"n0 = {sc.proto.n0}",
-        f"s0 = {sc.proto.s0}",
-        f"mpath_slack = {sc.proto.mpath_slack}",
-        f"mpath_max_copies = {sc.proto.mpath_max_copies}",
-        f"mpath_max_paths = {sc.proto.mpath_max_paths}",
-        f"rrep_wait = {sc.proto.rrep_wait:g}",
-        f"degree_tiebreak = {int(sc.proto.degree_tiebreak)}",
-        f"payload = {sc.payload}",
-        f"interval = {sc.interval:g}",
-        f"traffic_start = {sc.traffic_start:g}",
-        f"duration = {sc.duration:g}",
-        f"master_seed = {sc.master_seed}",
+    lines = [f"{f.key} = {_text(f.get(sc))}" for f in FIELDS]
+    lines += [
+        "flow = " + _text((fl.src, fl.dest, fl.payload, fl.interval, fl.start, fl.stop))
+        for fl in sc.flows
     ]
-    if sc.flows:
-        for f in sc.flows:
-            lines.append(
-                f"flow = {f.src} {f.dest} {f.payload} {f.interval:g} {f.start:g} {f.stop:g}"
-            )
-    else:
-        lines.append(f"flow_count = {sc.flow_count}")
     return "\n".join(lines) + "\n"

@@ -87,11 +87,7 @@ def sweep(
     for value in values:
         for seed in seeds:
             for protocol in ("aodv", "maodv"):
-                sc = base.variant(master_seed=seed, protocol=protocol)
-                if axis == "pause_time":
-                    sc.mobility.pause_time = float(value)
-                else:
-                    sc.node_count = int(value)
+                sc = base.variant(master_seed=seed, protocol=protocol, **{axis: value})
                 sc.validate()
                 grid.append((value, seed, protocol, sc))
 

@@ -22,6 +22,10 @@ class FlowSpec:
             raise ValueError(f"flow endpoints out of range: {self.src}->{self.dest}")
         if self.src == self.dest:
             raise ValueError("flow src and dest must differ")
+        if not all(map(math.isfinite, (self.interval, self.start, self.stop))):
+            raise ValueError("flow interval, start and stop must be finite")
+        if self.start < 0:
+            raise ValueError("flow start must be >= 0")
         if self.start >= self.stop:
             raise ValueError("flow start must be < stop")
         if self.interval <= 0:

@@ -178,7 +178,7 @@ def test_expired_entry_drops_and_reports():
     positions = {0: (0.0, 0.0), 1: (200.0, 0.0), 2: (400.0, 0.0)}
     sc = Scenario(node_count=3, duration=1.0)
     net = build_network(sc, with_trace=True, mobility=static_model(positions))
-    net.routers[1].table[2] = RoutingTableEntry(2, 2, 1, 1, set(), expires_at=0.0)
+    net.routers[1].table[2] = RoutingTableEntry(2, 2, 1, 1, expires_at=0.0)
     pkt = Data(0, 2, 512, 0, 0.0, 0, 0, traversed=[0])
     net.metrics.on_sent(pkt)
     net.routers[1]._handle_data(pkt, sender=0)

@@ -31,6 +31,14 @@ def test_validate_rejects_bad_field(tmp_path, capsys):
     assert "node_count" in capsys.readouterr().err
 
 
+def test_non_finite_number_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    path.write_text(path.read_text() + "range = nan\n")
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        assert "range" in capsys.readouterr().err
+
+
 def test_missing_file_is_error(capsys):
     assert main(["validate", "/does/not/exist.scn"]) == 2
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from manetsim import parse_scenario, run_scenario
+from manetsim import parse_scenario, run_scenario, scenario_text
 from manetsim.sweep import report_row
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
@@ -51,6 +51,24 @@ GOLDEN_ROW = {
     ("maodv", 100, 3): "eb21dfc708478f5b95471b65691b24ed8434dc37e1c11a29629be7c4e98d7170",
 }
 
+# report_row's columns in CSV order; the row digests above sort their keys,
+# so only this list can see a reordered or renamed column
+REPORT_HEADER = [
+    "axis", "axis_value", "name", "protocol", "seed", "node_count", "area_w", "area_h",
+    "range_m", "bandwidth_bps", "propagation_delay", "loss_prob", "v_max", "v_min",
+    "pause_time", "p_tx_w", "p_rx_w", "initial_energy_j", "rreq_retries", "hello_interval",
+    "allowed_hello_loss", "route_lifetime", "rreq_id_cache_ttl", "queue_capacity",
+    "control_bytes", "discovery_timeout", "n0", "s0", "mpath_slack", "mpath_max_copies",
+    "mpath_max_paths", "rrep_wait", "degree_tiebreak", "flow_count", "explicit_flows",
+    "payload", "interval", "traffic_start", "duration", "sent", "delivered", "in_flight",
+    "dropped_total", "throughput_kbps", "avg_e2e_delay_s", "pdr", "loss_ratio", "nrl",
+    "control_transmissions", "data_transmissions", "network_energy_j", "routing_energy_j",
+    "drop_dead_node", "drop_no_route", "drop_queue_overflow", "drop_link_break",
+    "drop_loop", "drop_loop_avoided", "ev_discovery_start", "ev_discovery_retry",
+    "ev_discovery_fail", "ev_repair_start", "ev_repair_ok", "ev_repair_fail",
+    "ev_failover", "ev_replenish_start", "ev_death",
+]
+
 
 @functools.cache
 def baseline_run(protocol: str, node_count: int, seed: int) -> dict:
@@ -67,6 +85,7 @@ def baseline_run(protocol: str, node_count: int, seed: int) -> dict:
     return {
         "energy_closed": result.energy_closed,
         "trace_sha256": trace.digest(),
+        "header": list(row),
         "row_sha256": hashlib.sha256(
             json.dumps(row, sort_keys=True, default=repr).encode()
         ).hexdigest(),
@@ -95,3 +114,12 @@ def test_baseline_trace_agrees_with_report(protocol, node_count, seed):
     run = baseline_run(protocol, node_count, seed)
     assert run["traced_drops"] == run["drop_breakdown"]
     assert run["traced_events"] == run["protocol_events"]
+
+
+def test_report_header_is_pinned():
+    assert baseline_run("aodv", 20, 1)["header"] == REPORT_HEADER
+
+
+def test_baseline_survives_text_round_trip():
+    base = parse_scenario(BASELINE.read_text(), "baseline")
+    assert parse_scenario(scenario_text(base), "baseline") == base

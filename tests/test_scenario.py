@@ -1,6 +1,11 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manetsim import Scenario, parse_scenario, run_scenario, scenario_text
+from manetsim.radio import RadioParams
 from manetsim.scenario import ScenarioError
 from manetsim.traffic import FlowSpec
 
@@ -41,6 +46,106 @@ def test_parse_errors_name_the_field():
         parse_scenario("area = 800\n")
     with pytest.raises(ScenarioError, match="flow"):
         parse_scenario("flow = 1 2 512\n")
+
+
+# every float-valued scenario key -> (part of Scenario, attribute) holding it
+FLOAT_FIELDS = {
+    "range": ("radio", "range"),
+    "bandwidth": ("radio", "bandwidth"),
+    "propagation_delay": ("radio", "propagation_delay"),
+    "loss_prob": ("radio", "per_frame_loss_prob"),
+    "v_max": ("mobility", "v_max"),
+    "v_min": ("mobility", "v_min"),
+    "pause_time": ("mobility", "pause_time"),
+    "p_tx": ("energy", "p_tx"),
+    "p_rx": ("energy", "p_rx"),
+    "initial_energy": ("energy", "initial"),
+    "hello_interval": ("proto", "hello_interval"),
+    "route_lifetime": ("proto", "route_lifetime"),
+    "rreq_id_cache_ttl": ("proto", "rreq_id_cache_ttl"),
+    "discovery_timeout": ("proto", "discovery_timeout"),
+    "rrep_wait": ("proto", "rrep_wait"),
+    "interval": ("", "interval"),
+    "traffic_start": ("", "traffic_start"),
+    "duration": ("", "duration"),
+}
+INT_KEYS = (
+    "node_count", "master_seed", "rreq_retries", "allowed_hello_loss", "queue_capacity",
+    "control_bytes", "n0", "s0", "mpath_slack", "mpath_max_copies", "mpath_max_paths",
+    "flow_count", "payload",
+)
+# protocol knobs where 0 means "unbounded" or "derived from the network"
+ZERO_MEANS_DERIVED = ("mpath_max_copies", "mpath_max_paths", "rrep_wait", "discovery_timeout")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("key", sorted(FLOAT_FIELDS))
+def test_non_finite_numbers_rejected_naming_the_field(key, bad):
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        parse_scenario(f"{key} = {bad}\n")
+    sc = Scenario()
+    part, attr = FLOAT_FIELDS[key]
+    setattr(getattr(sc, part) if part else sc, attr, bad)
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        sc.validate()
+
+
+@pytest.mark.parametrize("key", ZERO_MEANS_DERIVED)
+def test_negative_derived_knobs_rejected_naming_the_field(key):
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        parse_scenario(f"{key} = -1\n")
+    sc = Scenario()
+    setattr(sc.proto, key, -1)
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        sc.validate()
+    parse_scenario(f"{key} = 0\n").validate()
+
+
+@pytest.mark.parametrize(
+    "interval,start,stop",
+    [(math.nan, 1.0, 10.0), (0.5, math.nan, 10.0), (0.5, 1.0, math.inf), (0.5, -1.0, 10.0)],
+)
+def test_flow_numbers_must_be_finite_and_start_at_zero_or_later(interval, start, stop):
+    flow = FlowSpec(0, 1, 512, interval, start, stop)
+    with pytest.raises(ValueError, match="flow"):
+        flow.validate(4)
+    with pytest.raises(ScenarioError, match="flow"):
+        Scenario(node_count=4, flows=[flow]).validate()
+
+
+def test_negative_propagation_delay_rejected():
+    with pytest.raises(ScenarioError, match="propagation_delay"):
+        Scenario(radio=RadioParams(propagation_delay=-1.0)).validate()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+flow_line = st.tuples(st.integers(), st.integers(), st.integers(), finite, finite, finite)
+
+
+@st.composite
+def scenario_texts(draw) -> str:
+    """A scenario file setting every key to an arbitrary value of its type."""
+    lines = [
+        "name = " + draw(st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True)),
+        "protocol = " + draw(st.sampled_from(["aodv", "maodv"])),
+        "degree_tiebreak = " + draw(st.sampled_from(["0", "1"])),
+        "area = {!r} {!r}".format(draw(finite), draw(finite)),
+    ]
+    for key in (*INT_KEYS, *FLOAT_FIELDS):
+        value = draw(st.integers() if key in INT_KEYS else finite)
+        lines.append(f"{key} = {abs(value) if key in ZERO_MEANS_DERIVED else value!r}")
+    for flow in draw(st.lists(flow_line, max_size=3)):
+        lines.append("flow = " + " ".join(repr(v) for v in flow))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_texts())
+def test_scenario_text_round_trips_exactly(text):
+    sc = parse_scenario(text)
+    back = parse_scenario(scenario_text(sc))
+    assert back == sc
+    assert scenario_text(back) == scenario_text(sc)
 
 
 def test_validate_rejects_bad_configs():
