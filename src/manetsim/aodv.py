@@ -1,17 +1,23 @@
 """On-demand distance-vector routing: flooded requests, unicast replies,
 hop-by-hop table forwarding, local repair, and error propagation."""
 
+import math
 from dataclasses import dataclass, field
 
-from .proto_common import (
-    Data,
-    Rerr,
-    Rrep,
-    Rreq,
-    RouterBase,
-    RoutingTableEntry,
-    fresher,
-)
+from .proto_common import Data, Rerr, Rrep, Rreq, RouterBase, fresher
+
+
+@dataclass(slots=True)
+class RoutingTableEntry:
+    dest: int
+    next_hop: int
+    hop_count: int
+    dest_seq: int
+    expires_at: float = 0.0
+    last_used: float = -math.inf
+
+    def valid(self, now: float) -> bool:
+        return now < self.expires_at
 
 
 @dataclass(slots=True)
@@ -25,6 +31,7 @@ class RepairState:
 class AodvRouter(RouterBase):
     def __init__(self, node, ctx):
         super().__init__(node, ctx)
+        self.table: dict[int, RoutingTableEntry] = {}
         self.repairs: dict[int, RepairState] = {}
         self.rreq_seen: dict[tuple[int, int], float] = {}
         self.last_dest_seq: dict[int, int] = {}
@@ -215,7 +222,7 @@ class AodvRouter(RouterBase):
     def _forward_rrep(self, rrep: Rrep) -> None:
         e = self._valid_entry(rrep.origin)
         if e is None:
-            self.ctx.trace.emit(self.now, self.node, "rrep_lost", "-", "no_reverse_route")
+            self.ctx.metrics.on_event("rrep_lost", self.now, self.node, "no_reverse_route")
             return
         # The reverse route carries the reply and will carry errors back;
         # treat that as use so its nodes keep announcing themselves.
@@ -266,7 +273,7 @@ class AodvRouter(RouterBase):
                 affected.append(dest)
         if not affected:
             return
-        self.ctx.trace.emit(now, self.node, "route_invalid", "-", f"dests={affected}")
+        self.ctx.metrics.on_event("route_invalid", now, self.node, f"dests={affected}")
         for dest in affected:
             if dest in self.sourced and self.may_discover(dest):
                 self.start_discovery(dest, self._requested_seq(dest, bump=True))

@@ -32,32 +32,12 @@ class EnergyState:
     alive: bool = True
 
     @property
-    def consumed_tx(self) -> float:
-        return (self.consumed_by[TX_CONTROL] + self.consumed_by[TX_DATA]) / PJ
-
-    @property
-    def consumed_rx(self) -> float:
-        return (self.consumed_by[RX_CONTROL] + self.consumed_by[RX_DATA]) / PJ
-
-    @property
-    def consumed_control(self) -> float:
-        return self.control_pj / PJ
-
-    @property
-    def consumed_data(self) -> float:
-        return (self.consumed_by[TX_DATA] + self.consumed_by[RX_DATA]) / PJ
-
-    @property
     def control_pj(self) -> int:
         return self.consumed_by[TX_CONTROL] + self.consumed_by[RX_CONTROL]
 
     @property
     def consumed_pj(self) -> int:
         return sum(self.consumed_by)
-
-    @property
-    def remaining(self) -> float:
-        return self.remaining_pj / PJ
 
 
 class EnergyLedger:

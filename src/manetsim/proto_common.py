@@ -1,7 +1,6 @@
-"""Shared protocol substrate: packet types, freshness, routing table, liveness,
-and the source-side route discovery both protocols run."""
+"""Shared protocol substrate: packet types, freshness, liveness, and the
+source-side route discovery both protocols run."""
 
-import math
 from dataclasses import dataclass, field
 
 from .engine import Engine, EventKind, SimulationError
@@ -66,19 +65,6 @@ class Data:
 
 
 Packet = Rreq | Rrep | Rerr | Hello | Data
-
-
-@dataclass(slots=True)
-class RoutingTableEntry:
-    dest: int
-    next_hop: int
-    hop_count: int
-    dest_seq: int
-    expires_at: float = 0.0
-    last_used: float = -math.inf
-
-    def valid(self, now: float) -> bool:
-        return now < self.expires_at
 
 
 @dataclass(slots=True)
@@ -156,7 +142,6 @@ class RouterBase:
         self.params = ctx.params
         self.seq = 0
         self.rreq_counter = 0
-        self.table: dict[int, RoutingTableEntry] = {}
         self.sourced: set[int] = set()  # destinations this node has sent data to
         self.discoveries: dict[int, Discovery] = {}
         self.hello_allowance = self.params.allowed_hello_loss * self.params.hello_interval
@@ -398,7 +383,6 @@ class RunContext:
         self.metrics = None
         self.trace = None
         self.routers: list[RouterBase] = []
-        self.node_count = 0
         self.bandwidth = 0.0
         self.diameter_hops = 5  # geometric bound, set per scenario
 

@@ -62,7 +62,6 @@ def build_network(
     trace = Trace(with_trace)
     metrics = PacketLedger(trace)
     ctx = RunContext(engine, sc.proto)
-    ctx.node_count = sc.node_count
     ctx.bandwidth = sc.radio.bandwidth
     w, h = sc.mobility.area
     ctx.diameter_hops = math.ceil(math.hypot(w, h) / sc.radio.range) + 1

@@ -117,9 +117,16 @@ def _real(value) -> float:
     return number
 
 
+def _int(value) -> int:
+    """A whole number; a float is taken only when integral, never truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _cap(value) -> int:
     """A count limit where 0 means unbounded."""
-    number = int(value)
+    number = _int(value)
     if number < 0:
         raise ValueError("must be >= 0 (0 = unbounded)")
     return number
@@ -141,7 +148,7 @@ def _protocol(value) -> str:
 
 def _flag(value) -> bool:
     """Written 0/1 in files and report rows."""
-    return bool(int(value))
+    return bool(_int(value))
 
 
 def _area(value) -> tuple[float, float]:
@@ -177,8 +184,8 @@ FIELDS = tuple(Field(*entry) for entry in (
     # file key              CSV column            part        attribute              type
     ("name",               "name",               "",         "name",                str),
     ("protocol",           "protocol",           "",         "protocol",            _protocol),
-    ("master_seed",        "seed",               "",         "master_seed",         int),
-    ("node_count",         "node_count",         "",         "node_count",          int),
+    ("master_seed",        "seed",               "",         "master_seed",         _int),
+    ("node_count",         "node_count",         "",         "node_count",          _int),
     ("area",               "area_w area_h",      "mobility", "area",                _area),
     ("range",              "range_m",            "radio",    "range",               _real),
     ("bandwidth",          "bandwidth_bps",      "radio",    "bandwidth",           _real),
@@ -190,24 +197,24 @@ FIELDS = tuple(Field(*entry) for entry in (
     ("p_tx",               "p_tx_w",             "energy",   "p_tx",                _real),
     ("p_rx",               "p_rx_w",             "energy",   "p_rx",                _real),
     ("initial_energy",     "initial_energy_j",   "energy",   "initial",             _real),
-    ("rreq_retries",       "rreq_retries",       "proto",    "rreq_retries",        int),
+    ("rreq_retries",       "rreq_retries",       "proto",    "rreq_retries",        _int),
     ("hello_interval",     "hello_interval",     "proto",    "hello_interval",      _real),
-    ("allowed_hello_loss", "allowed_hello_loss", "proto",    "allowed_hello_loss",  int),
+    ("allowed_hello_loss", "allowed_hello_loss", "proto",    "allowed_hello_loss",  _int),
     ("route_lifetime",     "route_lifetime",     "proto",    "route_lifetime",      _real),
     ("rreq_id_cache_ttl",  "rreq_id_cache_ttl",  "proto",    "rreq_id_cache_ttl",   _real),
-    ("queue_capacity",     "queue_capacity",     "proto",    "queue_capacity",      int),
-    ("control_bytes",      "control_bytes",      "proto",    "control_bytes",       int),
+    ("queue_capacity",     "queue_capacity",     "proto",    "queue_capacity",      _int),
+    ("control_bytes",      "control_bytes",      "proto",    "control_bytes",       _int),
     ("discovery_timeout",  "discovery_timeout",  "proto",    "discovery_timeout",   _wait),
-    ("n0",                 "n0",                 "proto",    "n0",                  int),
-    ("s0",                 "s0",                 "proto",    "s0",                  int),
-    ("mpath_slack",        "mpath_slack",        "proto",    "mpath_slack",         int),
+    ("n0",                 "n0",                 "proto",    "n0",                  _int),
+    ("s0",                 "s0",                 "proto",    "s0",                  _int),
+    ("mpath_slack",        "mpath_slack",        "proto",    "mpath_slack",         _int),
     ("mpath_max_copies",   "mpath_max_copies",   "proto",    "mpath_max_copies",    _cap),
     ("mpath_max_paths",    "mpath_max_paths",    "proto",    "mpath_max_paths",     _cap),
     ("rrep_wait",          "rrep_wait",          "proto",    "rrep_wait",           _wait),
     ("degree_tiebreak",    "degree_tiebreak",    "proto",    "degree_tiebreak",     _flag),
     # ignored, and reported as the number of `flow` lines, when flows are explicit
-    ("flow_count",         "flow_count explicit_flows", "", "flow_count", int),
-    ("payload",            "payload",            "",         "payload",             int),
+    ("flow_count",         "flow_count explicit_flows", "", "flow_count", _int),
+    ("payload",            "payload",            "",         "payload",             _int),
     ("interval",           "interval",           "",         "interval",            _real),
     ("traffic_start",      "traffic_start",      "",         "traffic_start",       _real),
     ("duration",           "duration",           "",         "duration",            _real),

@@ -95,9 +95,9 @@ def run_bench_discovery(max_copies=0, max_paths=0, slack=2):
     for r in net.routers:
         r.start_maintenance()
     net.engine.run_until(6.0)
-    sessions = list(net.routers[8].collect.values())
-    assert len(sessions) == 1
-    return [tuple(p) for p in sessions[0].paths]
+    floods = list(net.routers[8].floods.values())
+    assert len(floods) == 1
+    return [tuple(p) for p in floods[0].paths]
 
 
 # -- criteria -------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
 
 from manetsim import Scenario
-from manetsim.proto_common import Data, RoutingTableEntry
+from manetsim.aodv import RoutingTableEntry
+from manetsim.proto_common import Data
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import FlowSpec
 

@@ -123,6 +123,18 @@ def test_sweep_rejects_bad_axis(tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_rejects_non_whole_node_count(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    out = tmp_path / "x.csv"
+    code = main([
+        "sweep", str(path), "--axis", "node_count", "--values", "8.7",
+        "--seeds", "1", "--out", str(out), "--quiet",
+    ])
+    assert code == 2
+    assert "node_count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     """`python -m manetsim` runs the CLI and passes its exit code through."""
     root = Path(__file__).resolve().parent.parent

@@ -19,13 +19,13 @@ def spend(ledger, node, counter, duration):
 
 def test_initial_value_untouched():
     ledger = EnergyLedger(3, EnergyParams())
-    assert all(st.remaining == 10.0 for st in ledger.states)
+    assert all(st.remaining_pj == 10 * PJ for st in ledger.states)
 
 
 def test_debit_arithmetic():
     ledger = EnergyLedger(1, EnergyParams())
     assert spend(ledger, 0, TX_DATA, 2.048e-3)
-    consumed = 10.0 - ledger.states[0].remaining
+    consumed = (10 * PJ - ledger.states[0].remaining_pj) / PJ
     assert consumed == pytest.approx(0.66 * 2.048e-3, abs=1e-12)
     assert consumed == pytest.approx(1.35168e-3)
     # reception is priced at p_rx, for either traffic class
@@ -38,7 +38,7 @@ def test_clamp_and_die():
     deaths = []
     ledger.on_death = deaths.append
     assert not spend(ledger, 0, TX_DATA, 2.048e-3)  # wants 1.35 mJ
-    assert ledger.states[0].remaining == 0.0
+    assert ledger.states[0].remaining_pj == 0
     assert not ledger.states[0].alive
     assert deaths == [0]
     # ledger still closes exactly after the clamp
@@ -86,18 +86,18 @@ def test_class_split_matches_direction_split():
     spend(ledger, 0, RX_CONTROL, 0.02)
     spend(ledger, 0, TX_DATA, 0.03)
     spend(ledger, 0, RX_DATA, 0.04)
-    state = ledger.states[0]
-    assert state.consumed_control + state.consumed_data == pytest.approx(
-        state.consumed_tx + state.consumed_rx, abs=0
-    )
+    c = ledger.states[0].consumed_by
+    control, data = c[TX_CONTROL] + c[RX_CONTROL], c[TX_DATA] + c[RX_DATA]
+    tx, rx = c[TX_CONTROL] + c[TX_DATA], c[RX_CONTROL] + c[RX_DATA]
+    assert control + data == tx + rx
 
 
 def test_remaining_non_increasing():
     ledger = EnergyLedger(1, EnergyParams())
-    last = ledger.states[0].remaining
+    last = ledger.states[0].remaining_pj
     for _ in range(50):
         spend(ledger, 0, RX_DATA, 0.013)
-        now = ledger.states[0].remaining
+        now = ledger.states[0].remaining_pj
         assert now <= last
         last = now
 

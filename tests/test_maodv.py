@@ -89,24 +89,38 @@ def test_select_disjoint_output_maximal_and_disjoint():
 
 
 def test_cache_invalidate_link_directed():
-    cache = PathCache(9, [(0, 1, 9), (0, 2, 9)], s0=1)
+    cache = PathCache(9, [(0, 1, 9), (0, 2, 9)])
     assert not cache.invalidate_link((9, 1))  # reversed direction: no-op
     assert cache.invalidate_link((0, 1))
-    assert cache.valid_count() == 1
-    assert cache.primary_route() is None
-    assert cache.promote() == (0, 2, 9)
+    assert len(cache.routes) == 1
+    assert cache.primary_route() == (0, 2, 9)
 
 
 def test_cache_break_on_unknown_link_is_noop():
-    cache = PathCache(9, [(0, 1, 9)], s0=1)
+    cache = PathCache(9, [(0, 1, 9)])
     assert not cache.invalidate_link((5, 6))
-    assert cache.valid_count() == 1
+    assert len(cache.routes) == 1
+
+
+def test_cache_break_on_spare_keeps_primary():
+    cache = PathCache(9, [(0, 1, 9), (0, 2, 9), (0, 3, 9)])
+    assert cache.invalidate_link((2, 9))
+    assert cache.primary_route() == (0, 1, 9)
+    assert cache.routes == [(0, 1, 9), (0, 3, 9)]
+
+
+def test_cache_replenished_routes_queue_behind_survivor():
+    cache = PathCache(9, [(0, 1, 9), (0, 2, 9)])
+    assert cache.invalidate_link((0, 1))
+    cache.add_routes([(0, 3, 9), (0, 4, 9)])
+    assert cache.primary_route() == (0, 2, 9)
+    assert cache.routes == [(0, 2, 9), (0, 3, 9), (0, 4, 9)]
 
 
 def test_cache_disjointness_enforced():
     with pytest.raises(SimulationError):
-        PathCache(9, [(0, 1, 9), (0, 1, 2, 9)], s0=1)
-    cache = PathCache(9, [(0, 1, 9)], s0=1)
+        PathCache(9, [(0, 1, 9), (0, 1, 2, 9)])
+    cache = PathCache(9, [(0, 1, 9)])
     with pytest.raises(SimulationError):
         cache.add_routes([(0, 1, 3, 9)])
 
@@ -135,9 +149,9 @@ def test_benchmark_collection_matches_dfs_oracle():
     for r in net.routers:
         r.start_maintenance()
     net.engine.run_until(6.0)
-    sessions = list(net.routers[8].collect.values())
-    assert len(sessions) == 1
-    collected = sessions[0].paths
+    floods = list(net.routers[8].floods.values())
+    assert len(floods) == 1
+    collected = list(floods[0].paths)
     adjacency = adjacency_from_positions(BENCH_POSITIONS, 250.0)
     oracle = all_simple_paths(adjacency, 0, 8, max_hops=4 + 2)
     assert set(collected) == set(oracle)
@@ -179,10 +193,12 @@ def test_rrep_installs_entries_at_intermediates():
     for r in net.routers:
         r.start_maintenance()
     net.engine.run_until(6.0)
-    # node 1 sits on carried paths: entries toward both endpoints exist
-    assert 8 in net.routers[1].table
-    assert 0 in net.routers[1].table
-    assert net.routers[1].carried
+    # node 1 sits on carried paths, each reaching from source 0 to dest 8
+    carried = net.routers[1].carried
+    assert list(carried) == [(0, 8)]
+    paths = list(carried[0, 8])
+    assert paths
+    assert all(p[0] == 0 and p[-1] == 8 and 1 in p for p in paths)
 
 
 def test_single_path_degenerate_reply():

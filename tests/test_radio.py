@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from manetsim.energy import TX_DATA, EnergyLedger, EnergyParams
+from manetsim.energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA, EnergyLedger, EnergyParams
 from manetsim.engine import Engine, RngStream
 from manetsim.metrics import PacketLedger
 from manetsim.proto_common import Data, Hello
@@ -54,7 +54,8 @@ def test_empty_neighborhood_still_debits_tx():
     radio.send(0, Hello(0, 1), 64)
     engine.run_until(1.0)
     assert inbox == []
-    assert energy.states[0].consumed_tx > 0
+    spent = energy.states[0].consumed_by
+    assert spent[TX_CONTROL] + spent[TX_DATA] > 0
 
 
 def test_single_node_has_no_neighbors():
@@ -116,8 +117,9 @@ def test_unicast_consumed_only_by_addressee():
     engine.run_until(1.0)
     assert [(r, s) for r, _, s in inbox] == [(2, 0)]
     # bystander pays nothing
-    assert energy.states[1].consumed_rx == 0.0
-    assert energy.states[2].consumed_rx > 0.0
+    bystander, addressee = energy.states[1].consumed_by, energy.states[2].consumed_by
+    assert bystander[RX_CONTROL] + bystander[RX_DATA] == 0
+    assert addressee[RX_CONTROL] + addressee[RX_DATA] > 0
 
 
 def test_unicast_void_counts_link_break():

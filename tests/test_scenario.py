@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from manetsim import Scenario, parse_scenario, run_scenario, scenario_text
 from manetsim.radio import RadioParams
-from manetsim.scenario import ScenarioError
+from manetsim.scenario import FIELD_BY_KEY, ScenarioError
 from manetsim.traffic import FlowSpec
 
 from conftest import static_model
@@ -99,6 +99,14 @@ def test_negative_derived_knobs_rejected_naming_the_field(key):
     with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
         sc.validate()
     parse_scenario(f"{key} = 0\n").validate()
+
+
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_int_fields_take_whole_numbers_only(key):
+    value = FIELD_BY_KEY[key].get(Scenario().variant(**{key: 3.0}))
+    assert value == 3 and type(value) is int
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        Scenario().variant(**{key: 2.5})
 
 
 @pytest.mark.parametrize(
@@ -236,6 +244,10 @@ def test_sweep_validates_grid_before_any_run():
         sweep(base, "hello_interval", [1], [1])  # unknown axis
     with pytest.raises(ScenarioError):
         sweep(base, "pause_time", [], [1])
+    runs = []
+    with pytest.raises(ScenarioError, match=r"\bnode_count\b"):
+        sweep(base, "node_count", [8.7], [1], progress=lambda *run: runs.append(run))
+    assert runs == []  # 8.7 nodes is not truncated to 8
 
 
 def test_variant_does_not_mutate_base():
