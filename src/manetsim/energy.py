@@ -87,11 +87,11 @@ class EnergyLedger:
 
     def network_consumed(self) -> float:
         """Total joules burned by all nodes so far."""
-        return sum(st.consumed_pj for st in self.states) / PJ
+        return self.network_consumed_pj() / PJ
 
     def routing_consumed(self) -> float:
         """Joules burned on control traffic (discovery plus maintenance)."""
-        return sum(st.control_pj for st in self.states) / PJ
+        return self.routing_consumed_pj() / PJ
 
     def network_consumed_pj(self) -> int:
         return sum(st.consumed_pj for st in self.states)

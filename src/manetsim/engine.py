@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-# Events closer together than this are treated as simultaneous and fall
-# back to FIFO insertion order.
+# schedule() clamps a time at most this far behind the clock (float error in
+# a computed deadline) to the clock, and refuses anything earlier. It never
+# merges events: two events 1e-12 apart still run in time order.
 TIME_EPSILON = 1e-9
 
 
@@ -63,6 +64,10 @@ class Engine:
 
     def cancel(self, handle: Event) -> None:
         handle.cancelled = True
+
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
 
     def run_until(self, t_end: float) -> int:
         """Process every event with time <= t_end; clock finishes at t_end."""

@@ -2,8 +2,12 @@
 source-side route discovery both protocols run."""
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .engine import Engine, EventKind, SimulationError
+from .engine import EventKind, SimulationError
+
+if TYPE_CHECKING:
+    from .runner import Network
 
 # Sequence counters occupy the non-negative signed-32-bit range and wrap at
 # 2^31; comparison is by circular signed difference within that space.
@@ -103,21 +107,6 @@ class ProtocolParams:
         if self.mpath_slack < 0:
             raise ValueError("protocol.mpath_slack must be >= 0")
 
-    def control_tx_duration(self, bandwidth: float) -> float:
-        return self.control_bytes * 8 / bandwidth
-
-    def effective_discovery_timeout(self, diameter_hops: int, bandwidth: float) -> float:
-        if self.discovery_timeout > 0:
-            return self.discovery_timeout
-        per_hop = self.control_tx_duration(bandwidth)
-        round_trip = 4 * (diameter_hops + self.mpath_slack) * per_hop
-        return round_trip + self.effective_rrep_wait(diameter_hops, bandwidth) + 0.005
-
-    def effective_rrep_wait(self, diameter_hops: int, bandwidth: float) -> float:
-        if self.rrep_wait > 0:
-            return self.rrep_wait
-        return 2 * diameter_hops * self.control_tx_duration(bandwidth)
-
 
 @dataclass(slots=True)
 class Discovery:
@@ -136,10 +125,10 @@ class RouterBase:
     emission scoped to active routes, hello-based neighbor liveness, and
     source-side discovery with retry, back-off and buffering."""
 
-    def __init__(self, node: int, ctx: "RunContext"):
+    def __init__(self, node: int, ctx: "Network"):
         self.node = node
         self.ctx = ctx
-        self.params = ctx.params
+        self.params = ctx.scenario.proto
         self.seq = 0
         self.rreq_counter = 0
         self.sourced: set[int] = set()  # destinations this node has sent data to
@@ -370,26 +359,3 @@ class RouterBase:
 
     def _handle_rerr(self, rerr: Rerr, sender: int) -> None:
         raise NotImplementedError
-
-
-class RunContext:
-    """Wiring shared by every module within one run."""
-
-    def __init__(self, engine: Engine, params: ProtocolParams):
-        self.engine = engine
-        self.params = params
-        self.radio = None
-        self.energy = None
-        self.metrics = None
-        self.trace = None
-        self.routers: list[RouterBase] = []
-        self.bandwidth = 0.0
-        self.diameter_hops = 5  # geometric bound, set per scenario
-
-    @property
-    def discovery_timeout(self) -> float:
-        return self.params.effective_discovery_timeout(self.diameter_hops, self.bandwidth)
-
-    @property
-    def rrep_wait(self) -> float:
-        return self.params.effective_rrep_wait(self.diameter_hops, self.bandwidth)

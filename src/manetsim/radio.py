@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA
 from .engine import Engine, EventKind, RngStream
@@ -45,6 +44,7 @@ class Radio:
         energy,
         metrics,
         trace,
+        routers: list,
         loss_rng: RngStream | None = None,
     ):
         params.validate()
@@ -54,8 +54,8 @@ class Radio:
         self.energy = energy
         self.metrics = metrics
         self.trace = trace
+        self.routers = routers  # by node id; a reception calls on_frame(packet, sender)
         self.loss_rng = loss_rng
-        self.deliver_fn: Callable | None = None
         # broadcasts cluster at shared instants (flood waves, hello ticks),
         # so one whole-network position snapshot per timestamp pays off
         self._pos_time = -1.0
@@ -163,8 +163,8 @@ class Radio:
         self, receivers: tuple[int, ...], packet, sender: int, rx: int, amount_pj: int
     ) -> None:
         debit = self.energy.debit
-        deliver = self.deliver_fn
+        routers = self.routers
         for recv in receivers:
             # a receiver drained by this reception does not process the frame
             if debit(recv, rx, amount_pj):
-                deliver(recv, packet, sender)
+                routers[recv].on_frame(packet, sender)

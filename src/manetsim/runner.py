@@ -9,7 +9,7 @@ from .engine import Engine, EventKind, StreamFactory
 from .maodv import MaodvRouter
 from .metrics import MetricsReport, PacketLedger
 from .mobility import MobilityModel
-from .proto_common import RouterBase, RunContext
+from .proto_common import RouterBase
 from .radio import Radio
 from .scenario import Scenario
 from .trace import Trace
@@ -18,9 +18,10 @@ from .traffic import FlowSpec, TrafficSource, generate_flows
 
 @dataclass
 class Network:
+    """Everything one run is built from; routers and traffic hold it."""
+
     scenario: Scenario
     engine: Engine
-    ctx: RunContext
     routers: list[RouterBase]
     radio: Radio
     energy: EnergyLedger
@@ -28,6 +29,8 @@ class Network:
     trace: Trace
     mobility: MobilityModel
     streams: StreamFactory
+    rrep_wait: float  # destination collection window, s
+    discovery_timeout: float  # wait for a reply before a retry, s
 
 
 @dataclass
@@ -61,28 +64,34 @@ def build_network(
         )
     trace = Trace(with_trace)
     metrics = PacketLedger(trace)
-    ctx = RunContext(engine, sc.proto)
-    ctx.bandwidth = sc.radio.bandwidth
-    w, h = sc.mobility.area
-    ctx.diameter_hops = math.ceil(math.hypot(w, h) / sc.radio.range) + 1
-    ctx.metrics = metrics
-    ctx.trace = trace
 
     def on_death(node: int) -> None:
         metrics.on_event("death", engine.now, node)
 
     energy = EnergyLedger(sc.node_count, sc.energy, on_death)
-    ctx.energy = energy
+    routers: list[RouterBase] = []
     radio = Radio(
-        sc.radio, engine, mobility, energy, metrics, trace,
+        sc.radio, engine, mobility, energy, metrics, trace, routers,
         loss_rng=streams.stream("radio/loss"),
     )
-    ctx.radio = radio
 
+    # a key left at 0 is derived from the area's diameter in hops
+    p = sc.proto
+    w, h = sc.mobility.area
+    diameter_hops = math.ceil(math.hypot(w, h) / sc.radio.range) + 1
+    per_hop = radio.tx_duration(p.control_bytes)
+    rrep_wait = p.rrep_wait if p.rrep_wait > 0 else 2 * diameter_hops * per_hop
+    discovery_timeout = p.discovery_timeout
+    if discovery_timeout <= 0:
+        round_trip = 4 * (diameter_hops + p.mpath_slack) * per_hop
+        discovery_timeout = round_trip + rrep_wait + 0.005
+
+    net = Network(
+        sc, engine, routers, radio, energy, metrics, trace, mobility, streams,
+        rrep_wait, discovery_timeout,
+    )
     router_cls = AodvRouter if sc.protocol == "aodv" else MaodvRouter
-    routers = [router_cls(node, ctx) for node in range(sc.node_count)]
-    ctx.routers = routers
-    radio.deliver_fn = lambda recv, packet, sender: routers[recv].on_frame(packet, sender)
+    routers.extend(router_cls(node, net) for node in range(sc.node_count))
 
     if trace.enabled:
         for node in range(sc.node_count):
@@ -96,7 +105,7 @@ def build_network(
                     f"v={leg.speed:.3f} pause={leg.pause_after:.3f}",
                 )
 
-    return Network(sc, engine, ctx, routers, radio, energy, metrics, trace, mobility, streams)
+    return net
 
 
 def resolve_flows(sc: Scenario, streams: StreamFactory) -> list[FlowSpec]:
@@ -124,7 +133,7 @@ def run_scenario(
     engine, metrics, energy = net.engine, net.metrics, net.energy
 
     flows = resolve_flows(sc, net.streams)
-    traffic = TrafficSource(flows, net.ctx)
+    traffic = TrafficSource(flows, net)
     traffic.start()
     for router in net.routers:
         router.start_maintenance()
@@ -143,7 +152,7 @@ def run_scenario(
     engine.run_until(sc.duration)
 
     report = metrics.finalize(sc.duration, energy)
-    return RunResult(
+    result = RunResult(
         scenario=sc,
         report=report,
         trace=net.trace,
@@ -151,3 +160,12 @@ def run_scenario(
         flows=flows,
         energy_closed=energy.closed(),
     )
+    # The run is over. Pending timers, each router's `ctx` and the sampler,
+    # which closes over itself, hold the network in reference cycles; with
+    # them dropped the run (its trace above all) is freed as soon as the
+    # caller lets go of it, not at whichever full collection comes next.
+    engine.clear()
+    for router in net.routers:
+        router.ctx = None
+    del sample_energy
+    return result

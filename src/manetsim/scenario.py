@@ -147,8 +147,11 @@ def _protocol(value) -> str:
 
 
 def _flag(value) -> bool:
-    """Written 0/1 in files and report rows."""
-    return bool(_int(value))
+    """Written 0/1 in files and report rows; any other number is refused."""
+    number = _int(value)
+    if number not in (0, 1):
+        raise ValueError(f"must be 0 or 1, got {value!r}")
+    return bool(number)
 
 
 def _area(value) -> tuple[float, float]:

@@ -68,27 +68,27 @@ class TrafficSource:
     """Schedules every flow's sends up front; emission is open-loop, so the
     timing never depends on routing outcomes."""
 
-    def __init__(self, flows: list[FlowSpec], ctx):
+    def __init__(self, flows: list[FlowSpec], net):
         self.flows = flows
-        self.ctx = ctx
+        self.net = net
         self._next_pkt_id = 0
 
     def start(self) -> None:
         for flow in self.flows:
-            self.ctx.trace.emit(
+            self.net.trace.emit(
                 0.0, flow.src, "flow", "-",
                 f"id={flow.flow_id} dest={flow.dest} payload={flow.payload} "
                 f"interval={flow.interval} start={flow.start} stop={flow.stop}",
             )
             for seq, t in enumerate(emission_times(flow)):
-                self.ctx.engine.schedule(
+                self.net.engine.schedule(
                     t,
                     EventKind.TRAFFIC_TICK,
                     lambda f=flow, s=seq: self._emit(f, s),
                 )
 
     def _emit(self, flow: FlowSpec, seq: int) -> None:
-        now = self.ctx.engine.now
+        now = self.net.engine.now
         pkt = Data(
             origin=flow.src,
             dest=flow.dest,
@@ -100,8 +100,8 @@ class TrafficSource:
             traversed=[flow.src],
         )
         self._next_pkt_id += 1
-        self.ctx.metrics.on_sent(pkt)
-        if not self.ctx.energy.alive(flow.src):
-            self.ctx.metrics.on_dropped(pkt, "dead_node", now, flow.src)
+        self.net.metrics.on_sent(pkt)
+        if not self.net.energy.alive(flow.src):
+            self.net.metrics.on_dropped(pkt, "dead_node", now, flow.src)
             return
-        self.ctx.routers[flow.src].send_data(pkt)
+        self.net.routers[flow.src].send_data(pkt)

@@ -91,7 +91,7 @@ def run_bench_discovery(max_copies=0, max_paths=0, slack=2):
     sc.proto.mpath_max_paths = max_paths
     sc.proto.mpath_slack = slack
     net = build_network(sc, mobility=static_model(BENCH_POSITIONS))
-    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net.ctx).start()
+    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net).start()
     for r in net.routers:
         r.start_maintenance()
     net.engine.run_until(6.0)

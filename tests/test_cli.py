@@ -18,6 +18,11 @@ def write_scenario(tmp_path, **overrides):
     return path
 
 
+def read_csv(path):
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def test_validate_ok(tmp_path, capsys):
     path = write_scenario(tmp_path)
     assert main(["validate", str(path)]) == 0
@@ -39,6 +44,15 @@ def test_non_finite_number_exits_2(tmp_path, capsys):
         assert "range" in capsys.readouterr().err
 
 
+def test_flag_other_than_0_or_1_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    text = path.read_text()
+    for bad in ("7", "-1", "2"):
+        path.write_text(text + f"degree_tiebreak = {bad}\n")
+        assert main(["validate", str(path)]) == 2
+        assert "degree_tiebreak" in capsys.readouterr().err
+
+
 def test_missing_file_is_error(capsys):
     assert main(["validate", "/does/not/exist.scn"]) == 2
 
@@ -56,11 +70,11 @@ def test_run_writes_outputs(tmp_path, capsys):
     ])
     assert code == 0
     assert trace.exists() and trace.read_text().splitlines()
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = read_csv(csv_path)
     assert len(rows) == 1
     assert rows[0]["protocol"] == "aodv"
     assert "pdr" in rows[0]
-    energy_rows = list(csv.DictReader(energy.open()))
+    energy_rows = read_csv(energy)
     assert len(energy_rows) == 11  # 0..10 inclusive
 
 
@@ -87,11 +101,11 @@ def test_sweep_and_report(tmp_path, capsys):
         "--quiet",
     ])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert len(rows) == 2 * 2 * 2  # values x seeds x protocols
     protos = {r["protocol"] for r in rows}
     assert protos == {"aodv", "maodv"}
-    summary_rows = list(csv.DictReader(summary.open()))
+    summary_rows = read_csv(summary)
     assert any(r["metric"] == "pdr" for r in summary_rows)
 
     code = main(["report", str(out)])
@@ -107,7 +121,7 @@ def test_single_seed_stddev_zero(tmp_path):
         "sweep", str(path), "--axis", "pause_time", "--values", "0",
         "--seeds", "1", "--out", str(out), "--summary", str(summary), "--quiet",
     ])
-    rows = list(csv.DictReader(summary.open()))
+    rows = read_csv(summary)
     pdr_rows = [r for r in rows if r["metric"] == "pdr"]
     assert pdr_rows
     assert all(float(r["stddev"]) == 0.0 for r in pdr_rows)

@@ -29,14 +29,29 @@ def test_empty_queue_run():
     assert eng.now == 120.0
 
 
+def test_near_simultaneous_events_run_in_time_order():
+    eng = Engine()
+    order = []
+    eng.schedule(1.0 + 1e-12, EventKind.TIMER, lambda: order.append("later"))
+    eng.schedule(1.0, EventKind.TIMER, lambda: order.append("earlier"))
+    eng.run_until(2.0)
+    assert order == ["earlier", "later"]
+
+
 def test_schedule_in_past_is_hard_fault():
     eng = Engine()
     eng.schedule(3.0, EventKind.TIMER, lambda: None)
     eng.run_until(3.0)
     with pytest.raises(SimulationError):
         eng.schedule(2.0, EventKind.TIMER, lambda: None)
-    # at-or-just-behind the clock is clamped, not a fault
-    eng.schedule(3.0, EventKind.TIMER, lambda: None)
+    with pytest.raises(SimulationError):
+        eng.schedule(3.0 - 2e-9, EventKind.TIMER, lambda: None)
+    # at or just behind the clock is clamped to it, not a fault
+    fired = []
+    assert eng.schedule(3.0, EventKind.TIMER, lambda: fired.append(eng.now)).time == 3.0
+    assert eng.schedule(3.0 - 5e-10, EventKind.TIMER, lambda: fired.append(eng.now)).time == 3.0
+    eng.run_until(3.0)
+    assert fired == [3.0, 3.0]
 
 
 def test_cancelled_event_never_fires():

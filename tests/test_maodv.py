@@ -145,7 +145,7 @@ def test_benchmark_collection_matches_dfs_oracle():
     net = build_network(sc, mobility=static_model(BENCH_POSITIONS))
     from manetsim.traffic import TrafficSource
 
-    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net.ctx).start()
+    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net).start()
     for r in net.routers:
         r.start_maintenance()
     net.engine.run_until(6.0)
@@ -189,7 +189,7 @@ def test_rrep_installs_entries_at_intermediates():
     net = build_network(sc, mobility=static_model(BENCH_POSITIONS))
     from manetsim.traffic import TrafficSource
 
-    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net.ctx).start()
+    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net).start()
     for r in net.routers:
         r.start_maintenance()
     net.engine.run_until(6.0)

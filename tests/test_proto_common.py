@@ -1,9 +1,13 @@
+import gc
+import math
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim import Scenario
+from manetsim import Scenario, parse_scenario
 from manetsim.proto_common import SEQ_SPACE, ProtocolParams, fresher
-from manetsim.runner import build_network
+from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import TrafficSource
 
 from conftest import departing_model, static_model
@@ -44,6 +48,57 @@ def make_pair_net(protocol="aodv", mobility=None, duration=30.0, **proto_kw):
     for r in net.routers:
         r.start_maintenance()
     return net
+
+
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "maodv"])
+def test_derived_timings_on_baseline(protocol):
+    sc = parse_scenario(BASELINE.read_text()).variant(protocol=protocol)
+    net = build_network(sc)
+    p = sc.proto
+    assert p.rrep_wait == 0 and p.discovery_timeout == 0
+    w, h = sc.mobility.area
+    diameter = math.ceil(math.hypot(w, h) / sc.radio.range) + 1
+    airtime = p.control_bytes * 8 / sc.radio.bandwidth
+    rrep_wait = 2 * diameter * airtime
+    assert net.rrep_wait == rrep_wait
+    assert net.discovery_timeout == 4 * (diameter + p.mpath_slack) * airtime + rrep_wait + 0.005
+    # 800 x 600 m at 250 m range is 5 hops; a 64-byte frame at 2 Mb/s is 256 us
+    assert net.rrep_wait == pytest.approx(2 * 5 * 256e-6)
+    assert net.discovery_timeout == pytest.approx(4 * 7 * 256e-6 + 2.56e-3 + 0.005)
+    assert all(r.ctx is net for r in net.routers)
+
+
+def test_explicit_timings_used_as_given():
+    base = parse_scenario(BASELINE.read_text())
+    derived = build_network(base)
+    net = build_network(base.variant(rrep_wait=0.5))
+    assert net.rrep_wait == 0.5
+    # the derived timeout waits out the collection window it is given
+    assert net.discovery_timeout == pytest.approx(
+        derived.discovery_timeout - derived.rrep_wait + 0.5
+    )
+    net = build_network(base.variant(discovery_timeout=2))
+    assert net.discovery_timeout == 2.0
+    assert net.rrep_wait == derived.rrep_wait
+    # a discovery started at t=0 retries at t=2
+    assert net.routers[0].start_discovery(1).timer.time == 2.0
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "maodv"])
+def test_finished_run_is_freed_without_the_cycle_collector(protocol):
+    sc = parse_scenario(BASELINE.read_text()).variant(protocol=protocol, duration=20.0)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_scenario(sc, with_trace=True)
+        assert result.trace.lines
+        del result
+        assert gc.collect() == 0  # no unreachable cycle was left behind
+    finally:
+        gc.enable()
 
 
 def test_hello_deadline_refresh_rule():
@@ -108,7 +163,7 @@ def test_forced_death_detected_within_allowance():
     # leave the destination just enough charge for the first seconds
     net.energy.states[1].remaining_pj = round(0.008 * 1e12)
     TrafficSource(
-        [FlowSpec(0, 1, 512, 0.25, 1.0, 29.0, flow_id=0)], net.ctx
+        [FlowSpec(0, 1, 512, 0.25, 1.0, 29.0, flow_id=0)], net
     ).start()
     for r in net.routers:
         r.start_maintenance()

@@ -1,3 +1,6 @@
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,17 @@ from manetsim.trace import Trace
 from conftest import static_model
 
 
+def stub_routers(node_count, on_frame):
+    """Router stand-ins: a reception at node n calls on_frame(n, pkt, sender)."""
+    return [SimpleNamespace(on_frame=partial(on_frame, n)) for n in range(node_count)]
+
+
 def make_radio(positions, params=None, initial_j=10.0):
     engine = Engine()
     model = static_model(positions)
     energy = EnergyLedger(model.node_count, EnergyParams(initial=initial_j))
     metrics = PacketLedger()
+    inbox = []
     radio = Radio(
         params or RadioParams(),
         engine,
@@ -23,10 +32,9 @@ def make_radio(positions, params=None, initial_j=10.0):
         energy,
         metrics,
         Trace(False),
+        stub_routers(model.node_count, lambda *frame: inbox.append(frame)),
         loss_rng=RngStream(1, "radio/loss"),
     )
-    inbox = []
-    radio.deliver_fn = lambda recv, pkt, sender: inbox.append((recv, pkt, sender))
     return engine, radio, energy, metrics, inbox
 
 
@@ -148,7 +156,7 @@ def test_dead_sender_sends_nothing():
 def test_delivery_delayed_by_tx_duration():
     engine, radio, _, _, inbox = make_radio([(0, 0), (50, 0)])
     times = []
-    radio.deliver_fn = lambda recv, pkt, sender: times.append(engine.now)
+    radio.routers[:] = stub_routers(2, lambda *_: times.append(engine.now))
     radio.send(0, Hello(0, 1), 512)
     engine.run_until(1.0)
     assert times == [pytest.approx(512 * 8 / 2_000_000)]
@@ -169,9 +177,9 @@ def test_membership_decided_at_send_time():
     engine = Engine()
     energy = EnergyLedger(2, EnergyParams())
     metrics = PacketLedger()
-    radio = Radio(RadioParams(), engine, model, energy, metrics, Trace(False))
     inbox = []
-    radio.deliver_fn = lambda recv, pkt, sender: inbox.append(recv)
+    routers = stub_routers(2, lambda recv, *_: inbox.append(recv))
+    radio = Radio(RadioParams(), engine, model, energy, metrics, Trace(False), routers)
     radio.send(0, Hello(0, 1), 64)
     engine.run_until(1.0)
     assert inbox == [1]

@@ -109,6 +109,21 @@ def test_int_fields_take_whole_numbers_only(key):
         Scenario().variant(**{key: 2.5})
 
 
+@pytest.mark.parametrize("bad", ["7", "-1", "2"])
+def test_flag_takes_only_0_or_1(bad):
+    with pytest.raises(ScenarioError, match=r"\bdegree_tiebreak\b"):
+        parse_scenario(f"degree_tiebreak = {bad}\n")
+    with pytest.raises(ScenarioError, match=r"\bdegree_tiebreak\b"):
+        Scenario().variant(degree_tiebreak=float(bad))
+    sc = Scenario()
+    sc.proto.degree_tiebreak = float(bad)
+    with pytest.raises(ScenarioError, match=r"\bdegree_tiebreak\b"):
+        sc.validate()
+    for ok in (0, 1):
+        assert parse_scenario(f"degree_tiebreak = {ok}\n").proto.degree_tiebreak is bool(ok)
+        assert Scenario().variant(degree_tiebreak=ok).proto.degree_tiebreak is bool(ok)
+
+
 @pytest.mark.parametrize(
     "interval,start,stop",
     [(math.nan, 1.0, 10.0), (0.5, math.nan, 10.0), (0.5, 1.0, math.inf), (0.5, -1.0, 10.0)],
