@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-# schedule() clamps a time at most this far behind the clock (float error in
+# Scheduling clamps a time at most this far behind the clock (float error in
 # a computed deadline) to the clock, and refuses anything earlier. It never
 # merges events: two events 1e-12 apart still run in time order.
 TIME_EPSILON = 1e-9
@@ -50,6 +50,25 @@ class Engine:
 
     def schedule(self, time: float, kind: EventKind, fn: Callable[[], None]) -> Event:
         """Enqueue work at ``time``; returns a handle usable with cancel()."""
+        seq = self._counter
+        self._counter = seq + 1
+        return self._push(time, seq, kind, fn)
+
+    def reserve(self, count: int) -> int:
+        """Take ``count`` insertion numbers now for events pushed later with
+        schedule_reserved(); returns the first. A reserved event breaks
+        time ties as if it had been scheduled at the reservation."""
+        base = self._counter
+        self._counter = base + count
+        return base
+
+    def schedule_reserved(
+        self, time: float, seq: int, kind: EventKind, fn: Callable[[], None]
+    ) -> Event:
+        """Enqueue work at ``time`` under a number taken with reserve()."""
+        return self._push(time, seq, kind, fn)
+
+    def _push(self, time: float, seq: int, kind: EventKind, fn: Callable[[], None]) -> Event:
         if time < self.now:
             if self.now - time <= TIME_EPSILON:
                 time = self.now
@@ -57,9 +76,8 @@ class Engine:
                 raise SimulationError(
                     f"scheduled event at t={time} in the past (clock={self.now})"
                 )
-        ev = Event(time, kind, fn, seq=self._counter)
-        self._counter += 1
-        heapq.heappush(self._heap, (time, ev.seq, ev))
+        ev = Event(time, kind, fn, seq)
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     def cancel(self, handle: Event) -> None:

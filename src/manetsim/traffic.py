@@ -34,12 +34,11 @@ class FlowSpec:
             raise ValueError("flow payload must be > 0")
 
 
-def emission_times(flow: FlowSpec) -> list[float]:
-    """CBR send instants: start, start+interval, ... through stop inclusive."""
+def send_count(flow: FlowSpec) -> int:
+    """Number of CBR sends: start, start+interval, ... through stop inclusive."""
     if flow.stop <= flow.start:
-        return []
-    count = math.floor((flow.stop - flow.start) / flow.interval + 1e-9) + 1
-    return [flow.start + k * flow.interval for k in range(count)]
+        return 0
+    return math.floor((flow.stop - flow.start) / flow.interval + 1e-9) + 1
 
 
 def generate_flows(
@@ -65,8 +64,13 @@ def generate_flows(
 
 
 class TrafficSource:
-    """Schedules every flow's sends up front; emission is open-loop, so the
-    timing never depends on routing outcomes."""
+    """Open-loop CBR sources: the timing never depends on routing outcomes.
+
+    Each flow keeps one pending tick. start() reserves an insertion number
+    for every send of the flow and schedules the first; each tick arms the
+    next before it emits, so ties break exactly as if every send had been
+    scheduled at start.
+    """
 
     def __init__(self, flows: list[FlowSpec], net):
         self.flows = flows
@@ -80,14 +84,21 @@ class TrafficSource:
                 f"id={flow.flow_id} dest={flow.dest} payload={flow.payload} "
                 f"interval={flow.interval} start={flow.start} stop={flow.stop}",
             )
-            for seq, t in enumerate(emission_times(flow)):
-                self.net.engine.schedule(
-                    t,
-                    EventKind.TRAFFIC_TICK,
-                    lambda f=flow, s=seq: self._emit(f, s),
-                )
+            count = send_count(flow)
+            if count:
+                self._arm(flow, self.net.engine.reserve(count), count, 0)
 
-    def _emit(self, flow: FlowSpec, seq: int) -> None:
+    def _arm(self, flow: FlowSpec, base: int, count: int, seq: int) -> None:
+        self.net.engine.schedule_reserved(
+            flow.start + seq * flow.interval,
+            base + seq,
+            EventKind.TRAFFIC_TICK,
+            lambda: self._emit(flow, base, count, seq),
+        )
+
+    def _emit(self, flow: FlowSpec, base: int, count: int, seq: int) -> None:
+        if seq + 1 < count:
+            self._arm(flow, base, count, seq + 1)
         now = self.net.engine.now
         pkt = Data(
             origin=flow.src,

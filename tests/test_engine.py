@@ -54,6 +54,38 @@ def test_schedule_in_past_is_hard_fault():
     assert fired == [3.0, 3.0]
 
 
+def test_reserved_number_breaks_ties_from_its_reservation():
+    eng = Engine()
+    order = []
+    base = eng.reserve(2)
+    eng.schedule(5.0, EventKind.TIMER, lambda: order.append("scheduled"))
+    # pushed after the plain event, but numbered before it
+    eng.schedule_reserved(5.0, base + 1, EventKind.TIMER, lambda: order.append("second"))
+    eng.schedule_reserved(5.0, base, EventKind.TIMER, lambda: order.append("first"))
+    assert eng.reserve(0) == base + 3
+    eng.run_until(5.0)
+    assert order == ["first", "second", "scheduled"]
+
+
+def test_reserved_push_in_past_is_hard_fault():
+    eng = Engine()
+    base = eng.reserve(3)
+    eng.schedule(3.0, EventKind.TIMER, lambda: None)
+    eng.run_until(3.0)
+    with pytest.raises(SimulationError):
+        eng.schedule_reserved(2.0, base, EventKind.TIMER, lambda: None)
+    with pytest.raises(SimulationError):
+        eng.schedule_reserved(3.0 - 2e-9, base, EventKind.TIMER, lambda: None)
+    # just behind the clock is clamped to it, as schedule() does
+    fired = []
+    handle = eng.schedule_reserved(
+        3.0 - 5e-10, base + 1, EventKind.TIMER, lambda: fired.append(eng.now)
+    )
+    assert (handle.time, handle.seq) == (3.0, base + 1)
+    eng.run_until(3.0)
+    assert fired == [3.0]
+
+
 def test_cancelled_event_never_fires():
     eng = Engine()
     fired = []

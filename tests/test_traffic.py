@@ -1,20 +1,49 @@
+from pathlib import Path
+
 import pytest
 
-from manetsim.engine import RngStream
-from manetsim.traffic import FlowSpec, emission_times, generate_flows
+from manetsim import Scenario, parse_scenario
+from manetsim.engine import EventKind, RngStream
+from manetsim.runner import build_network, resolve_flows
+from manetsim.traffic import FlowSpec, TrafficSource, generate_flows
+
+from conftest import static_model
+
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
+
+
+def started(flows, duration=120.0):
+    """A static two-node network with `flows` started on it, nothing run."""
+    sc = Scenario(node_count=2, duration=duration, flows=flows)
+    net = build_network(sc, mobility=static_model([(0, 0), (100, 0)]))
+    TrafficSource(flows, net).start()
+    return net
+
+
+def sends(net, until):
+    """(flow, data_seq, sent_at) of every send up to `until`, in send order."""
+    net.engine.run_until(until)
+    return [(r.flow_id, r.data_seq, r.sent_at) for r in net.metrics.records.values()]
+
+
+def pending_ticks(engine):
+    return [ev for _, _, ev in engine._heap if ev.kind is EventKind.TRAFFIC_TICK]
 
 
 def test_cbr_packet_count():
-    flow = FlowSpec(0, 1, 512, 0.25, 1.0, 120.0)
-    times = emission_times(flow)
+    net = started([FlowSpec(0, 1, 512, 0.25, 1.0, 120.0, flow_id=0)])
+    times = [t for _, _, t in sends(net, 200.0)]
     assert len(times) == 477
     assert times[0] == 1.0
     assert times[-1] == pytest.approx(120.0)
 
 
 def test_empty_window():
-    assert emission_times(FlowSpec(0, 1, 512, 0.25, 5.0, 5.0)) == []
-    assert emission_times(FlowSpec(0, 1, 512, 0.25, 6.0, 5.0)) == []
+    for flow in (FlowSpec(0, 1, 512, 0.25, 5.0, 5.0), FlowSpec(0, 1, 512, 0.25, 6.0, 5.0)):
+        net = started([flow])
+        assert net.engine.reserve(0) == 0
+        assert not pending_ticks(net.engine)
+        assert sends(net, 200.0) == []
 
 
 def test_offered_load_arithmetic():
@@ -24,11 +53,58 @@ def test_offered_load_arithmetic():
 
 
 def test_emission_spacing_is_exact():
-    flow = FlowSpec(0, 1, 512, 0.5, 0.0, 10.0)
-    times = emission_times(flow)
+    net = started([FlowSpec(0, 1, 512, 0.5, 0.0, 10.0, flow_id=0)], duration=10.0)
+    times = [t for _, _, t in sends(net, 10.0)]
     assert len(times) == 21
     for a, b in zip(times, times[1:]):
         assert b - a == pytest.approx(0.5)
+
+
+def baseline_started(**overrides):
+    sc = parse_scenario(BASELINE.read_text()).variant(**overrides)
+    net = build_network(sc)
+    flows = resolve_flows(sc, net.streams)
+    TrafficSource(flows, net).start()
+    return net, flows
+
+
+def test_one_pending_tick_per_flow():
+    net, flows = baseline_started()
+    ticks = pending_ticks(net.engine)
+    assert len(ticks) == len(flows) == 8
+    assert sorted(ev.time for ev in ticks) == [f.start for f in flows]
+    # every send's insertion number is taken at start, as if each were
+    # scheduled up front: 8 flows x 1191 sends over [1, 120] at 0.1 s
+    assert net.engine.reserve(0) == 9528
+
+
+def test_tiny_interval_starts_at_once():
+    net, flows = baseline_started(interval=1e-9)
+    assert len(pending_ticks(net.engine)) == len(flows) == 8
+    net.engine.run_until(1.0 + 2.5e-9)
+    assert len(net.metrics.records) == 3 * 8
+
+
+def test_tick_wins_tie_with_later_event():
+    net = started([FlowSpec(0, 1, 512, 0.5, 1.0, 3.0, flow_id=0)])
+    seen = []
+    # tick 2 (t = 2.0) is only pushed when tick 1 fires, after this event
+    net.engine.schedule(2.0, EventKind.TIMER, lambda: seen.append(len(net.metrics.records)))
+    net.engine.run_until(3.0)
+    assert seen == [3]
+
+
+def test_equal_flows_emit_in_flow_order():
+    net = started([
+        FlowSpec(0, 1, 512, 0.25, 1.0, 3.0, flow_id=0),
+        FlowSpec(1, 0, 512, 0.25, 1.0, 3.0, flow_id=1),
+    ])
+    sent = sends(net, 3.0)
+    assert len(sent) == 2 * 9
+    for k, (first, second) in enumerate(zip(sent[::2], sent[1::2])):
+        assert (first[0], second[0]) == (0, 1)
+        assert first[1] == second[1] == k
+        assert first[2] == second[2]
 
 
 def test_generate_flows_distinct_pairs():
