@@ -6,7 +6,10 @@ from dataclasses import dataclass
 from .energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA
 from .engine import Engine, EventKind, RngStream
 from .mobility import MobilityModel
-from .proto_common import Data
+from .proto_common import Data, Hello, Rerr, Rrep, Rreq
+
+# trace event of a transmitted frame, by packet class
+TX_EVENT = {cls: f"tx_{cls.__name__.lower()}" for cls in (Rreq, Rrep, Rerr, Hello, Data)}
 
 
 @dataclass(slots=True)
@@ -60,9 +63,21 @@ class Radio:
         # so one whole-network position snapshot per timestamp pays off
         self._pos_time = -1.0
         self._pos_cache: list[tuple[float, float]] = []
+        # a run sends only a few (data?, size) frame kinds, so each is priced
+        # once: (airtime, tx counter, tx pJ, rx counter, rx pJ)
+        self._prices: dict[tuple[bool, int], tuple[float, int, int, int, int]] = {}
 
     def tx_duration(self, size_bytes: int) -> float:
         return size_bytes * 8 / self.params.bandwidth
+
+    def _price(self, key: tuple[bool, int]) -> tuple[float, int, int, int, int]:
+        is_data, size_bytes = key
+        duration = self.tx_duration(size_bytes)
+        tx, rx = (TX_DATA, RX_DATA) if is_data else (TX_CONTROL, RX_CONTROL)
+        cost_pj = self.energy.cost_pj
+        price = (duration, tx, cost_pj(tx, duration), rx, cost_pj(rx, duration))
+        self._prices[key] = price
+        return price
 
     def positions(self, t: float) -> list[tuple[float, float]]:
         if t != self._pos_time:
@@ -101,11 +116,10 @@ class Radio:
     def send(self, sender: int, packet, size_bytes: int, addressee: int | None = None) -> int:
         """Transmit a frame; returns the number of deliveries scheduled."""
         now = self.engine.now
-        energy = self.energy
         is_data = type(packet) is Data
-        duration = self.tx_duration(size_bytes)
-        tx = TX_DATA if is_data else TX_CONTROL
-        if not energy.debit(sender, tx, energy.cost_pj(tx, duration)):
+        key = (is_data, size_bytes)
+        duration, tx, tx_pj, rx, rx_pj = self._prices.get(key) or self._price(key)
+        if not self.energy.debit(sender, tx, tx_pj):
             # A dead node transmits nothing, and a battery drained
             # mid-transmission never completes the frame; data is lost.
             if is_data:
@@ -116,10 +130,9 @@ class Radio:
         else:
             self.metrics.on_control_tx()
         if self.trace.enabled:
-            label = type(packet).__name__.lower()
             tgt = "*" if addressee is None else addressee
             pid = packet.pkt_id if is_data else "-"
-            self.trace.emit(now, sender, f"tx_{label}", pid, f"to={tgt}")
+            self.trace.emit(now, sender, TX_EVENT[type(packet)], pid, f"to={tgt}")
 
         # a broadcast needs every position, a unicast only two
         if addressee is None:
@@ -135,15 +148,13 @@ class Radio:
                 # Unicast into the void: the frame reaches nobody.
                 self.metrics.on_dropped(packet, "link_break", now, sender)
             return 0
-        rx = RX_DATA if is_data else RX_CONTROL
-        amount = energy.cost_pj(rx, duration)
         if self.params.propagation_delay == 0.0:
             # one shared delivery instant; batching keeps ordering identical
             self.engine.schedule(
                 now + duration,
                 EventKind.FRAME_DELIVERY,
                 lambda rs=tuple(receivers), p=packet, s=sender: self._deliver_batch(
-                    rs, p, s, rx, amount
+                    rs, p, s, rx, rx_pj
                 ),
             )
         else:
@@ -154,7 +165,7 @@ class Radio:
                     now + delay,
                     EventKind.FRAME_DELIVERY,
                     lambda rs=(recv,), p=packet, s=sender: self._deliver_batch(
-                        rs, p, s, rx, amount
+                        rs, p, s, rx, rx_pj
                     ),
                 )
         return len(receivers)

@@ -2,6 +2,10 @@
 
 import hashlib
 
+# Lines hashed per sha256 update: digest() never holds more than one block's
+# text at a time, where the whole text would double the trace's memory.
+DIGEST_BLOCK = 4096
+
 
 class Trace:
     """Collects `time node event packet detail...` lines.
@@ -14,20 +18,33 @@ class Trace:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.lines: list[str] = []
+        # Most lines share the previous line's instant, so its rendering is
+        # kept. Equal floats render alike except -0.0 and 0.0, and the clock
+        # never yields -0.0: it starts at 0.0 and only adds durations >= 0.
+        self._t: float | None = None
+        self._stamp = ""
 
     def emit(self, t: float, node, event: str, pkt="-", detail: str = "") -> None:
         if not self.enabled:
             return
-        line = f"{t:.9f} {node} {event} {pkt}"
+        if t != self._t:
+            self._t = t
+            self._stamp = f"{t:.9f}"
         if detail:
-            line = f"{line} {detail}"
-        self.lines.append(line)
+            self.lines.append(f"{self._stamp} {node} {event} {pkt} {detail}")
+        else:
+            self.lines.append(f"{self._stamp} {node} {event} {pkt}")
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
     def digest(self) -> str:
-        return hashlib.sha256(self.text().encode()).hexdigest()
+        """sha256 of exactly the bytes text() returns, hashed block by block."""
+        h = hashlib.sha256()
+        lines = self.lines
+        for i in range(0, len(lines), DIGEST_BLOCK):
+            h.update(("\n".join(lines[i : i + DIGEST_BLOCK]) + "\n").encode())
+        return h.hexdigest()
 
     def count(self, event: str) -> int:
         marker = f" {event} "

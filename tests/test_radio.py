@@ -48,6 +48,34 @@ def test_tx_duration_arithmetic():
     assert radio.tx_duration(512) == pytest.approx(2.048e-3)
 
 
+def test_each_counter_books_its_own_frames_at_a_shared_size():
+    # a 64 B data frame has the size of a control frame, so a price looked
+    # up by size alone books it under the wrong counters
+    engine, radio, energy, _, inbox = make_radio([(0, 0), (50, 0)])
+    frames = [
+        (Hello(0, 1), 64), (data_pkt(0, 1, 1), 64), (data_pkt(0, 1, 2), 512),
+        (Hello(0, 2), 512), (Hello(0, 3), 64), (data_pkt(0, 1, 3), 512),
+    ]
+    for pkt, size in frames:
+        radio.send(0, pkt, size, addressee=1 if isinstance(pkt, Data) else None)
+    engine.run_until(1.0)
+    assert len(inbox) == len(frames)
+
+    def booked(counter, is_data):
+        return sum(
+            energy.cost_pj(counter, radio.tx_duration(size))
+            for pkt, size in frames
+            if isinstance(pkt, Data) == is_data
+        )
+
+    assert energy.states[0].consumed_by == [
+        booked(TX_CONTROL, False), booked(TX_DATA, True), 0, 0
+    ]
+    assert energy.states[1].consumed_by == [
+        0, 0, booked(RX_CONTROL, False), booked(RX_DATA, True)
+    ]
+
+
 def test_range_boundary_inclusive():
     # receivers at 100 m and 251 m; boundary receiver exactly at 250.0
     engine, radio, _, _, inbox = make_radio([(0, 0), (100, 0), (251, 0), (250, 0)])
