@@ -47,7 +47,7 @@ def cmd_run(args) -> int:
         drops = " ".join(f"{k}={v}" for k, v in report.drop_breakdown.items())
         print(f"  drops: {drops}")
     if args.trace:
-        Path(args.trace).write_text(result.trace.text())
+        result.trace.write(args.trace)
         print(f"  trace -> {args.trace} (sha256 {result.trace.digest()[:16]})")
     if args.csv:
         row = report_row(sc, report)

@@ -107,11 +107,15 @@ class RreqFlood:
     """What a node remembers of one request flood (origin, rreq_id): the
     fewest hops any copy arrived with and the route records it admitted, one
     per copy in arrival order. A relay forwards each admitted copy; the
-    destination collects them until it replies, which sets `emitted`."""
+    destination collects them until it replies. The record is `closed` once
+    it can admit nothing more: when the admitted records reach the cap
+    (`mpath_max_copies` at a relay, `mpath_max_paths` at the destination; 0
+    never closes) or the destination replies. `paths` never shrinks and the
+    cap is fixed, so a closed record rejects every later copy unread."""
 
     best_hops: int
     paths: dict = field(default_factory=dict)
-    emitted: bool = False
+    closed: bool = False
 
 
 class MaodvRouter(RouterBase):
@@ -198,16 +202,18 @@ class MaodvRouter(RouterBase):
     # -- request flood (everyone else) ---------------------------------------------
 
     def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
+        # most copies reach a closed record, so that is checked first
+        key = (rreq.origin, rreq.rreq_id)
+        flood = self.floods.get(key)
+        if flood is not None and flood.closed:
+            return
         if rreq.origin == self.node or self.node in rreq.route_record:
             return
-        key = (rreq.origin, rreq.rreq_id)
-        record = rreq.route_record + (self.node,)
         hops = rreq.hop_count + 1
         params = self.params
         at_dest = self.node == rreq.dest
         # one admission rule for relay and destination: best hops so far,
-        # slack, one copy per route record, then the copy or path cap
-        flood = self.floods.get(key)
+        # slack, one copy per route record, closing at the copy or path cap
         if flood is None:
             flood = self.floods[key] = RreqFlood(hops)
             if at_dest:
@@ -216,16 +222,17 @@ class MaodvRouter(RouterBase):
                     EventKind.TIMER,
                     lambda: self._emit_multipath_rrep(key),
                 )
-        elif flood.emitted:
-            return
         elif hops < flood.best_hops:
             flood.best_hops = hops
-        if hops > flood.best_hops + params.mpath_slack or record in flood.paths:
+        if hops > flood.best_hops + params.mpath_slack:
             return
-        cap = params.mpath_max_paths if at_dest else params.mpath_max_copies
-        if cap and len(flood.paths) >= cap:
+        record = rreq.route_record + (self.node,)
+        if record in flood.paths:
             return
         flood.paths[record] = None
+        cap = params.mpath_max_paths if at_dest else params.mpath_max_copies
+        if len(flood.paths) == cap:
+            flood.closed = True
         if at_dest:
             return
         fwd = Rreq(
@@ -246,7 +253,7 @@ class MaodvRouter(RouterBase):
             return
         # the copy that opened the flood was admitted, so paths is not empty
         flood = self.floods[key]
-        flood.emitted = True
+        flood.closed = True
         origin, rreq_id = key
         self.seq += 1
         rrep = Rrep(

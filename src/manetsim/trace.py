@@ -2,8 +2,8 @@
 
 import hashlib
 
-# Lines hashed per sha256 update: digest() never holds more than one block's
-# text at a time, where the whole text would double the trace's memory.
+# Lines per block of blocks(): digest() and write() never hold more than one
+# block's text at a time, where the whole text would double the trace's memory.
 DIGEST_BLOCK = 4096
 
 
@@ -38,13 +38,23 @@ class Trace:
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
+    def blocks(self):
+        """Yield the bytes of text().encode(), DIGEST_BLOCK lines at a time."""
+        lines = self.lines
+        for i in range(0, len(lines), DIGEST_BLOCK):
+            yield ("\n".join(lines[i : i + DIGEST_BLOCK]) + "\n").encode()
+
     def digest(self) -> str:
         """sha256 of exactly the bytes text() returns, hashed block by block."""
         h = hashlib.sha256()
-        lines = self.lines
-        for i in range(0, len(lines), DIGEST_BLOCK):
-            h.update(("\n".join(lines[i : i + DIGEST_BLOCK]) + "\n").encode())
+        for block in self.blocks():
+            h.update(block)
         return h.hexdigest()
+
+    def write(self, path) -> None:
+        """Write exactly the bytes text() returns to `path`, block by block."""
+        with open(path, "wb") as fh:
+            fh.writelines(self.blocks())
 
     def count(self, event: str) -> int:
         marker = f" {event} "

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim import Scenario
+from manetsim import Scenario, parse_scenario
 from manetsim.engine import SimulationError
 from manetsim.maodv import PathCache, select_disjoint
 from manetsim.proto_common import Rreq
@@ -16,6 +18,8 @@ from conftest import (
     departing_model,
     static_model,
 )
+
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
 # star of three node-disjoint two-hop routes between 0 and 4
 STAR3 = {
@@ -135,6 +139,106 @@ def test_forward_drops_when_already_on_record():
                 hop_count=1, route_record=(0, 1))
     net.routers[1]._handle_rreq(rreq, sender=0)
     assert net.trace.count("tx_rreq") == 0
+
+
+# -- flood records close when full ------------------------------------------------
+
+# eight nodes 300 m apart: nobody hears anybody, so only the handler under
+# test acts, and a frame it sends reaches no one
+APART = [(300.0 * i, 0.0) for i in range(8)]
+
+
+class NoConcat(tuple):
+    """A route record that must never be extended."""
+
+    def __add__(self, other):
+        raise AssertionError("built a route record for a closed flood")
+
+
+def flood_net(**proto_kw):
+    sc = Scenario(node_count=len(APART), duration=5.0, protocol="maodv")
+    for key, value in proto_kw.items():
+        setattr(sc.proto, key, value)
+    return build_network(sc, with_trace=True, mobility=static_model(APART))
+
+
+def copy_of(record):
+    """A copy of flood (0, 1) toward node 7 that travelled `record`."""
+    return Rreq(origin=0, dest=7, rreq_id=1, origin_seq=1, dest_seq_known=0,
+                hop_count=len(record) - 1, route_record=record)
+
+
+# four distinct route records from 0, hop counts 1, 1, 1 and 2
+COPIES = [(0, 1), (0, 2), (0, 3), (0, 1, 2)]
+
+
+def test_relay_forwards_up_to_its_copy_cap_then_closes():
+    net = flood_net(mpath_max_copies=2)
+    relay = net.routers[5]
+    for record in COPIES:
+        relay._handle_rreq(copy_of(record), sender=record[-1])
+    assert net.trace.count("tx_rreq") == 2
+    flood = relay.floods[(0, 1)]
+    assert flood.closed
+    assert list(flood.paths) == [(0, 1, 5), (0, 2, 5)]
+
+
+def test_closed_flood_rejects_a_copy_before_building_its_record():
+    net = flood_net(mpath_max_copies=1)
+    relay = net.routers[5]
+    relay._handle_rreq(copy_of((0, 1)), sender=1)
+    relay._handle_rreq(copy_of(NoConcat((0, 2))), sender=2)
+    assert net.trace.count("tx_rreq") == 1
+    assert list(relay.floods[(0, 1)].paths) == [(0, 1, 5)]
+
+
+def test_unbounded_copy_cap_admits_every_in_slack_copy_and_never_closes():
+    net = flood_net(mpath_max_copies=0, mpath_slack=1)
+    relay = net.routers[5]
+    # (0, 1, 2, 3) is 3 hops against a best of 1 and a slack of 1
+    for record in COPIES + [(0, 1, 2, 3), (0, 4)]:
+        relay._handle_rreq(copy_of(record), sender=record[-1])
+    flood = relay.floods[(0, 1)]
+    assert net.trace.count("tx_rreq") == 5
+    assert not flood.closed
+    assert list(flood.paths) == [r + (5,) for r in COPIES + [(0, 4)]]
+
+
+def test_destination_collects_up_to_its_path_cap_and_replies_once():
+    net = flood_net(mpath_max_paths=2)
+    dest = net.routers[7]
+    for record in COPIES[:3]:
+        dest._handle_rreq(copy_of(record), sender=record[-1])
+    flood = dest.floods[(0, 1)]
+    assert flood.closed
+    assert list(flood.paths) == [(0, 1, 7), (0, 2, 7)]
+    net.engine.run_until(5.0)
+    replies = [l for l in net.trace.lines if " paths_collected " in l]
+    assert len(replies) == 1
+    assert replies[0].endswith("origin=0 n=2")
+    assert net.trace.count("tx_rrep") == 1
+
+
+# trace sha256 of the 30 s baseline at n=40, seed 1, maodv, keyed by
+# (mpath_max_copies, mpath_max_paths): closing a full flood record early must
+# not move a single line, whichever cap fills first
+CAP_DIGESTS = {
+    (0, 1): "ea1eb311d1b22cab5dc1c13ee6b26c8ca0b246b6b044982b17d0d35c4b8cabde",
+    (0, 3): "3d95e53a837f5dd19a71b380518706f8ae5f833d9d2ad8d6a355611fc9df9666",
+    (1, 1): "f839d855e232758f94639d3b2b62d35fd7a5f2df9a7bfb657dc86cef8b9dc43a",
+    (1, 3): "133403c9a4ef8e4dea3ffd18eff7f56379be38b576337c51fac407c35d82c430",
+    (3, 1): "c2fdb1a99020ee0614df4b13bfd232665915769bfdfa31efba3f18168df76e74",
+    (3, 3): "291acb231ca5811693ced3dcbd4604876c09e16edeef6e1d87e2c5f9a61c17c9",
+}
+
+
+@pytest.mark.parametrize("caps", sorted(CAP_DIGESTS))
+def test_trace_digest_under_flood_caps(caps):
+    copies, paths = caps
+    base = parse_scenario(BASELINE.read_text(), "baseline")
+    sc = base.variant(protocol="maodv", node_count=40, master_seed=1, duration=30.0,
+                      mpath_max_copies=copies, mpath_max_paths=paths)
+    assert run_scenario(sc, with_trace=True).trace.digest() == CAP_DIGESTS[caps]
 
 
 def test_benchmark_collection_matches_dfs_oracle():

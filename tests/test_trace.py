@@ -36,12 +36,28 @@ def test_disabled_trace_records_nothing():
     assert trace.lines == []
 
 
-@pytest.mark.parametrize("count", [0, 1, DIGEST_BLOCK, DIGEST_BLOCK + 1])
-def test_digest_is_sha256_of_text_at_block_edges(count):
+BLOCK_EDGES = [0, 1, DIGEST_BLOCK, DIGEST_BLOCK + 1]
+
+
+def trace_of(count):
     trace = Trace()
     for i in range(count):
         trace.emit(i * 1e-3, i % 20, "cbr_send", i)
+    return trace
+
+
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+def test_digest_is_sha256_of_text_at_block_edges(count):
+    trace = trace_of(count)
     assert trace.digest() == hashlib.sha256(trace.text().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("count", BLOCK_EDGES)
+def test_written_file_is_text_at_block_edges(count, tmp_path):
+    trace = trace_of(count)
+    path = tmp_path / "run.trace"
+    trace.write(path)
+    assert path.read_bytes() == trace.text().encode()
 
 
 def test_digest_is_sha256_of_text_on_a_baseline_run():
