@@ -40,30 +40,31 @@ class AodvRouter(RouterBase):
 
     def _valid_entry(self, dest: int) -> RoutingTableEntry | None:
         e = self.table.get(dest)
-        if e is not None and e.valid(self.now):
+        if e is not None and e.valid(self.engine.now):
             return e
         return None
 
     def _update_route(
         self, dest: int, next_hop: int, hops: int, seq: int, lifetime: float = 0.0
     ) -> RoutingTableEntry:
+        now = self.engine.now
         life = lifetime if lifetime > 0 else self.params.route_lifetime
         e = self.table.get(dest)
         if e is None:
-            e = RoutingTableEntry(dest, next_hop, hops, seq, self.now + life)
+            e = RoutingTableEntry(dest, next_hop, hops, seq, now + life)
             self.table[dest] = e
             return e
         if (
-            not e.valid(self.now)
+            not e.valid(now)
             or fresher(seq, e.dest_seq)
             or (seq == e.dest_seq and hops < e.hop_count)
         ):
             e.next_hop = next_hop
             e.hop_count = hops
             e.dest_seq = seq
-            e.expires_at = self.now + life
+            e.expires_at = now + life
         elif seq == e.dest_seq and next_hop == e.next_hop:
-            e.expires_at = max(e.expires_at, self.now + life)
+            e.expires_at = max(e.expires_at, now + life)
         return e
 
     def _requested_seq(self, dest: int, bump: bool = False) -> int:
@@ -77,22 +78,23 @@ class AodvRouter(RouterBase):
             self.last_dest_seq[dest] = seq
 
     def _transmit(self, pkt: Data, e: RoutingTableEntry) -> None:
+        now = self.engine.now
         if e.next_hop in pkt.traversed:
             # A mid-flight route change (typically a repair splice) can point
             # back through a node this packet already crossed. The tables are
             # consistent for future traffic; this one packet is sacrificed
             # rather than allowed to revisit a node.
-            self.ctx.metrics.on_dropped(pkt, "loop_avoided", self.now, self.node)
+            self.ctx.metrics.on_dropped(pkt, "loop_avoided", now, self.node)
             return
-        e.last_used = self.now
-        e.expires_at = self.now + self.params.route_lifetime
+        e.last_used = now
+        e.expires_at = now + self.params.route_lifetime
         self.ctx.radio.send(self.node, pkt, pkt.payload_size, addressee=e.next_hop)
         self.watch(e.next_hop)
 
     # -- hello scoping and liveness -------------------------------------------
 
     def hello_active(self) -> bool:
-        now = self.now
+        now = self.engine.now
         life = self.params.route_lifetime
         for e in self.table.values():
             if e.valid(now) and e.last_used + life > now:
@@ -100,7 +102,7 @@ class AodvRouter(RouterBase):
         return False
 
     def watch_relevant(self, neighbor: int) -> bool:
-        now = self.now
+        now = self.engine.now
         life = self.params.route_lifetime
         for e in self.table.values():
             if e.next_hop == neighbor and e.valid(now) and e.last_used + life > now:
@@ -108,7 +110,7 @@ class AodvRouter(RouterBase):
         return False
 
     def on_neighbor_lost(self, neighbor: int) -> None:
-        now = self.now
+        now = self.engine.now
         life = self.params.route_lifetime
         affected = [
             e
@@ -146,7 +148,7 @@ class AodvRouter(RouterBase):
     def _begin_repair(self, dest: int, broken_hop: int) -> None:
         repair = RepairState(dest, broken_hop)
         self.repairs[dest] = repair
-        self.ctx.metrics.on_event("repair_start", self.now, self.node, f"dest={dest}")
+        self.ctx.metrics.on_event("repair_start", self.engine.now, self.node, f"dest={dest}")
         repair.timer = self._flood_rreq(
             dest,
             self._requested_seq(dest, bump=True),
@@ -160,9 +162,10 @@ class AodvRouter(RouterBase):
         repair = self.repairs.pop(dest, None)
         if repair is None:
             return
-        self.ctx.metrics.on_event("repair_fail", self.now, self.node, f"dest={dest}")
+        now = self.engine.now
+        self.ctx.metrics.on_event("repair_fail", now, self.node, f"dest={dest}")
         for pkt in repair.buffered:
-            self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
+            self.ctx.metrics.on_dropped(pkt, "no_route", now, self.node)
         self._emit_rerr((self.node, repair.broken_hop), (dest,))
 
     # -- control handlers --------------------------------------------------------
@@ -170,11 +173,12 @@ class AodvRouter(RouterBase):
     def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
         if rreq.origin == self.node:
             return
+        now = self.engine.now
         key = (rreq.origin, rreq.rreq_id)
         seen_until = self.rreq_seen.get(key)
-        if seen_until is not None and seen_until > self.now:
+        if seen_until is not None and seen_until > now:
             return
-        self.rreq_seen[key] = self.now + self.params.rreq_id_cache_ttl
+        self.rreq_seen[key] = now + self.params.rreq_id_cache_ttl
         hops = rreq.hop_count + 1
         self._update_route(rreq.origin, sender, hops, rreq.origin_seq)
         if self.node == rreq.dest:
@@ -204,7 +208,7 @@ class AodvRouter(RouterBase):
                 dest_seq=e.dest_seq,
                 hop_count=e.hop_count,
                 path_set=(),
-                lifetime=max(e.expires_at - self.now, self.params.hello_interval),
+                lifetime=max(e.expires_at - now, self.params.hello_interval),
             )
             self._forward_rrep(rrep)
             return
@@ -220,14 +224,15 @@ class AodvRouter(RouterBase):
         self.ctx.radio.send(self.node, fwd, self.params.control_bytes)
 
     def _forward_rrep(self, rrep: Rrep) -> None:
+        now = self.engine.now
         e = self._valid_entry(rrep.origin)
         if e is None:
-            self.ctx.metrics.on_event("rrep_lost", self.now, self.node, "no_reverse_route")
+            self.ctx.metrics.on_event("rrep_lost", now, self.node, "no_reverse_route")
             return
         # The reverse route carries the reply and will carry errors back;
         # treat that as use so its nodes keep announcing themselves.
-        e.last_used = self.now
-        e.expires_at = self.now + self.params.route_lifetime
+        e.last_used = now
+        e.expires_at = now + self.params.route_lifetime
         self.ctx.radio.send(
             self.node, rrep, self.params.control_bytes, addressee=e.next_hop
         )
@@ -250,21 +255,22 @@ class AodvRouter(RouterBase):
         self._forward_rrep(fwd)
 
     def _reply_reached_origin(self, dest: int) -> None:
+        now = self.engine.now
         repair = self.repairs.pop(dest, None)
         if repair is not None:
-            self.ctx.engine.cancel(repair.timer)
-            self.ctx.metrics.on_event("repair_ok", self.now, self.node, f"dest={dest}")
+            self.engine.cancel(repair.timer)
+            self.ctx.metrics.on_event("repair_ok", now, self.node, f"dest={dest}")
             for pkt in repair.buffered:
                 self._forward_transit(pkt)
         discovery = self._end_discovery(dest)
         if discovery is not None:
             self.discovery_backoff.pop(dest, None)
-            self.ctx.metrics.on_event("discovery_ok", self.now, self.node, f"dest={dest}")
+            self.ctx.metrics.on_event("discovery_ok", now, self.node, f"dest={dest}")
             for pkt in discovery.buffered:
                 self.send_data(pkt)
 
     def _handle_rerr(self, rerr: Rerr, sender: int) -> None:
-        now = self.now
+        now = self.engine.now
         affected = []
         for dest in rerr.unreachable_dests:
             e = self.table.get(dest)
@@ -290,19 +296,19 @@ class AodvRouter(RouterBase):
             return
         if pkt.dest == self.node:
             self._touch_reverse(pkt, sender, install=True)
-            self.ctx.metrics.on_delivered(pkt, self.now)
+            self.ctx.metrics.on_delivered(pkt, self.engine.now)
             return
         self._touch_reverse(pkt, sender, install=False)
         if pkt.dest in self.repairs:
             repair = self.repairs[pkt.dest]
             if len(repair.buffered) >= self.params.queue_capacity:
-                self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.now, self.node)
+                self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.engine.now, self.node)
             else:
                 repair.buffered.append(pkt)
             return
         e = self._valid_entry(pkt.dest)
         if e is None:
-            self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
+            self.ctx.metrics.on_dropped(pkt, "no_route", self.engine.now, self.node)
             self._emit_rerr((self.node, self.node), (pkt.dest,))
             return
         self._transmit(pkt, e)
@@ -310,7 +316,7 @@ class AodvRouter(RouterBase):
     def _forward_transit(self, pkt: Data) -> None:
         e = self._valid_entry(pkt.dest)
         if e is None:
-            self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
+            self.ctx.metrics.on_dropped(pkt, "no_route", self.engine.now, self.node)
             return
         self._transmit(pkt, e)
 
@@ -321,15 +327,14 @@ class AodvRouter(RouterBase):
         from data (that is discovery's job). Only the destination installs a
         missing entry, so it keeps announcing itself to its last hop.
         """
+        now = self.engine.now
         origin = pkt.origin
         e = self.table.get(origin)
-        if e is not None and e.valid(self.now):
-            e.expires_at = max(e.expires_at, self.now + self.params.route_lifetime)
-            e.last_used = self.now
+        if e is not None and e.valid(now):
+            e.expires_at = max(e.expires_at, now + self.params.route_lifetime)
+            e.last_used = now
         elif install:
             hops_back = len(pkt.traversed) - 1
-            e = RoutingTableEntry(
-                origin, sender, hops_back, 0, self.now + self.params.route_lifetime
-            )
-            e.last_used = self.now
+            e = RoutingTableEntry(origin, sender, hops_back, 0, now + self.params.route_lifetime)
+            e.last_used = now
             self.table[origin] = e

@@ -18,21 +18,19 @@ class SimulationError(Exception):
 
 
 class EventKind(Enum):
+    """What a scheduled callback is for; callers name it, the engine stores
+    nothing of it."""
+
     FRAME_DELIVERY = "frame"
     TIMER = "timer"
     TRAFFIC_TICK = "traffic"
     MOBILITY_WAYPOINT = "waypoint"
 
 
-@dataclass(slots=True)
-class Event:
-    """A unit of scheduled work; ``fn`` runs when the clock reaches ``time``."""
-
-    time: float
-    kind: EventKind
-    fn: Callable[[], None]
-    seq: int = -1
-    cancelled: bool = False
+# A pending event is its heap entry [time, seq, fn], which is also the handle
+# schedule() returns: ``fn`` runs when the clock reaches ``time``, and cancel()
+# sets it to None. seq is unique, so two entries never compare their ``fn``.
+Handle = list
 
 
 class Engine:
@@ -44,15 +42,15 @@ class Engine:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Handle] = []
         self._counter = 0
         self.processed = 0
 
-    def schedule(self, time: float, kind: EventKind, fn: Callable[[], None]) -> Event:
+    def schedule(self, time: float, kind: EventKind, fn: Callable[[], None]) -> Handle:
         """Enqueue work at ``time``; returns a handle usable with cancel()."""
         seq = self._counter
         self._counter = seq + 1
-        return self._push(time, seq, kind, fn)
+        return self._push(time, seq, fn)
 
     def reserve(self, count: int) -> int:
         """Take ``count`` insertion numbers now for events pushed later with
@@ -64,11 +62,11 @@ class Engine:
 
     def schedule_reserved(
         self, time: float, seq: int, kind: EventKind, fn: Callable[[], None]
-    ) -> Event:
+    ) -> Handle:
         """Enqueue work at ``time`` under a number taken with reserve()."""
-        return self._push(time, seq, kind, fn)
+        return self._push(time, seq, fn)
 
-    def _push(self, time: float, seq: int, kind: EventKind, fn: Callable[[], None]) -> Event:
+    def _push(self, time: float, seq: int, fn: Callable[[], None]) -> Handle:
         if time < self.now:
             if self.now - time <= TIME_EPSILON:
                 time = self.now
@@ -76,12 +74,13 @@ class Engine:
                 raise SimulationError(
                     f"scheduled event at t={time} in the past (clock={self.now})"
                 )
-        ev = Event(time, kind, fn, seq)
-        heapq.heappush(self._heap, (time, seq, ev))
-        return ev
+        entry = [time, seq, fn]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, handle: Event) -> None:
-        handle.cancelled = True
+    def cancel(self, handle: Handle) -> None:
+        """Keep a pending event from running; a no-op once it has run."""
+        handle[2] = None
 
     def clear(self) -> None:
         """Drop every pending event."""
@@ -93,12 +92,13 @@ class Engine:
             raise SimulationError(f"run_until({t_end}) behind clock {self.now}")
         processed = 0
         heap = self._heap
+        heappop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            time, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
+            time, _, fn = heappop(heap)
+            if fn is None:
                 continue
             self.now = time
-            ev.fn()
+            fn()
             processed += 1
         self.now = t_end
         self.processed += processed

@@ -161,7 +161,7 @@ class MaodvRouter(RouterBase):
         return next(self._paths_via(neighbor), None) is not None
 
     def on_neighbor_lost(self, neighbor: int) -> None:
-        self.ctx.metrics.on_event("link_break", self.now, self.node, f"neighbor={neighbor}")
+        self.ctx.metrics.on_event("link_break", self.engine.now, self.node, f"neighbor={neighbor}")
         reported = set()
         for flow, path in list(self._paths_via(neighbor)):
             if path is None:
@@ -217,8 +217,8 @@ class MaodvRouter(RouterBase):
         if flood is None:
             flood = self.floods[key] = RreqFlood(hops)
             if at_dest:
-                self.ctx.engine.schedule(
-                    self.now + self.ctx.rrep_wait,
+                self.engine.schedule(
+                    self.engine.now + self.ctx.rrep_wait,
                     EventKind.TIMER,
                     lambda: self._emit_multipath_rrep(key),
                 )
@@ -266,7 +266,7 @@ class MaodvRouter(RouterBase):
             rreq_id=rreq_id,
         )
         self.ctx.metrics.on_event(
-            "paths_collected", self.now, self.node, f"origin={origin} n={len(flood.paths)}"
+            "paths_collected", self.engine.now, self.node, f"origin={origin} n={len(flood.paths)}"
         )
         self.rrep_seen.add(key)
         self._install_carried(rrep)
@@ -310,7 +310,7 @@ class MaodvRouter(RouterBase):
         ))
         routes_text = ";".join("-".join(map(str, r)) for r in cache.routes)
         self.ctx.metrics.on_event(
-            "routes_selected", self.now, self.node, f"dest={dest} routes={routes_text}"
+            "routes_selected", self.engine.now, self.node, f"dest={dest} routes={routes_text}"
         )
         # cleared even when the reply outlived its discovery
         self.discovery_backoff.pop(dest, None)
@@ -339,7 +339,7 @@ class MaodvRouter(RouterBase):
         primary = cache.primary_route()
         if not cache.invalidate_link(link):
             return
-        now = self.now
+        now = self.engine.now
         self.ctx.metrics.on_event("route_invalid", now, self.node, f"dest={dest} link={link}")
         if not cache.routes:
             if dest in self.sourced and self.may_discover(dest):
@@ -358,7 +358,7 @@ class MaodvRouter(RouterBase):
         if not self._admit_data(pkt):
             return
         if pkt.dest == self.node:
-            self.ctx.metrics.on_delivered(pkt, self.now)
+            self.ctx.metrics.on_delivered(pkt, self.engine.now)
             return
         route = pkt.source_route
         if self.node not in route:

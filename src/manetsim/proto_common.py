@@ -128,6 +128,7 @@ class RouterBase:
     def __init__(self, node: int, ctx: "Network"):
         self.node = node
         self.ctx = ctx
+        self.engine = ctx.engine  # handlers read the clock as self.engine.now
         self.params = ctx.scenario.proto
         self.seq = 0
         self.rreq_counter = 0
@@ -142,10 +143,6 @@ class RouterBase:
         self.discovery_backoff: dict[int, tuple[float, int]] = {}
 
     # -- basic state ------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.ctx.engine.now
 
     @property
     def alive(self) -> bool:
@@ -174,20 +171,20 @@ class RouterBase:
     # -- hello & liveness ---------------------------------------------------
 
     def start_maintenance(self) -> None:
-        self.ctx.engine.schedule(
-            self.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
+        self.engine.schedule(
+            self.engine.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
         )
 
     def _hello_tick(self) -> None:
         if self.alive and self.hello_active():
             self.ctx.radio.send(self.node, Hello(self.node, self.seq), self.params.control_bytes)
         if self.alive:
-            self.ctx.engine.schedule(
-                self.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
+            self.engine.schedule(
+                self.engine.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
             )
 
     def _on_hello(self, hello: Hello, sender: int) -> None:
-        self.hello_deadline[hello.sender] = self.ctx.engine.now + self.hello_allowance
+        self.hello_deadline[hello.sender] = self.engine.now + self.hello_allowance
 
     def watch(self, neighbor: int) -> None:
         """Start liveness tracking for a next-hop neighbor.
@@ -196,13 +193,13 @@ class RouterBase:
         no active route) says nothing about liveness, so tracking restarts
         with a fresh allowance instead of declaring an instant break.
         """
-        now = self.ctx.engine.now
+        now = self.engine.now
         deadline = self.hello_deadline.get(neighbor)
         if deadline is None or deadline <= now:
             self.hello_deadline[neighbor] = now + self.hello_allowance
         if neighbor not in self._watch_armed:
             self._watch_armed.add(neighbor)
-            self.ctx.engine.schedule(
+            self.engine.schedule(
                 self.hello_deadline[neighbor],
                 EventKind.TIMER,
                 lambda n=neighbor: self._watch_fired(n),
@@ -213,12 +210,12 @@ class RouterBase:
         if dest in self.discoveries:
             return False
         entry = self.discovery_backoff.get(dest)
-        return entry is None or self.now >= entry[0]
+        return entry is None or self.engine.now >= entry[0]
 
     def note_discovery_failure(self, dest: int) -> None:
         streak = self.discovery_backoff.get(dest, (0.0, 0))[1] + 1
         delay = min(self.ctx.discovery_timeout * (2**streak), 10.0)
-        self.discovery_backoff[dest] = (self.now + delay, streak)
+        self.discovery_backoff[dest] = (self.engine.now + delay, streak)
 
     def _watch_fired(self, neighbor: int) -> None:
         if not self.alive:
@@ -228,8 +225,8 @@ class RouterBase:
         if deadline is None:
             self._watch_armed.discard(neighbor)
             return
-        if deadline > self.now:
-            self.ctx.engine.schedule(
+        if deadline > self.engine.now:
+            self.engine.schedule(
                 deadline, EventKind.TIMER, lambda n=neighbor: self._watch_fired(n)
             )
             return
@@ -247,11 +244,11 @@ class RouterBase:
         discovery = self.discoveries.get(pkt.dest)
         if discovery is None:
             if not self.may_discover(pkt.dest):
-                self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
+                self.ctx.metrics.on_dropped(pkt, "no_route", self.engine.now, self.node)
                 return
             discovery = self.start_discovery(pkt.dest, self._requested_seq(pkt.dest))
         if len(discovery.buffered) >= self.params.queue_capacity:
-            self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.now, self.node)
+            self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.engine.now, self.node)
             return
         discovery.buffered.append(pkt)
 
@@ -260,7 +257,7 @@ class RouterBase:
     ) -> Discovery:
         discovery = Discovery(dest, self.params.rreq_retries, requested_seq)
         self.discoveries[dest] = discovery
-        self.ctx.metrics.on_event(event, self.now, self.node, f"dest={dest}")
+        self.ctx.metrics.on_event(event, self.engine.now, self.node, f"dest={dest}")
         discovery.timer = self._flood_rreq(
             dest, requested_seq, self.ctx.discovery_timeout, self._discovery_timeout
         )
@@ -281,8 +278,8 @@ class RouterBase:
             route_record=(self.node,),
         )
         self.ctx.radio.send(self.node, rreq, self.params.control_bytes)
-        return self.ctx.engine.schedule(
-            self.now + wait, EventKind.TIMER, lambda: on_timeout(dest)
+        return self.engine.schedule(
+            self.engine.now + wait, EventKind.TIMER, lambda: on_timeout(dest)
         )
 
     def _discovery_timeout(self, dest: int) -> None:
@@ -291,25 +288,26 @@ class RouterBase:
         discovery = self.discoveries.get(dest)
         if discovery is None:
             return
+        now = self.engine.now
         if discovery.attempts_left > 0:
             discovery.attempts_left -= 1
-            self.ctx.metrics.on_event("discovery_retry", self.now, self.node, f"dest={dest}")
+            self.ctx.metrics.on_event("discovery_retry", now, self.node, f"dest={dest}")
             discovery.timer = self._flood_rreq(
                 dest, discovery.requested_seq, self.ctx.discovery_timeout, self._discovery_timeout
             )
             return
         del self.discoveries[dest]
         self.note_discovery_failure(dest)
-        self.ctx.metrics.on_event("discovery_fail", self.now, self.node, f"dest={dest}")
+        self.ctx.metrics.on_event("discovery_fail", now, self.node, f"dest={dest}")
         for pkt in discovery.buffered:
-            self.ctx.metrics.on_dropped(pkt, "no_route", self.now, self.node)
+            self.ctx.metrics.on_dropped(pkt, "no_route", now, self.node)
 
     def _end_discovery(self, dest: int) -> Discovery | None:
         """Stop dest's running discovery, if any, and return it so the
         caller can release its buffered packets."""
         discovery = self.discoveries.pop(dest, None)
         if discovery is not None:
-            self.ctx.engine.cancel(discovery.timer)
+            self.engine.cancel(discovery.timer)
         return discovery
 
     # -- data plane ------------------------------------------------------------
@@ -318,14 +316,14 @@ class RouterBase:
         """Deliver on the spot a packet its source addressed to itself."""
         if pkt.dest != self.node:
             return False
-        self.ctx.metrics.on_delivered(pkt, self.now, local=True)
+        self.ctx.metrics.on_delivered(pkt, self.engine.now, local=True)
         return True
 
     def _admit_data(self, pkt: Data) -> bool:
         """Loop check for a received data packet: one that already crossed
         this node is dropped, any other records this hop and may proceed."""
         if self.node in pkt.traversed:
-            self.ctx.metrics.on_dropped(pkt, "loop", self.now, self.node)
+            self.ctx.metrics.on_dropped(pkt, "loop", self.engine.now, self.node)
             return False
         pkt.traversed.append(self.node)
         return True

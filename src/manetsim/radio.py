@@ -91,27 +91,23 @@ class Radio:
         pos = self.positions(t)
         px, py = pos[node]
         rng2 = self.params.range * self.params.range
-        states = self.energy.states
+        remaining = self.energy.remaining_pj
         out = []
         for other, (ox, oy) in enumerate(pos):
             dx, dy = ox - px, oy - py
-            if dx * dx + dy * dy <= rng2 and other != node and states[other].alive:
+            if dx * dx + dy * dy <= rng2 and other != node and remaining[other] > 0:
                 out.append(other)
         return out
 
     def reaches(self, sender: int, recv: int, t: float) -> bool:
         """Whether `recv` is among neighbors(sender, t), from two positions."""
-        return (
-            recv != sender
-            and self.energy.states[recv].alive
-            and self._distance2(sender, recv, t) <= self.params.range * self.params.range
-        )
-
-    def _distance2(self, a: int, b: int, t: float) -> float:
-        ax, ay = self.mobility.position(a, t)
-        bx, by = self.mobility.position(b, t)
-        dx, dy = bx - ax, by - ay
-        return dx * dx + dy * dy
+        if recv == sender or self.energy.remaining_pj[recv] <= 0:
+            return False
+        position = self.mobility.position
+        sx, sy = position(sender, t)
+        ox, oy = position(recv, t)
+        dx, dy = ox - sx, oy - sy
+        return dx * dx + dy * dy <= self.params.range * self.params.range
 
     def send(self, sender: int, packet, size_bytes: int, addressee: int | None = None) -> int:
         """Transmit a frame; returns the number of deliveries scheduled."""
@@ -158,8 +154,12 @@ class Radio:
                 ),
             )
         else:
+            position = self.mobility.position
+            sx, sy = position(sender, now)
             for recv in receivers:
-                distance = math.sqrt(self._distance2(sender, recv, now))
+                ox, oy = position(recv, now)
+                dx, dy = ox - sx, oy - sy
+                distance = math.sqrt(dx * dx + dy * dy)
                 delay = duration + self.params.propagation_delay * distance
                 self.engine.schedule(
                     now + delay,
@@ -173,9 +173,17 @@ class Radio:
     def _deliver_batch(
         self, receivers: tuple[int, ...], packet, sender: int, rx: int, amount_pj: int
     ) -> None:
-        debit = self.energy.debit
+        energy = self.energy
+        remaining, consumed_by = energy.remaining_pj, energy.consumed_by
         routers = self.routers
         for recv in receivers:
-            # a receiver drained by this reception does not process the frame
-            if debit(recv, rx, amount_pj):
+            # A charge that leaves the receiver alive is booked here, any other
+            # goes to debit, each in turn: the forwards of the receivers before
+            # it read its aliveness, so it must not be charged any earlier.
+            left = remaining[recv] - amount_pj
+            if left > 0:
+                remaining[recv] = left
+                consumed_by[recv][rx] += amount_pj
                 routers[recv].on_frame(packet, sender)
+            else:
+                energy.debit(recv, rx, amount_pj)

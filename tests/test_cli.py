@@ -53,6 +53,14 @@ def test_flag_other_than_0_or_1_exits_2(tmp_path, capsys):
         assert "degree_tiebreak" in capsys.readouterr().err
 
 
+def test_initial_energy_below_half_a_picojoule_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    path.write_text(path.read_text() + "initial_energy = 1e-13\n")
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        assert "initial_energy" in capsys.readouterr().err
+
+
 def test_missing_file_is_error(capsys):
     assert main(["validate", "/does/not/exist.scn"]) == 2
 

@@ -48,8 +48,8 @@ def test_schedule_in_past_is_hard_fault():
         eng.schedule(3.0 - 2e-9, EventKind.TIMER, lambda: None)
     # at or just behind the clock is clamped to it, not a fault
     fired = []
-    assert eng.schedule(3.0, EventKind.TIMER, lambda: fired.append(eng.now)).time == 3.0
-    assert eng.schedule(3.0 - 5e-10, EventKind.TIMER, lambda: fired.append(eng.now)).time == 3.0
+    assert eng.schedule(3.0, EventKind.TIMER, lambda: fired.append(eng.now))[0] == 3.0
+    assert eng.schedule(3.0 - 5e-10, EventKind.TIMER, lambda: fired.append(eng.now))[0] == 3.0
     eng.run_until(3.0)
     assert fired == [3.0, 3.0]
 
@@ -81,7 +81,7 @@ def test_reserved_push_in_past_is_hard_fault():
     handle = eng.schedule_reserved(
         3.0 - 5e-10, base + 1, EventKind.TIMER, lambda: fired.append(eng.now)
     )
-    assert (handle.time, handle.seq) == (3.0, base + 1)
+    assert handle[:2] == [3.0, base + 1]
     eng.run_until(3.0)
     assert fired == [3.0]
 
@@ -93,6 +93,26 @@ def test_cancelled_event_never_fires():
     eng.cancel(handle)
     eng.run_until(5.0)
     assert fired == []
+
+
+def test_cancelled_event_is_not_counted():
+    eng = Engine()
+    handles = [eng.schedule(t, EventKind.TIMER, lambda: None) for t in (1.0, 2.0, 3.0)]
+    eng.cancel(handles[1])
+    assert eng.run_until(5.0) == 2
+    assert eng.processed == 2
+
+
+def test_cancelling_a_fired_event_is_a_noop():
+    eng = Engine()
+    fired = []
+    handle = eng.schedule(1.0, EventKind.TIMER, lambda: fired.append(eng.now))
+    eng.schedule(2.0, EventKind.TIMER, lambda: fired.append(eng.now))
+    eng.run_until(1.0)
+    eng.cancel(handle)
+    assert eng.run_until(5.0) == 1
+    assert fired == [1.0, 2.0]
+    assert eng.processed == 2
 
 
 def test_events_scheduled_during_run_are_processed():

@@ -84,7 +84,7 @@ def test_explicit_timings_used_as_given():
     assert net.discovery_timeout == 2.0
     assert net.rrep_wait == derived.rrep_wait
     # a discovery started at t=0 retries at t=2
-    assert net.routers[0].start_discovery(1).timer.time == 2.0
+    assert net.routers[0].start_discovery(1).timer[0] == 2.0
 
 
 @pytest.mark.parametrize("protocol", ["aodv", "maodv"])
@@ -161,7 +161,7 @@ def test_forced_death_detected_within_allowance():
     )
     net = build_network(sc, with_trace=True, mobility=static_model([(0, 0), (100, 0)]))
     # leave the destination just enough charge for the first seconds
-    net.energy.states[1].remaining_pj = round(0.008 * 1e12)
+    net.energy.remaining_pj[1] = round(0.008 * 1e12)
     TrafficSource(
         [FlowSpec(0, 1, 512, 0.25, 1.0, 29.0, flow_id=0)], net
     ).start()

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from manetsim.energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA, EnergyLedger, EnergyParams
 from manetsim.engine import Engine, RngStream
@@ -68,10 +69,10 @@ def test_each_counter_books_its_own_frames_at_a_shared_size():
             if isinstance(pkt, Data) == is_data
         )
 
-    assert energy.states[0].consumed_by == [
+    assert energy.consumed_by[0] == [
         booked(TX_CONTROL, False), booked(TX_DATA, True), 0, 0
     ]
-    assert energy.states[1].consumed_by == [
+    assert energy.consumed_by[1] == [
         0, 0, booked(RX_CONTROL, False), booked(RX_DATA, True)
     ]
 
@@ -90,7 +91,7 @@ def test_empty_neighborhood_still_debits_tx():
     radio.send(0, Hello(0, 1), 64)
     engine.run_until(1.0)
     assert inbox == []
-    spent = energy.states[0].consumed_by
+    spent = energy.consumed_by[0]
     assert spent[TX_CONTROL] + spent[TX_DATA] > 0
 
 
@@ -111,7 +112,7 @@ def test_neighbors_match_brute_force_oracle():
     engine, radio, energy, _, inbox = make_radio([tuple(p) for p in pts])
     dead = {4, 11}
     for node in dead:
-        energy.debit(node, TX_DATA, energy.states[node].remaining_pj)
+        energy.debit(node, TX_DATA, energy.remaining_pj[node])
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     for node in sorted(set(range(20)) - dead):
         expected = sorted(
@@ -153,7 +154,7 @@ def test_unicast_consumed_only_by_addressee():
     engine.run_until(1.0)
     assert [(r, s) for r, _, s in inbox] == [(2, 0)]
     # bystander pays nothing
-    bystander, addressee = energy.states[1].consumed_by, energy.states[2].consumed_by
+    bystander, addressee = energy.consumed_by[1], energy.consumed_by[2]
     assert bystander[RX_CONTROL] + bystander[RX_DATA] == 0
     assert addressee[RX_CONTROL] + addressee[RX_DATA] > 0
 
@@ -171,7 +172,7 @@ def test_unicast_void_counts_link_break():
 
 def test_dead_sender_sends_nothing():
     engine, radio, energy, metrics, inbox = make_radio([(0, 0), (50, 0)])
-    energy.debit(0, TX_DATA, energy.states[0].remaining_pj)  # drain completely
+    energy.debit(0, TX_DATA, energy.remaining_pj[0])  # drain completely
     assert not energy.alive(0)
     pkt = data_pkt(0, 1)
     metrics.on_sent(pkt)
@@ -220,6 +221,68 @@ def test_per_frame_loss_prob_drops_some():
         radio.send(0, Hello(0, 1), 64)
     engine.run_until(10.0)
     assert 20 < len(inbox) < 80
+
+
+def test_receiver_drained_mid_frame_is_charged_after_earlier_receivers():
+    # receiver 2 holds exactly one reception's charge; receiver 1 handles the
+    # frame first and broadcasts at once, while 2 still counts as alive
+    engine, radio, energy, _, _ = make_radio([(0, 0), (50, 0), (100, 0)])
+    log = []
+    energy.on_death = lambda node: log.append(("death", node))
+
+    def relay(node, pkt, sender):
+        log.append(("rx", node, sender))
+        if node == 1 and sender == 0:
+            log.append(("neighbors", radio.neighbors(1, engine.now)))
+            log.append(("tx", radio.send(1, Hello(1, 1), 64)))
+
+    radio.routers[:] = stub_routers(3, relay)
+    energy.remaining_pj[2] = energy.cost_pj(RX_CONTROL, radio.tx_duration(64))
+    assert radio.send(0, Hello(0, 1), 64) == 2
+    engine.run_until(1.0)
+    assert log == [
+        ("rx", 1, 0),
+        ("neighbors", [0, 2]),
+        ("tx", 2),
+        ("death", 2),
+        ("rx", 0, 1),
+    ]
+    assert energy.remaining_pj[2] == 0
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    st.integers(0, 12),
+    st.sampled_from([RX_CONTROL, RX_DATA]),
+    st.data(),
+)
+def test_batch_delivery_books_like_a_debit_per_receiver(budgets, amount_pj, rx, data):
+    receivers = tuple(data.draw(st.permutations(range(len(budgets)))))
+    receivers = receivers[: data.draw(st.integers(0, len(receivers)))]
+    positions = [(10 * n, 0) for n in range(len(budgets) + 1)]
+    sender = len(budgets)
+
+    def ledger(handled, deaths):
+        _, radio, energy, _, _ = make_radio(positions)
+        energy.remaining_pj[:sender] = budgets
+        energy.on_death = deaths.append
+        radio.routers[:] = stub_routers(sender + 1, lambda node, *_: handled.append(node))
+        return radio, energy
+
+    handled, deaths = [], []
+    radio, energy = ledger(handled, deaths)
+    radio._deliver_batch(receivers, Hello(sender, 1), sender, rx, amount_pj)
+
+    ref_handled, ref_deaths = [], []
+    _, ref = ledger(ref_handled, ref_deaths)
+    for recv in receivers:
+        if ref.debit(recv, rx, amount_pj):
+            ref_handled.append(recv)
+
+    assert energy.remaining_pj == ref.remaining_pj
+    assert energy.consumed_by == ref.consumed_by
+    assert deaths == ref_deaths
+    assert handled == ref_handled
 
 
 def test_radio_param_validation():

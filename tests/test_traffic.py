@@ -27,7 +27,11 @@ def sends(net, until):
 
 
 def pending_ticks(engine):
-    return [ev for _, _, ev in engine._heap if ev.kind is EventKind.TRAFFIC_TICK]
+    """Pending heap entries [time, seq, fn] whose callback a TrafficSource armed."""
+    return [
+        entry for entry in engine._heap
+        if entry[2] is not None and entry[2].__qualname__.startswith("TrafficSource.")
+    ]
 
 
 def test_cbr_packet_count():
@@ -72,7 +76,7 @@ def test_one_pending_tick_per_flow():
     net, flows = baseline_started()
     ticks = pending_ticks(net.engine)
     assert len(ticks) == len(flows) == 8
-    assert sorted(ev.time for ev in ticks) == [f.start for f in flows]
+    assert sorted(time for time, _, _ in ticks) == [f.start for f in flows]
     # every send's insertion number is taken at start, as if each were
     # scheduled up front: 8 flows x 1191 sends over [1, 120] at 0.1 s
     assert net.engine.reserve(0) == 9528
