@@ -2,9 +2,9 @@
 hop-by-hop table forwarding, local repair, and error propagation."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .proto_common import Data, Rerr, Rrep, Rreq, RouterBase, fresher
+from .proto_common import Data, Discovery, Rerr, Rrep, Rreq, RouterBase, fresher
 
 
 @dataclass(slots=True)
@@ -20,19 +20,10 @@ class RoutingTableEntry:
         return now < self.expires_at
 
 
-@dataclass(slots=True)
-class RepairState:
-    dest: int
-    broken_hop: int
-    buffered: list = field(default_factory=list)
-    timer: object = None
-
-
 class AodvRouter(RouterBase):
     def __init__(self, node, ctx):
         super().__init__(node, ctx)
         self.table: dict[int, RoutingTableEntry] = {}
-        self.repairs: dict[int, RepairState] = {}
         self.rreq_seen: dict[tuple[int, int], float] = {}
         self.last_dest_seq: dict[int, int] = {}
 
@@ -126,9 +117,8 @@ class AodvRouter(RouterBase):
             if dest == neighbor or dest in self.sourced:
                 # At the source the break point is the source itself, so
                 # repair degenerates to a fresh discovery.
-                if dest in self.sourced and self.may_discover(dest):
-                    self.start_discovery(dest, self._requested_seq(dest, bump=True))
-            elif dest not in self.repairs:
+                self.rediscover(dest)
+            elif dest not in self.discoveries:
                 self._begin_repair(dest, neighbor)
 
     # -- traffic entry ---------------------------------------------------------
@@ -146,27 +136,19 @@ class AodvRouter(RouterBase):
     # -- local repair ---------------------------------------------------------
 
     def _begin_repair(self, dest: int, broken_hop: int) -> None:
-        repair = RepairState(dest, broken_hop)
-        self.repairs[dest] = repair
-        self.ctx.metrics.on_event("repair_start", self.engine.now, self.node, f"dest={dest}")
-        repair.timer = self._flood_rreq(
-            dest,
-            self._requested_seq(dest, bump=True),
-            2 * self.params.hello_interval,
-            self._repair_timeout,
-        )
+        """RFC 3561 6.12: a relay that loses its next hop rediscovers dest
+        itself, once, holding transit data meanwhile."""
+        repair = Discovery(dest, 0, self._requested_seq(dest, bump=True), broken_hop=broken_hop)
+        self._open(repair, "repair_start", 2 * self.params.hello_interval)
 
-    def _repair_timeout(self, dest: int) -> None:
-        if not self.alive:
+    def _give_up(self, discovery: Discovery) -> None:
+        if discovery.broken_hop is None:
+            super()._give_up(discovery)
             return
-        repair = self.repairs.pop(dest, None)
-        if repair is None:
-            return
-        now = self.engine.now
-        self.ctx.metrics.on_event("repair_fail", now, self.node, f"dest={dest}")
-        for pkt in repair.buffered:
-            self.ctx.metrics.on_dropped(pkt, "no_route", now, self.node)
-        self._emit_rerr((self.node, repair.broken_hop), (dest,))
+        # a failed repair notes no back-off; the error sends the sources
+        # back to discovery
+        self._drop_buffered(discovery, "repair_fail")
+        self._emit_rerr((self.node, discovery.broken_hop), (discovery.dest,))
 
     # -- control handlers --------------------------------------------------------
 
@@ -255,19 +237,17 @@ class AodvRouter(RouterBase):
         self._forward_rrep(fwd)
 
     def _reply_reached_origin(self, dest: int) -> None:
-        now = self.engine.now
-        repair = self.repairs.pop(dest, None)
-        if repair is not None:
-            self.engine.cancel(repair.timer)
-            self.ctx.metrics.on_event("repair_ok", now, self.node, f"dest={dest}")
-            for pkt in repair.buffered:
-                self._forward_transit(pkt)
         discovery = self._end_discovery(dest)
-        if discovery is not None:
-            self.discovery_backoff.pop(dest, None)
-            self.ctx.metrics.on_event("discovery_ok", now, self.node, f"dest={dest}")
-            for pkt in discovery.buffered:
-                self.send_data(pkt)
+        if discovery is None:
+            return
+        self.discovery_backoff.pop(dest, None)
+        event = "discovery_ok" if discovery.broken_hop is None else "repair_ok"
+        self.ctx.metrics.on_event(event, self.engine.now, self.node, f"dest={dest}")
+        # the reply has just refreshed dest's entry, which a positive
+        # lifetime always leaves valid
+        e = self.table[dest]
+        for pkt in discovery.buffered:
+            self._transmit(pkt, e)
 
     def _handle_rerr(self, rerr: Rerr, sender: int) -> None:
         now = self.engine.now
@@ -281,8 +261,7 @@ class AodvRouter(RouterBase):
             return
         self.ctx.metrics.on_event("route_invalid", now, self.node, f"dests={affected}")
         for dest in affected:
-            if dest in self.sourced and self.may_discover(dest):
-                self.start_discovery(dest, self._requested_seq(dest, bump=True))
+            self.rediscover(dest)
         self._emit_rerr(rerr.broken_link, tuple(affected))
 
     def _emit_rerr(self, broken_link: tuple[int, int], dests: tuple[int, ...]) -> None:
@@ -299,24 +278,14 @@ class AodvRouter(RouterBase):
             self.ctx.metrics.on_delivered(pkt, self.engine.now)
             return
         self._touch_reverse(pkt, sender, install=False)
-        if pkt.dest in self.repairs:
-            repair = self.repairs[pkt.dest]
-            if len(repair.buffered) >= self.params.queue_capacity:
-                self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.engine.now, self.node)
-            else:
-                repair.buffered.append(pkt)
+        repair = self.discoveries.get(pkt.dest)
+        if repair is not None and repair.broken_hop is not None:
+            self._enqueue(repair, pkt)
             return
         e = self._valid_entry(pkt.dest)
         if e is None:
             self.ctx.metrics.on_dropped(pkt, "no_route", self.engine.now, self.node)
             self._emit_rerr((self.node, self.node), (pkt.dest,))
-            return
-        self._transmit(pkt, e)
-
-    def _forward_transit(self, pkt: Data) -> None:
-        e = self._valid_entry(pkt.dest)
-        if e is None:
-            self.ctx.metrics.on_dropped(pkt, "no_route", self.engine.now, self.node)
             return
         self._transmit(pkt, e)
 

@@ -1,5 +1,6 @@
 """Per-node energy ledger splitting consumption into control and data classes."""
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,6 +18,8 @@ class EnergyParams:
     def validate(self) -> None:
         if not (self.p_tx > self.p_rx > 0):
             raise ValueError("energy powers must satisfy p_tx > p_rx > 0")
+        if not math.isfinite(self.initial * PJ):
+            raise ValueError(f"initial_energy of {self.initial!r} J overflows in picojoules")
         # a node is alive while it holds charge, so it must start with some
         if round(self.initial * PJ) < 1:
             raise ValueError(

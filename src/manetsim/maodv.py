@@ -342,8 +342,7 @@ class MaodvRouter(RouterBase):
         now = self.engine.now
         self.ctx.metrics.on_event("route_invalid", now, self.node, f"dest={dest} link={link}")
         if not cache.routes:
-            if dest in self.sourced and self.may_discover(dest):
-                self.start_discovery(dest)
+            self.rediscover(dest)
             return
         if cache.primary_route() != primary:
             route_text = "-".join(map(str, cache.primary_route()))

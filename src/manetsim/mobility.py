@@ -136,14 +136,3 @@ class MobilityModel:
             return (x0, y0)
         frac = dt / travel
         return (x0 + dx * frac, y0 + dy * frac)
-
-    def export_text(self) -> str:
-        """Line-based schedule dump: 'node time x y speed pause'."""
-        lines = []
-        for node, legs in enumerate(self.schedules):
-            for leg in legs:
-                lines.append(
-                    f"{node} {leg.depart_time:.6f} {leg.end_pos[0]:.3f} "
-                    f"{leg.end_pos[1]:.3f} {leg.speed:.3f} {leg.pause_after:.3f}"
-                )
-        return "\n".join(lines) + "\n"

@@ -110,20 +110,22 @@ class ProtocolParams:
 
 @dataclass(slots=True)
 class Discovery:
-    """A route discovery this node runs as a source. Data toward dest waits
-    in `buffered` until a reply arrives or the last retry times out."""
+    """A route discovery this node runs toward dest. Data toward dest waits
+    in `buffered` until a reply arrives or the last attempt times out. A
+    local repair is a one-attempt discovery that names the lost next hop."""
 
     dest: int
     attempts_left: int
     requested_seq: int
     buffered: list = field(default_factory=list)
     timer: object = None
+    broken_hop: int | None = None  # set on a local repair
 
 
 class RouterBase:
     """Per-node machinery shared by both protocols: sequence number, hello
     emission scoped to active routes, hello-based neighbor liveness, and
-    source-side discovery with retry, back-off and buffering."""
+    route discovery with retry, back-off and buffering."""
 
     def __init__(self, node: int, ctx: "Network"):
         self.node = node
@@ -235,37 +237,50 @@ class RouterBase:
         if self.watch_relevant(neighbor):
             self.on_neighbor_lost(neighbor)
 
-    # -- route discovery (source side) ---------------------------------------
+    # -- route discovery ------------------------------------------------------
 
     def _buffer_for_discovery(self, pkt: Data) -> None:
         """Queue a packet that has no route behind dest's discovery, starting
         one if none runs. The packet is dropped while discovery toward dest
-        backs off, or when the queue is full."""
+        backs off."""
         discovery = self.discoveries.get(pkt.dest)
         if discovery is None:
             if not self.may_discover(pkt.dest):
                 self.ctx.metrics.on_dropped(pkt, "no_route", self.engine.now, self.node)
                 return
             discovery = self.start_discovery(pkt.dest, self._requested_seq(pkt.dest))
+        self._enqueue(discovery, pkt)
+
+    def _enqueue(self, discovery: Discovery, pkt: Data) -> None:
+        """Hold a packet until the discovery ends, or drop it when the queue is full."""
         if len(discovery.buffered) >= self.params.queue_capacity:
             self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.engine.now, self.node)
-            return
-        discovery.buffered.append(pkt)
+        else:
+            discovery.buffered.append(pkt)
+
+    def rediscover(self, dest: int) -> None:
+        """After a break, rediscover a destination this node sends to, unless
+        a discovery toward it runs or backs off."""
+        if dest in self.sourced and self.may_discover(dest):
+            self.start_discovery(dest, self._requested_seq(dest, bump=True))
 
     def start_discovery(
         self, dest: int, requested_seq: int = 0, event: str = "discovery_start"
     ) -> Discovery:
         discovery = Discovery(dest, self.params.rreq_retries, requested_seq)
+        return self._open(discovery, event, self.ctx.discovery_timeout)
+
+    def _open(self, discovery: Discovery, event: str, wait: float) -> Discovery:
+        """Register a discovery and flood its first request."""
+        dest = discovery.dest
         self.discoveries[dest] = discovery
         self.ctx.metrics.on_event(event, self.engine.now, self.node, f"dest={dest}")
-        discovery.timer = self._flood_rreq(
-            dest, requested_seq, self.ctx.discovery_timeout, self._discovery_timeout
-        )
+        discovery.timer = self._flood_rreq(dest, discovery.requested_seq, wait)
         return discovery
 
-    def _flood_rreq(self, dest: int, requested_seq: int, wait: float, on_timeout):
-        """Broadcast a fresh request for dest; returns the timer that calls
-        on_timeout(dest) after `wait` unless it is cancelled first."""
+    def _flood_rreq(self, dest: int, requested_seq: int, wait: float):
+        """Broadcast a fresh request for dest; returns the timer that runs
+        dest's discovery timeout after `wait` unless it is cancelled first."""
         self.seq += 1
         self.rreq_counter += 1
         rreq = Rreq(
@@ -279,7 +294,7 @@ class RouterBase:
         )
         self.ctx.radio.send(self.node, rreq, self.params.control_bytes)
         return self.engine.schedule(
-            self.engine.now + wait, EventKind.TIMER, lambda: on_timeout(dest)
+            self.engine.now + wait, EventKind.TIMER, lambda: self._discovery_timeout(dest)
         )
 
     def _discovery_timeout(self, dest: int) -> None:
@@ -293,12 +308,20 @@ class RouterBase:
             discovery.attempts_left -= 1
             self.ctx.metrics.on_event("discovery_retry", now, self.node, f"dest={dest}")
             discovery.timer = self._flood_rreq(
-                dest, discovery.requested_seq, self.ctx.discovery_timeout, self._discovery_timeout
+                dest, discovery.requested_seq, self.ctx.discovery_timeout
             )
             return
         del self.discoveries[dest]
-        self.note_discovery_failure(dest)
-        self.ctx.metrics.on_event("discovery_fail", now, self.node, f"dest={dest}")
+        self._give_up(discovery)
+
+    def _give_up(self, discovery: Discovery) -> None:
+        """The last attempt timed out: back off, then drop what waited."""
+        self.note_discovery_failure(discovery.dest)
+        self._drop_buffered(discovery, "discovery_fail")
+
+    def _drop_buffered(self, discovery: Discovery, event: str) -> None:
+        now = self.engine.now
+        self.ctx.metrics.on_event(event, now, self.node, f"dest={discovery.dest}")
         for pkt in discovery.buffered:
             self.ctx.metrics.on_dropped(pkt, "no_route", now, self.node)
 
@@ -330,8 +353,9 @@ class RouterBase:
 
     # -- protocol hooks ------------------------------------------------------
 
-    def _requested_seq(self, dest: int) -> int:
-        """Destination sequence number a new discovery toward dest asks for."""
+    def _requested_seq(self, dest: int, bump: bool = False) -> int:
+        """Destination sequence number a new discovery toward dest asks for;
+        `bump` asks for a route fresher than one that just broke."""
         return 0
 
     def hello_active(self) -> bool:

@@ -27,7 +27,7 @@ class RadioParams:
         if self.propagation_delay < 0:
             raise ValueError("radio.propagation_delay must be >= 0")
         if not 0.0 <= self.per_frame_loss_prob <= 1.0:
-            raise ValueError("radio.per_frame_loss_prob must be in [0, 1]")
+            raise ValueError("radio.loss_prob must be in [0, 1]")
 
 
 class Radio:

@@ -38,7 +38,6 @@ class RunResult:
     scenario: Scenario
     report: MetricsReport
     trace: Trace
-    mobility_text: str
     flows: list[FlowSpec]
     energy_closed: bool = True
 
@@ -156,7 +155,6 @@ def run_scenario(
         scenario=sc,
         report=report,
         trace=net.trace,
-        mobility_text=net.mobility.export_text(),
         flows=flows,
         energy_closed=energy.closed(),
     )

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .energy import EnergyParams
+from .energy import PJ, EnergyParams
 from .mobility import MobilityParams
 from .proto_common import ProtocolParams
 from .radio import RadioParams
@@ -55,6 +55,21 @@ class Scenario:
             self.proto.validate()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        # a run converts these derived figures to integers, so they must be finite
+        if not math.isfinite(math.hypot(*self.mobility.area) / self.radio.range):
+            raise ScenarioError("range is too short for the area: its diagonal spans too many hops")
+        sizes = [("control_bytes", self.proto.control_bytes)]
+        sizes += [("flow", f.payload) for f in self.flows] or [("payload", self.payload)]
+        for key, size in sizes:
+            try:
+                frame_pj = self.energy.p_tx * (size * 8 / self.radio.bandwidth) * PJ
+            except OverflowError:  # size is an int too large for a float
+                frame_pj = math.inf
+            if not math.isfinite(frame_pj):
+                raise ScenarioError(
+                    f"{key} at this bandwidth and p_tx costs more energy per frame "
+                    f"than a float holds"
+                )
         if self.flows:
             for flow in self.flows:
                 try:

@@ -161,18 +161,3 @@ def _numeric(value):
     except (TypeError, ValueError):
         return math.inf
 
-
-def paired_means(rows: list[dict], metric: str) -> dict:
-    """{axis_value: {protocol: mean}} for directional comparisons."""
-    table: dict = {}
-    for row in rows:
-        value = _numeric(row.get("axis_value"))
-        raw = row.get(metric, "")
-        sample = float(raw) if raw != "" else math.nan
-        if math.isnan(sample):
-            continue
-        table.setdefault(value, {}).setdefault(row["protocol"], []).append(sample)
-    return {
-        value: {proto: statistics.fmean(vals) for proto, vals in protos.items()}
-        for value, protos in table.items()
-    }

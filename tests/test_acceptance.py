@@ -19,7 +19,7 @@ import pytest
 from manetsim import Scenario, parse_scenario, run_scenario
 from manetsim.maodv import select_disjoint
 from manetsim.runner import build_network
-from manetsim.sweep import paired_means, sweep
+from manetsim.sweep import summarize, sweep
 from manetsim.traffic import FlowSpec, TrafficSource
 
 from conftest import (
@@ -348,10 +348,14 @@ def _signs(rows, metric, values, want):
 
     want='m_ge' demands maodv >= aodv; 'm_le' demands maodv <= aodv;
     'a_le' demands aodv <= maodv. Returns (all_ok, detail lines)."""
-    pm = paired_means(rows, metric)
+    means = {
+        (float(s["axis_value"]), s["protocol"]): s["mean"]
+        for s in summarize(rows)
+        if s["metric"] == metric
+    }
     results = []
     for value in values:
-        a, m = pm[value]["aodv"], pm[value]["maodv"]
+        a, m = means[value, "aodv"], means[value, "maodv"]
         if want == "m_ge":
             ok = m >= a
         elif want == "m_le":

@@ -130,6 +130,64 @@ def test_diamond_break_repairs_locally():
     assert late_deliveries
 
 
+def repairing_relay(queue_capacity=50):
+    """The diamond after its mover has left: the relay (1) held an active
+    route to the destination (4) through the mover (2) and has just lost it,
+    so it repairs, flooding one request that the backup relay (3) answers."""
+    positions = {**DIAMOND, 2: (400.0, 1500.0)}
+    sc = Scenario(node_count=5, duration=5.0)
+    sc.proto.queue_capacity = queue_capacity
+    net = build_network(sc, with_trace=True, mobility=static_model(positions))
+    relay = net.routers[1]
+    relay.table[4] = RoutingTableEntry(4, 2, 2, 1, expires_at=10.0, last_used=0.0)
+    relay.on_neighbor_lost(2)
+    return net, relay
+
+
+def node_events(net, node, event):
+    """Indices of the trace lines where `node` logged `event`."""
+    return [
+        i for i, line in enumerate(net.trace.lines)
+        if line.split()[1:3] == [str(node), event]
+    ]
+
+
+def test_relay_buffers_transit_data_during_repair():
+    net, relay = repairing_relay(queue_capacity=3)
+    for k in range(5):
+        pkt = Data(0, 4, 512, k, 0.0, 0, k, traversed=[0])
+        net.metrics.on_sent(pkt)
+        relay._handle_data(pkt, sender=0)
+    assert len(relay.discoveries[4].buffered) == 3
+    net.engine.run_until(1.0)
+    report = net.metrics.finalize(1.0)
+    assert report.protocol_events["repair_start"] == 1
+    assert report.protocol_events["repair_ok"] == 1
+    # the queue holds three; the other two are dropped at the relay
+    assert report.drop_breakdown == {"queue_overflow": 2}
+    assert report.delivered == 3
+    # nothing left the relay before its repair succeeded
+    (repair_ok,) = node_events(net, 1, "repair_ok")
+    forwarded = node_events(net, 1, "tx_data")
+    assert len(forwarded) == 3 and min(forwarded) > repair_ok
+    assert not relay.discoveries
+
+
+def test_sourcing_during_repair_queues_behind_it():
+    net, relay = repairing_relay()
+    pkt = Data(1, 4, 512, 0, 0.0, 0, 0, traversed=[1])
+    net.metrics.on_sent(pkt)
+    relay.send_data(pkt)
+    # the packet waits on the running repair: no second request is flooded
+    assert len(node_events(net, 1, "tx_rreq")) == 1
+    net.engine.run_until(1.0)
+    report = net.metrics.finalize(1.0)
+    assert len(node_events(net, 1, "tx_rreq")) == 1
+    assert "discovery_start" not in report.protocol_events
+    assert report.protocol_events["repair_ok"] == 1
+    assert report.delivered == 1
+
+
 def test_chain_break_without_alternative_reaches_source():
     mobility = departing_model(CHAIN, movers={2: (10.0, (480.0, 1500.0), 50.0)})
     flows = [FlowSpec(0, 3, 512, 0.25, 1.0, 29.0)]

@@ -1,8 +1,11 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import manetsim
 from manetsim.cli import main
@@ -59,6 +62,26 @@ def test_initial_energy_below_half_a_picojoule_exits_2(tmp_path, capsys):
     for verb in ("validate", "run"):
         assert main([verb, str(path)]) == 2
         assert "initial_energy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("range", "1e-320"),  # the area's diameter in hops overflows
+        ("bandwidth", "1e-300"),  # one frame's energy overflows
+        ("p_tx", "1e300"),
+        ("control_bytes", str(10**303)),
+        ("payload", str(10**400)),  # too large for a float at all
+        ("initial_energy", "1e300"),  # the battery overflows in picojoules
+        ("loss_prob", "1.5"),
+    ],
+)
+def test_overflowing_or_out_of_range_input_exits_2(tmp_path, capsys, key, value):
+    path = write_scenario(tmp_path)
+    path.write_text(path.read_text() + f"{key} = {value}\n")
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 def test_missing_file_is_error(capsys):

@@ -191,18 +191,6 @@ def test_position_query_is_pure():
         assert model.position(node, 33.3) == model.position(node, 33.3)
 
 
-def test_export_text_format():
-    model = MobilityModel.generate(
-        2, MobilityParams(), 50.0, lambda label: RngStream(2, label)
-    )
-    lines = model.export_text().strip().splitlines()
-    for line in lines:
-        parts = line.split()
-        assert len(parts) == 6
-        int(parts[0])
-        [float(p) for p in parts[1:]]
-
-
 def test_param_validation():
     with pytest.raises(ValueError):
         MobilityParams(v_min=0.0).validate()
