@@ -52,7 +52,6 @@ class Rerr:
 @dataclass(slots=True)
 class Hello:
     sender: int
-    sender_seq: int
 
 
 @dataclass(slots=True)
@@ -137,7 +136,8 @@ class RouterBase:
         self.sourced: set[int] = set()  # destinations this node has sent data to
         self.discoveries: dict[int, Discovery] = {}
         self.hello_allowance = self.params.allowed_hello_loss * self.params.hello_interval
-        # neighbor -> time after which it is presumed gone
+        # neighbor -> time after which it is presumed gone; a hello heard at t
+        # sets t + hello_allowance, written by the radio's delivery batch
         self.hello_deadline: dict[int, float] = {}
         self._watch_armed: set[int] = set()
         # dest -> (earliest next attempt, failure streak); repeated failed
@@ -154,9 +154,9 @@ class RouterBase:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # packet type -> handler, resolved once per protocol class
+        # packet type -> handler, resolved once per protocol class; a hello
+        # never gets here, the radio writes its reception into hello_deadline
         cls._frame_handlers = {
-            Hello: cls._on_hello,
             Data: cls._handle_data,
             Rreq: cls._handle_rreq,
             Rrep: cls._handle_rrep,
@@ -179,14 +179,11 @@ class RouterBase:
 
     def _hello_tick(self) -> None:
         if self.alive and self.hello_active():
-            self.ctx.radio.send(self.node, Hello(self.node, self.seq), self.params.control_bytes)
+            self.ctx.radio.send(self.node, Hello(self.node), self.params.control_bytes)
         if self.alive:
             self.engine.schedule(
                 self.engine.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
             )
-
-    def _on_hello(self, hello: Hello, sender: int) -> None:
-        self.hello_deadline[hello.sender] = self.engine.now + self.hello_allowance
 
     def watch(self, neighbor: int) -> None:
         """Start liveness tracking for a next-hop neighbor.

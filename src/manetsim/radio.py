@@ -57,7 +57,9 @@ class Radio:
         self.energy = energy
         self.metrics = metrics
         self.trace = trace
-        self.routers = routers  # by node id; a reception calls on_frame(packet, sender)
+        # by node id; a hello reception writes the receiver's hello_deadline,
+        # any other calls its on_frame(packet, sender)
+        self.routers = routers
         self.loss_rng = loss_rng
         # broadcasts cluster at shared instants (flood waves, hello ticks),
         # so one whole-network position snapshot per timestamp pays off
@@ -176,6 +178,19 @@ class Radio:
         energy = self.energy
         remaining, consumed_by = energy.remaining_pj, energy.consumed_by
         routers = self.routers
+        if type(packet) is Hello:
+            # A hello's whole reception is one liveness write: the sender is
+            # heard until `expiry` by every receiver the charge leaves alive.
+            expiry = self.engine.now + routers[sender].hello_allowance
+            for recv in receivers:
+                left = remaining[recv] - amount_pj
+                if left > 0:
+                    remaining[recv] = left
+                    consumed_by[recv][rx] += amount_pj
+                    routers[recv].hello_deadline[sender] = expiry
+                else:
+                    energy.debit(recv, rx, amount_pj)
+            return
         for recv in receivers:
             # A charge that leaves the receiver alive is booked here, any other
             # goes to debit, each in turn: the forwards of the receivers before

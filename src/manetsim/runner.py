@@ -82,7 +82,8 @@ def build_network(
     rrep_wait = p.rrep_wait if p.rrep_wait > 0 else 2 * diameter_hops * per_hop
     discovery_timeout = p.discovery_timeout
     if discovery_timeout <= 0:
-        round_trip = 4 * (diameter_hops + p.mpath_slack) * per_hop
+        # per_hop first, so no int product outgrows the float mpath_slack fits
+        round_trip = 4 * per_hop * (diameter_hops + p.mpath_slack)
         discovery_timeout = round_trip + rrep_wait + 0.005
 
     net = Network(

@@ -87,6 +87,19 @@ class Scenario:
                 raise ScenarioError("interval must be > 0")
             if not (0 <= self.traffic_start < self.duration):
                 raise ScenarioError("traffic_start must lie within [0, duration)")
+        # a timer re-armed at now + period must still move the clock at the end
+        periods = [
+            (key, getattr(self.proto, key))
+            for key in ("hello_interval", "discovery_timeout", "rrep_wait")
+        ]
+        periods += [("flow interval", f.interval) for f in self.flows]
+        periods += [] if self.flows else [("interval", self.interval)]
+        for key, period in periods:
+            if period > 0 and self.duration + period == self.duration:
+                raise ScenarioError(
+                    f"{key} = {period!r} s is too short to advance the clock "
+                    f"at duration = {self.duration!r}"
+                )
 
     def variant(self, **overrides) -> "Scenario":
         """Copy with some fields replaced; nested params are copied.
@@ -133,10 +146,16 @@ def _real(value) -> float:
 
 
 def _int(value) -> int:
-    """A whole number; a float is taken only when integral, never truncated."""
+    """A whole number a float can hold; a float is taken only when integral,
+    never truncated."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"must be a whole number, got {value!r}")
-    return int(value)
+    number = int(value)
+    try:
+        float(number)
+    except OverflowError:
+        raise ValueError("must be a whole number a float can hold") from None
+    return number
 
 
 def _cap(value) -> int:

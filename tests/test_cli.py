@@ -84,6 +84,35 @@ def test_overflowing_or_out_of_range_input_exits_2(tmp_path, capsys, key, value)
         assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        # periods that leave the clock where it is at the run's duration
+        ("discovery_timeout", "1e-300"),
+        ("rrep_wait", "1e-300"),
+        ("hello_interval", "1e-300"),
+        ("interval", "1e-300"),
+        ("interval", "1e-320"),
+        ("flow", "0 1 512 1e-300 1.0 9.0"),
+        # whole numbers too large for a float
+        ("allowed_hello_loss", str(10**400)),
+        ("mpath_slack", str(10**400)),
+    ],
+)
+def test_period_or_count_a_run_cannot_use_exits_2(tmp_path, capsys, key, value):
+    path = write_scenario(tmp_path)
+    path.write_text(path.read_text() + f"{key} = {value}\n")
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+def test_largest_slack_a_float_holds_runs(tmp_path):
+    path = write_scenario(tmp_path)
+    path.write_text(path.read_text() + f"mpath_slack = {10**308}\n")
+    assert main(["run", str(path)]) == 0
+
+
 def test_missing_file_is_error(capsys):
     assert main(["validate", "/does/not/exist.scn"]) == 2
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from manetsim import Scenario, parse_scenario
-from manetsim.proto_common import SEQ_SPACE, ProtocolParams, fresher
+from manetsim.engine import SimulationError
+from manetsim.proto_common import SEQ_SPACE, Hello, ProtocolParams, fresher
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import TrafficSource
 
@@ -102,14 +103,24 @@ def test_finished_run_is_freed_without_the_cycle_collector(protocol):
 
 
 def test_hello_deadline_refresh_rule():
-    # hello_interval=1, allowed_hello_loss=2: a hello at t sets deadline t+2
+    # hello_interval=1, allowed_hello_loss=2: a hello received at t sets deadline t+2
     net = make_pair_net()
+    p = net.scenario.proto
+    assert p.allowed_hello_loss * p.hello_interval == 2.0
     net.routers[1].hello_deadline.clear()
-    from manetsim.proto_common import Hello
-
     net.engine.run_until(10.0)
-    net.routers[1]._on_hello(Hello(0, 1), sender=0)
-    assert net.routers[1].hello_deadline[0] == 12.0
+    net.radio.send(0, Hello(0), p.control_bytes)
+    net.engine.run_until(11.0)
+    received_at = 10.0 + net.radio.tx_duration(p.control_bytes)
+    assert net.routers[1].hello_deadline == {0: received_at + 2.0}
+    assert net.routers[0].hello_deadline == {}
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "maodv"])
+def test_a_hello_never_reaches_on_frame(protocol):
+    net = make_pair_net(protocol)
+    with pytest.raises(SimulationError, match="unknown packet type"):
+        net.routers[1].on_frame(Hello(0), 0)
 
 
 def test_no_hello_without_active_route():

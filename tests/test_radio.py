@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from manetsim.energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA, EnergyLedger, EnergyParams
 from manetsim.engine import Engine, RngStream
 from manetsim.metrics import PacketLedger
-from manetsim.proto_common import Data, Hello
+from manetsim.proto_common import Data, Hello, Rreq
 from manetsim.radio import Radio, RadioParams
+from manetsim.runner import build_network
+from manetsim.scenario import Scenario
 from manetsim.trace import Trace
 
 from conftest import static_model
@@ -43,6 +45,11 @@ def data_pkt(origin, dest, pkt_id=0):
     return Data(origin, dest, 512, 0, 0.0, 0, pkt_id, traversed=[origin])
 
 
+def control_pkt(origin, rreq_id=1):
+    """A broadcast control frame that reaches on_frame (a hello does not)."""
+    return Rreq(origin, 0, rreq_id, 0, 0, 0, (origin,))
+
+
 def test_tx_duration_arithmetic():
     radio = make_radio([(0, 0)])[1]
     assert radio.tx_duration(512) == 512 * 8 / 2_000_000
@@ -54,8 +61,8 @@ def test_each_counter_books_its_own_frames_at_a_shared_size():
     # up by size alone books it under the wrong counters
     engine, radio, energy, _, inbox = make_radio([(0, 0), (50, 0)])
     frames = [
-        (Hello(0, 1), 64), (data_pkt(0, 1, 1), 64), (data_pkt(0, 1, 2), 512),
-        (Hello(0, 2), 512), (Hello(0, 3), 64), (data_pkt(0, 1, 3), 512),
+        (control_pkt(0, 1), 64), (data_pkt(0, 1, 1), 64), (data_pkt(0, 1, 2), 512),
+        (control_pkt(0, 2), 512), (control_pkt(0, 3), 64), (data_pkt(0, 1, 3), 512),
     ]
     for pkt, size in frames:
         radio.send(0, pkt, size, addressee=1 if isinstance(pkt, Data) else None)
@@ -80,7 +87,7 @@ def test_each_counter_books_its_own_frames_at_a_shared_size():
 def test_range_boundary_inclusive():
     # receivers at 100 m and 251 m; boundary receiver exactly at 250.0
     engine, radio, _, _, inbox = make_radio([(0, 0), (100, 0), (251, 0), (250, 0)])
-    count = radio.send(0, Hello(0, 1), 64)
+    count = radio.send(0, control_pkt(0), 64)
     engine.run_until(1.0)
     assert count == 2
     assert sorted(r for r, _, _ in inbox) == [1, 3]
@@ -88,7 +95,7 @@ def test_range_boundary_inclusive():
 
 def test_empty_neighborhood_still_debits_tx():
     engine, radio, energy, _, inbox = make_radio([(0, 0), (9000, 0)])
-    radio.send(0, Hello(0, 1), 64)
+    radio.send(0, Hello(0), 64)
     engine.run_until(1.0)
     assert inbox == []
     spent = energy.consumed_by[0]
@@ -122,9 +129,9 @@ def test_neighbors_match_brute_force_oracle():
         # broadcast and unicast sends reach exactly the oracle's receivers
         assert [j for j in range(20) if radio.reaches(node, j, 0.0)] == expected
         inbox.clear()
-        assert radio.send(node, Hello(node, 1), 64) == len(expected)
+        assert radio.send(node, control_pkt(node), 64) == len(expected)
         for j in range(20):
-            radio.send(node, Hello(node, 1), 64, addressee=j)
+            radio.send(node, control_pkt(node), 64, addressee=j)
         engine.run_until(engine.now + 1.0)
         assert [r for r, _, _ in inbox] == expected * 2
 
@@ -141,7 +148,7 @@ def test_link_symmetry():
 
 def test_zero_loss_delivers_exactly_once():
     engine, radio, _, _, inbox = make_radio([(0, 0), (50, 0), (100, 0)])
-    radio.send(0, Hello(0, 1), 64)
+    radio.send(0, control_pkt(0), 64)
     engine.run_until(1.0)
     assert sorted(r for r, _, _ in inbox) == [1, 2]
 
@@ -186,7 +193,7 @@ def test_delivery_delayed_by_tx_duration():
     engine, radio, _, _, inbox = make_radio([(0, 0), (50, 0)])
     times = []
     radio.routers[:] = stub_routers(2, lambda *_: times.append(engine.now))
-    radio.send(0, Hello(0, 1), 512)
+    radio.send(0, control_pkt(0), 512)
     engine.run_until(1.0)
     assert times == [pytest.approx(512 * 8 / 2_000_000)]
 
@@ -209,7 +216,7 @@ def test_membership_decided_at_send_time():
     inbox = []
     routers = stub_routers(2, lambda recv, *_: inbox.append(recv))
     radio = Radio(RadioParams(), engine, model, energy, metrics, Trace(False), routers)
-    radio.send(0, Hello(0, 1), 64)
+    radio.send(0, control_pkt(0), 64)
     engine.run_until(1.0)
     assert inbox == [1]
 
@@ -218,7 +225,7 @@ def test_per_frame_loss_prob_drops_some():
     params = RadioParams(per_frame_loss_prob=0.5)
     engine, radio, _, _, inbox = make_radio([(0, 0), (50, 0)], params=params)
     for _ in range(100):
-        radio.send(0, Hello(0, 1), 64)
+        radio.send(0, control_pkt(0), 64)
     engine.run_until(10.0)
     assert 20 < len(inbox) < 80
 
@@ -234,11 +241,11 @@ def test_receiver_drained_mid_frame_is_charged_after_earlier_receivers():
         log.append(("rx", node, sender))
         if node == 1 and sender == 0:
             log.append(("neighbors", radio.neighbors(1, engine.now)))
-            log.append(("tx", radio.send(1, Hello(1, 1), 64)))
+            log.append(("tx", radio.send(1, control_pkt(1), 64)))
 
     radio.routers[:] = stub_routers(3, relay)
     energy.remaining_pj[2] = energy.cost_pj(RX_CONTROL, radio.tx_duration(64))
-    assert radio.send(0, Hello(0, 1), 64) == 2
+    assert radio.send(0, control_pkt(0), 64) == 2
     engine.run_until(1.0)
     assert log == [
         ("rx", 1, 0),
@@ -271,7 +278,7 @@ def test_batch_delivery_books_like_a_debit_per_receiver(budgets, amount_pj, rx, 
 
     handled, deaths = [], []
     radio, energy = ledger(handled, deaths)
-    radio._deliver_batch(receivers, Hello(sender, 1), sender, rx, amount_pj)
+    radio._deliver_batch(receivers, control_pkt(sender), sender, rx, amount_pj)
 
     ref_handled, ref_deaths = [], []
     _, ref = ledger(ref_handled, ref_deaths)
@@ -283,6 +290,52 @@ def test_batch_delivery_books_like_a_debit_per_receiver(budgets, amount_pj, rx, 
     assert energy.consumed_by == ref.consumed_by
     assert deaths == ref_deaths
     assert handled == ref_handled
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=8),
+    st.integers(0, 12),
+    st.floats(0.0, 1e4),
+    st.floats(0.01, 10.0),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_hello_batch_books_like_a_debit_and_a_deadline_per_receiver(
+    budgets, amount_pj, now, hello_interval, allowed_hello_loss, data
+):
+    receivers = tuple(data.draw(st.permutations(range(len(budgets)))))
+    receivers = receivers[: data.draw(st.integers(0, len(receivers)))]
+    sender = len(budgets)
+    # deadlines some receivers already hold for the sender, some long past
+    prior = data.draw(st.dictionaries(st.integers(0, sender - 1), st.floats(0.0, 2e4)))
+    sc = Scenario(node_count=sender + 1)
+    sc.proto.hello_interval = hello_interval
+    sc.proto.allowed_hello_loss = allowed_hello_loss
+    positions = [(10 * n, 0) for n in range(sender + 1)]
+
+    def network(deaths):
+        net = build_network(sc, mobility=static_model(positions))
+        net.energy.remaining_pj[:sender] = budgets
+        net.energy.on_death = deaths.append
+        for node, deadline in prior.items():
+            net.routers[node].hello_deadline[sender] = deadline
+        net.engine.run_until(now)
+        return net
+
+    deaths = []
+    net = network(deaths)
+    net.radio._deliver_batch(receivers, Hello(sender), sender, RX_CONTROL, amount_pj)
+
+    ref_deaths = []
+    ref = network(ref_deaths)
+    for recv in receivers:
+        if ref.energy.debit(recv, RX_CONTROL, amount_pj):
+            ref.routers[recv].hello_deadline[sender] = now + ref.routers[recv].hello_allowance
+
+    assert net.energy.remaining_pj == ref.energy.remaining_pj
+    assert net.energy.consumed_by == ref.energy.consumed_by
+    assert deaths == ref_deaths
+    assert [r.hello_deadline for r in net.routers] == [r.hello_deadline for r in ref.routers]
 
 
 def test_radio_param_validation():

@@ -138,6 +138,31 @@ def test_int_fields_take_whole_numbers_only(key):
         Scenario().variant(**{key: 2.5})
 
 
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_int_fields_take_only_what_a_float_holds(key):
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        parse_scenario(f"{key} = {10**400}\n")
+    sc = Scenario()
+    f = FIELD_BY_KEY[key]
+    setattr(getattr(sc, f.part) if f.part else sc, f.attr, 10**400)
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        sc.validate()
+
+
+@pytest.mark.parametrize("key", ["hello_interval", "discovery_timeout", "rrep_wait", "interval"])
+def test_periods_must_advance_the_clock_at_duration(key):
+    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+        Scenario().variant(**{key: 1e-300}).validate()
+    # the smallest step that still moves a clock at the default 120 s passes
+    Scenario().variant(**{key: math.ulp(120.0)}).validate()
+
+
+def test_flow_interval_must_advance_the_clock_at_duration():
+    flow = FlowSpec(0, 1, 512, 1e-300, 1.0, 2.0)
+    with pytest.raises(ScenarioError, match=r"\bflow\b"):
+        Scenario(node_count=4, flows=[flow]).validate()
+
+
 @pytest.mark.parametrize("bad", ["7", "-1", "2"])
 def test_flag_takes_only_0_or_1(bad):
     with pytest.raises(ScenarioError, match=r"\bdegree_tiebreak\b"):
