@@ -92,14 +92,6 @@ class AodvRouter(RouterBase):
                 return True
         return False
 
-    def watch_relevant(self, neighbor: int) -> bool:
-        now = self.engine.now
-        life = self.params.route_lifetime
-        for e in self.table.values():
-            if e.next_hop == neighbor and e.valid(now) and e.last_used + life > now:
-                return True
-        return False
-
     def on_neighbor_lost(self, neighbor: int) -> None:
         now = self.engine.now
         life = self.params.route_lifetime
@@ -194,16 +186,7 @@ class AodvRouter(RouterBase):
             )
             self._forward_rrep(rrep)
             return
-        fwd = Rreq(
-            origin=rreq.origin,
-            dest=rreq.dest,
-            rreq_id=rreq.rreq_id,
-            origin_seq=rreq.origin_seq,
-            dest_seq_known=rreq.dest_seq_known,
-            hop_count=hops,
-            route_record=rreq.route_record + (self.node,),
-        )
-        self.ctx.radio.send(self.node, fwd, self.params.control_bytes)
+        self._relay_rreq(rreq, hops, rreq.route_record + (self.node,))
 
     def _forward_rrep(self, rrep: Rrep) -> None:
         now = self.engine.now

@@ -13,7 +13,7 @@ from .sweep import SWEEP_AXES, read_rows, report_row, summarize, sweep, write_ro
 
 
 def _load(path: str):
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return parse_scenario(text, name=Path(path).stem)
 
 
@@ -25,7 +25,6 @@ def _fmt(value) -> str:
 
 def cmd_run(args) -> int:
     sc = _load(args.scenario)
-    sc.validate()
     result = run_scenario(sc, with_trace=args.trace is not None)
     report = result.report
     print(f"run {sc.name} protocol={sc.protocol} seed={sc.master_seed}")
@@ -151,10 +150,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ScenarioError, OSError, UnicodeDecodeError) as exc:
+        # bad input: a file that is missing, unreadable, not UTF-8 or malformed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:

@@ -24,7 +24,6 @@ class EventKind(Enum):
     FRAME_DELIVERY = "frame"
     TIMER = "timer"
     TRAFFIC_TICK = "traffic"
-    MOBILITY_WAYPOINT = "waypoint"
 
 
 # A pending event is its heap entry [time, seq, fn], which is also the handle
@@ -119,7 +118,6 @@ class RngStream(random.Random):
     def __init__(self, master_seed: int, label: str):
         digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
         super().__init__(int.from_bytes(digest[:8], "big"))
-        self.label = label
 
 
 @dataclass(slots=True)

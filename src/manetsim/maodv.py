@@ -157,13 +157,13 @@ class MaodvRouter(RouterBase):
                     if path[idx + 1 : idx + 2] == (neighbor,):
                         yield flow, path
 
-    def watch_relevant(self, neighbor: int) -> bool:
-        return next(self._paths_via(neighbor), None) is not None
-
     def on_neighbor_lost(self, neighbor: int) -> None:
+        hits = list(self._paths_via(neighbor))
+        if not hits:
+            return
         self.ctx.metrics.on_event("link_break", self.engine.now, self.node, f"neighbor={neighbor}")
         reported = set()
-        for flow, path in list(self._paths_via(neighbor)):
+        for flow, path in hits:
             if path is None:
                 self._route_break(flow[1], (self.node, neighbor))
                 continue
@@ -235,16 +235,7 @@ class MaodvRouter(RouterBase):
             flood.closed = True
         if at_dest:
             return
-        fwd = Rreq(
-            origin=rreq.origin,
-            dest=rreq.dest,
-            rreq_id=rreq.rreq_id,
-            origin_seq=rreq.origin_seq,
-            dest_seq_known=rreq.dest_seq_known,
-            hop_count=hops,
-            route_record=record,
-        )
-        self.ctx.radio.send(self.node, fwd, params.control_bytes)
+        self._relay_rreq(rreq, hops, record)
 
     # -- reply flood -----------------------------------------------------------------
 

@@ -124,7 +124,14 @@ class Discovery:
 class RouterBase:
     """Per-node machinery shared by both protocols: sequence number, hello
     emission scoped to active routes, hello-based neighbor liveness, and
-    route discovery with retry, back-off and buffering."""
+    route discovery with retry, back-off and buffering.
+
+    A protocol supplies `hello_active()`, `on_neighbor_lost(neighbor)`,
+    `send_data(pkt)` and the four frame handlers `_handle_data`,
+    `_handle_rreq`, `_handle_rrep` and `_handle_rerr` (packet, sender), and
+    may override `_requested_seq`. `on_neighbor_lost` is the one break hook:
+    it decides for itself whether the neighbor matters and does nothing when
+    no route it keeps runs through that neighbor."""
 
     def __init__(self, node: int, ctx: "Network"):
         self.node = node
@@ -231,8 +238,7 @@ class RouterBase:
             return
         self._watch_armed.discard(neighbor)
         del self.hello_deadline[neighbor]
-        if self.watch_relevant(neighbor):
-            self.on_neighbor_lost(neighbor)
+        self.on_neighbor_lost(neighbor)
 
     # -- route discovery ------------------------------------------------------
 
@@ -294,6 +300,14 @@ class RouterBase:
             self.engine.now + wait, EventKind.TIMER, lambda: self._discovery_timeout(dest)
         )
 
+    def _relay_rreq(self, rreq: Rreq, hops: int, record: tuple[int, ...]) -> None:
+        """Rebroadcast a request one hop on: `hops` is its hop count here and
+        `record` its route record with this node appended."""
+        fwd = Rreq(
+            rreq.origin, rreq.dest, rreq.rreq_id, rreq.origin_seq, rreq.dest_seq_known, hops, record
+        )
+        self.ctx.radio.send(self.node, fwd, self.params.control_bytes)
+
     def _discovery_timeout(self, dest: int) -> None:
         if not self.alive:
             return
@@ -354,27 +368,3 @@ class RouterBase:
         """Destination sequence number a new discovery toward dest asks for;
         `bump` asks for a route fresher than one that just broke."""
         return 0
-
-    def hello_active(self) -> bool:
-        raise NotImplementedError
-
-    def watch_relevant(self, neighbor: int) -> bool:
-        raise NotImplementedError
-
-    def on_neighbor_lost(self, neighbor: int) -> None:
-        raise NotImplementedError
-
-    def send_data(self, pkt: Data) -> None:
-        raise NotImplementedError
-
-    def _handle_data(self, pkt: Data, sender: int) -> None:
-        raise NotImplementedError
-
-    def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
-        raise NotImplementedError
-
-    def _handle_rrep(self, rrep: Rrep, sender: int) -> None:
-        raise NotImplementedError
-
-    def _handle_rerr(self, rerr: Rerr, sender: int) -> None:
-        raise NotImplementedError

@@ -119,21 +119,19 @@ def read_rows(paths: Iterable[str]) -> list[dict]:
 
 def summarize(rows: list[dict]) -> list[dict]:
     """Per-metric mean and stddev grouped by (axis value, protocol)."""
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
+    groups: dict[tuple, list[tuple[int, dict]]] = {}
+    for number, row in enumerate(rows, start=1):
+        if row.get("protocol") is None:  # no such column, or a row cut short before it
+            raise ScenarioError(f"report row {number} has no 'protocol' column")
         key = (row.get("axis", ""), row.get("axis_value", ""), row["protocol"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(key, []).append((number, row))
 
     out = []
     for (axis, value, protocol), members in sorted(
         groups.items(), key=lambda kv: (kv[0][0], _numeric(kv[0][1]), kv[0][2])
     ):
         for metric in METRIC_FIELDS:
-            samples = [
-                float(row[metric])
-                for row in members
-                if metric in row and row[metric] != ""
-            ]
+            samples = [_sample(number, row, metric) for number, row in members]
             samples = [s for s in samples if not math.isnan(s)]
             if samples:
                 mean = statistics.fmean(samples)
@@ -153,6 +151,19 @@ def summarize(rows: list[dict]) -> list[dict]:
                 }
             )
     return out
+
+
+def _sample(number: int, row: dict, metric: str) -> float:
+    """The metric's value in a report row; nan where the cell is absent or empty."""
+    cell = row.get(metric)
+    if cell is None or cell == "":
+        return math.nan
+    try:
+        return float(cell)
+    except ValueError:
+        raise ScenarioError(
+            f"report row {number}: metric '{metric}' is not a number: {cell!r}"
+        ) from None
 
 
 def _numeric(value):

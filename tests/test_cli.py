@@ -117,6 +117,43 @@ def test_missing_file_is_error(capsys):
     assert main(["validate", "/does/not/exist.scn"]) == 2
 
 
+def test_validate_a_directory_exits_2(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes("# caf\u00e9\nnode_count = 8\n".encode("latin-1"))
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "axis,axis_value,pdr\npause_time,0,0.9\n",
+        # the second row ends before its protocol cell
+        "axis,axis_value,protocol,pdr\npause_time,0,aodv,0.9\npause_time,0\n",
+    ],
+    ids=["no_column", "truncated_row"],
+)
+def test_report_without_protocol_column_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    assert "'protocol' column" in capsys.readouterr().err
+
+
+def test_report_with_a_non_numeric_metric_exits_2(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("axis,axis_value,protocol,pdr\npause_time,0,aodv,0.9\npause_time,0,aodv,abc\n")
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "row 2" in err and "'pdr'" in err and "'abc'" in err
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     path = write_scenario(tmp_path)
     trace = tmp_path / "run.trace"

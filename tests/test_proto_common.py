@@ -193,3 +193,50 @@ def test_forced_death_detected_within_allowance():
     # the dead node's last hello predates death, so detection must come
     # within one allowance of the death itself
     assert break_times[0] - death_times[0] <= allowance + 1e-9
+
+
+def routing_state(router):
+    """What a break could touch, rendered so that any change shows: routes,
+    path caches, carried paths, discoveries and back-offs."""
+    caches = {dest: cache.routes for dest, cache in getattr(router, "caches", {}).items()}
+    return repr((
+        getattr(router, "table", None),
+        caches,
+        getattr(router, "carried", None),
+        router.discoveries,
+        router.discovery_backoff,
+    ))
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "maodv"])
+def test_losing_a_neighbor_no_route_uses_changes_nothing(protocol):
+    # a line 0-1-2 carries the flow 0 -> 2; node 3 sits beside the source
+    # on no route
+    from manetsim.traffic import FlowSpec
+
+    flow = FlowSpec(0, 2, 512, 0.25, 1.0, 9.0, flow_id=0)
+    sc = Scenario(node_count=4, duration=10.0, protocol=protocol, flows=[flow])
+    positions = [(0, 0), (200, 0), (400, 0), (0, 200)]
+    net = build_network(sc, with_trace=True, mobility=static_model(positions))
+    TrafficSource([flow], net).start()
+    for r in net.routers:
+        r.start_maintenance()
+    net.engine.run_until(5.0)
+    source = net.routers[0]
+    if protocol == "aodv":
+        assert source.table[2].next_hop == 1
+    else:
+        assert source.caches[2].primary_route() == (0, 1, 2)
+        assert net.routers[1].carried
+
+    lines, pending = len(net.trace.lines), len(net.engine._heap)
+    before = [routing_state(r) for r in net.routers]
+    for r in net.routers[:3]:
+        r.on_neighbor_lost(3)
+    assert net.trace.lines[lines:] == []  # no link_break, no frame sent
+    assert len(net.engine._heap) == pending
+    assert [routing_state(r) for r in net.routers] == before
+
+    # the neighbor the flow runs through is a break
+    source.on_neighbor_lost(1)
+    assert any(" link_break " in line for line in net.trace.lines[lines:])
