@@ -13,7 +13,10 @@ from .sweep import SWEEP_AXES, read_rows, report_row, summarize, sweep, write_ro
 
 
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     return parse_scenario(text, name=Path(path).stem)
 
 
@@ -150,7 +153,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, OSError, UnicodeDecodeError) as exc:
+    except (ScenarioError, OSError) as exc:
         # bad input: a file that is missing, unreadable, not UTF-8 or malformed
         print(f"error: {exc}", file=sys.stderr)
         return 2

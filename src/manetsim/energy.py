@@ -1,6 +1,5 @@
 """Per-node energy ledger splitting consumption into control and data classes."""
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -14,18 +13,6 @@ class EnergyParams:
     p_tx: float = 0.660  # watts
     p_rx: float = 0.395
     initial: float = 10.0  # joules
-
-    def validate(self) -> None:
-        if not (self.p_tx > self.p_rx > 0):
-            raise ValueError("energy powers must satisfy p_tx > p_rx > 0")
-        if not math.isfinite(self.initial * PJ):
-            raise ValueError(f"initial_energy of {self.initial!r} J overflows in picojoules")
-        # a node is alive while it holds charge, so it must start with some
-        if round(self.initial * PJ) < 1:
-            raise ValueError(
-                f"initial_energy must be at least 1 pJ once rounded to whole "
-                f"picojoules, got {self.initial!r} J"
-            )
 
 
 # A charge is booked under one of four counters: direction x traffic class.
@@ -45,7 +32,6 @@ class EnergyLedger:
         params: EnergyParams,
         on_death: Callable[[int], None] | None = None,
     ):
-        params.validate()
         self.params = params
         self.initial_pj = round(params.initial * PJ)
         self.remaining_pj = [self.initial_pj] * node_count

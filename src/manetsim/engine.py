@@ -3,7 +3,6 @@
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -118,16 +117,3 @@ class RngStream(random.Random):
     def __init__(self, master_seed: int, label: str):
         digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
         super().__init__(int.from_bytes(digest[:8], "big"))
-
-
-@dataclass(slots=True)
-class StreamFactory:
-    """Hands out labelled RngStreams off one master seed."""
-
-    master_seed: int
-    _cache: dict = field(default_factory=dict)
-
-    def stream(self, label: str) -> RngStream:
-        if label not in self._cache:
-            self._cache[label] = RngStream(self.master_seed, label)
-        return self._cache[label]

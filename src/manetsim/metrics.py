@@ -63,7 +63,6 @@ class PacketLedger:
         self.records: dict[int, PacketRecord] = {}
         self.control_transmissions = 0
         self.data_transmissions = 0
-        self.deliveries = 0
         self.energy_series: list[tuple[float, float, float]] = []
         self.events: Counter = Counter()  # protocol lifecycle counters
 
@@ -94,7 +93,6 @@ class PacketLedger:
         rec.hops = max(len(pkt.traversed) - 1, 0)
         rec.traversed = tuple(pkt.traversed)
         rec.source_route = tuple(pkt.source_route)
-        self.deliveries += 1
         if self.trace.enabled:
             detail = "local" if local else f"hops={len(pkt.traversed) - 1}"
             self.trace.emit(t, pkt.dest, "deliver", pkt.pkt_id, detail)

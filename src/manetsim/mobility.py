@@ -14,14 +14,6 @@ class MobilityParams:
     v_min: float = 0.5
     pause_time: float = 0.0
 
-    def validate(self) -> None:
-        if self.area[0] <= 0 or self.area[1] <= 0:
-            raise ValueError("mobility.area dimensions must be > 0")
-        if not (0 < self.v_min <= self.v_max):
-            raise ValueError("mobility speeds must satisfy 0 < v_min <= v_max")
-        if self.pause_time < 0:
-            raise ValueError("mobility.pause_time must be >= 0")
-
 
 @dataclass(slots=True)
 class WaypointLeg:
@@ -105,7 +97,6 @@ class MobilityModel:
         horizon: float,
         stream_for: "callable",
     ) -> "MobilityModel":
-        params.validate()
         schedules = [
             generate_schedule(params, horizon, stream_for(f"mobility/{node}"))
             for node in range(node_count)

@@ -89,23 +89,6 @@ class ProtocolParams:
     rrep_wait: float = 0.0  # destination collection window; 0 -> derived
     degree_tiebreak: bool = True
 
-    def validate(self) -> None:
-        for name in (
-            "rreq_retries",
-            "hello_interval",
-            "allowed_hello_loss",
-            "route_lifetime",
-            "rreq_id_cache_ttl",
-            "queue_capacity",
-            "control_bytes",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"protocol.{name} must be > 0")
-        if not (0 < self.s0 < self.n0):
-            raise ValueError("protocol must satisfy 0 < s0 < n0")
-        if self.mpath_slack < 0:
-            raise ValueError("protocol.mpath_slack must be >= 0")
-
 
 @dataclass(slots=True)
 class Discovery:

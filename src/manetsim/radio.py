@@ -19,16 +19,6 @@ class RadioParams:
     propagation_delay: float = 0.0  # s per meter
     per_frame_loss_prob: float = 0.0
 
-    def validate(self) -> None:
-        if self.range <= 0:
-            raise ValueError("radio.range must be > 0")
-        if self.bandwidth <= 0:
-            raise ValueError("radio.bandwidth must be > 0")
-        if self.propagation_delay < 0:
-            raise ValueError("radio.propagation_delay must be >= 0")
-        if not 0.0 <= self.per_frame_loss_prob <= 1.0:
-            raise ValueError("radio.loss_prob must be in [0, 1]")
-
 
 class Radio:
     """Delivers frames to every alive node within range of the sender.
@@ -50,7 +40,6 @@ class Radio:
         routers: list,
         loss_rng: RngStream | None = None,
     ):
-        params.validate()
         self.params = params
         self.engine = engine
         self.mobility = mobility

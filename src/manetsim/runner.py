@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 from .aodv import AodvRouter
 from .energy import EnergyLedger
-from .engine import Engine, EventKind, StreamFactory
+from .engine import Engine, EventKind, RngStream
 from .maodv import MaodvRouter
 from .metrics import MetricsReport, PacketLedger
 from .mobility import MobilityModel
@@ -28,7 +28,6 @@ class Network:
     metrics: PacketLedger
     trace: Trace
     mobility: MobilityModel
-    streams: StreamFactory
     rrep_wait: float  # destination collection window, s
     discovery_timeout: float  # wait for a reply before a retry, s
 
@@ -55,11 +54,11 @@ def build_network(
     A prebuilt MobilityModel pins scripted waypoint schedules; by default
     schedules derive from the master seed.
     """
-    streams = StreamFactory(sc.master_seed)
     engine = Engine()
     if mobility is None:
         mobility = MobilityModel.generate(
-            sc.node_count, sc.mobility, sc.duration, streams.stream
+            sc.node_count, sc.mobility, sc.duration,
+            lambda label: RngStream(sc.master_seed, label),
         )
     trace = Trace(with_trace)
     metrics = PacketLedger(trace)
@@ -71,7 +70,7 @@ def build_network(
     routers: list[RouterBase] = []
     radio = Radio(
         sc.radio, engine, mobility, energy, metrics, trace, routers,
-        loss_rng=streams.stream("radio/loss"),
+        loss_rng=RngStream(sc.master_seed, "radio/loss"),
     )
 
     # a key left at 0 is derived from the area's diameter in hops
@@ -87,8 +86,8 @@ def build_network(
         discovery_timeout = round_trip + rrep_wait + 0.005
 
     net = Network(
-        sc, engine, routers, radio, energy, metrics, trace, mobility, streams,
-        rrep_wait, discovery_timeout,
+        sc, engine, routers, radio, energy, metrics, trace, mobility, rrep_wait,
+        discovery_timeout,
     )
     router_cls = AodvRouter if sc.protocol == "aodv" else MaodvRouter
     routers.extend(router_cls(node, net) for node in range(sc.node_count))
@@ -108,7 +107,7 @@ def build_network(
     return net
 
 
-def resolve_flows(sc: Scenario, streams: StreamFactory) -> list[FlowSpec]:
+def resolve_flows(sc: Scenario) -> list[FlowSpec]:
     if sc.flows:
         return [replace(f, flow_id=i) for i, f in enumerate(sc.flows)]
     return generate_flows(
@@ -118,7 +117,7 @@ def resolve_flows(sc: Scenario, streams: StreamFactory) -> list[FlowSpec]:
         sc.interval,
         sc.traffic_start,
         sc.duration,
-        streams.stream("traffic"),
+        RngStream(sc.master_seed, "traffic"),
     )
 
 
@@ -132,7 +131,7 @@ def run_scenario(
     net = build_network(sc, with_trace=with_trace, mobility=mobility)
     engine, metrics, energy = net.engine, net.metrics, net.energy
 
-    flows = resolve_flows(sc, net.streams)
+    flows = resolve_flows(sc)
     traffic = TrafficSource(flows, net)
     traffic.start()
     for router in net.routers:

@@ -1,7 +1,8 @@
 """Scenario configuration: flat key=value text files, validation, defaults.
 
 Every key is declared once, in FIELDS, next to its report CSV column, the
-part of the Scenario that holds it and its type. Parsing, `scenario_text`,
+part of the Scenario that holds it and the converter that gives its type and
+range. Parsing, `scenario_text`,
 `Scenario.params_dict`, `Scenario.variant` and the per-field input checks all
 read that table.
 """
@@ -41,20 +42,16 @@ class Scenario:
     master_seed: int = 1
 
     def validate(self) -> None:
-        # the per-field checks a file line gets, for values set through the API
+        """Each key's own range is its FIELDS converter, run here for values
+        set through the API; the rules below tie keys together."""
         for f in FIELDS:
             f.convert(f.get(self))
-        if self.node_count < 2:
-            raise ScenarioError("node_count must be >= 2")
-        if self.duration <= 0:
-            raise ScenarioError("duration must be > 0")
-        try:
-            self.radio.validate()
-            self.mobility.validate()
-            self.energy.validate()
-            self.proto.validate()
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        if self.mobility.v_min > self.mobility.v_max:
+            raise ScenarioError("v_min must be <= v_max")
+        if self.energy.p_tx <= self.energy.p_rx:
+            raise ScenarioError("p_tx must be > p_rx")
+        if self.proto.s0 >= self.proto.n0:
+            raise ScenarioError("s0 must be < n0")
         # a run converts these derived figures to integers, so they must be finite
         if not math.isfinite(math.hypot(*self.mobility.area) / self.radio.range):
             raise ScenarioError("range is too short for the area: its diagonal spans too many hops")
@@ -104,7 +101,8 @@ class Scenario:
     def variant(self, **overrides) -> "Scenario":
         """Copy with some fields replaced; nested params are copied.
 
-        A scenario file key is set through FIELDS, converted to its type.
+        A scenario file key is set through FIELDS, converted to its type and
+        checked against its range.
         """
         sc = replace(
             self,
@@ -139,7 +137,10 @@ class Scenario:
 
 
 def _real(value) -> float:
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"must be a finite number, got {value!r}")
     return number
@@ -158,20 +159,44 @@ def _int(value) -> int:
     return number
 
 
-def _cap(value) -> int:
-    """A count limit where 0 means unbounded."""
-    number = _int(value)
-    if number < 0:
-        raise ValueError("must be >= 0 (0 = unbounded)")
-    return number
+def _ranged(convert: Callable, low, inclusive: bool, note: str = "") -> Callable:
+    """`convert`, then refuse a value below `low`, or at it unless `inclusive`."""
+    bound = f"must be {'>=' if inclusive else '>'} {low}{note}"
+
+    def check(value):
+        number = convert(value)
+        if number < low or (number == low and not inclusive):
+            raise ValueError(f"{bound}, got {value!r}")
+        return number
+
+    return check
 
 
-def _wait(value) -> float:
-    """A time where 0 means derived from the network."""
+_positive = _ranged(_real, 0, inclusive=False)
+_non_negative = _ranged(_real, 0, inclusive=True)
+_wait = _ranged(_real, 0, True, " (0 = derived from the network)")
+_positive_int = _ranged(_int, 0, inclusive=False)
+_non_negative_int = _ranged(_int, 0, inclusive=True)
+_cap = _ranged(_int, 0, True, " (0 = unbounded)")
+_nodes = _ranged(_int, 2, inclusive=True)
+
+
+def _probability(value) -> float:
     number = _real(value)
-    if number < 0:
-        raise ValueError("must be >= 0 (0 = derived from the network)")
+    if not 0.0 <= number <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {value!r}")
     return number
+
+
+def _charge(value) -> float:
+    """A battery in joules. A node is alive while it holds charge, so it must
+    start with at least 1 pJ once rounded to the ledger's whole picojoules."""
+    joules = _real(value)
+    if not math.isfinite(joules * PJ):
+        raise ValueError(f"{joules!r} J overflows in picojoules")
+    if round(joules * PJ) < 1:
+        raise ValueError(f"must be at least 1 pJ once rounded, got {joules!r} J")
+    return joules
 
 
 def _protocol(value) -> str:
@@ -192,7 +217,7 @@ def _area(value) -> tuple[float, float]:
     parts = value.split() if isinstance(value, str) else value
     if len(parts) != 2:
         raise ValueError("expected 'width height'")
-    return (_real(parts[0]), _real(parts[1]))
+    return (_positive(parts[0]), _positive(parts[1]))
 
 
 @dataclass(frozen=True)
@@ -222,39 +247,41 @@ FIELDS = tuple(Field(*entry) for entry in (
     ("name",               "name",               "",         "name",                str),
     ("protocol",           "protocol",           "",         "protocol",            _protocol),
     ("master_seed",        "seed",               "",         "master_seed",         _int),
-    ("node_count",         "node_count",         "",         "node_count",          _int),
+    ("node_count",         "node_count",         "",         "node_count",          _nodes),
     ("area",               "area_w area_h",      "mobility", "area",                _area),
-    ("range",              "range_m",            "radio",    "range",               _real),
-    ("bandwidth",          "bandwidth_bps",      "radio",    "bandwidth",           _real),
-    ("propagation_delay",  "propagation_delay",  "radio",    "propagation_delay",   _real),
-    ("loss_prob",          "loss_prob",          "radio",    "per_frame_loss_prob", _real),
-    ("v_max",              "v_max",              "mobility", "v_max",               _real),
-    ("v_min",              "v_min",              "mobility", "v_min",               _real),
-    ("pause_time",         "pause_time",         "mobility", "pause_time",          _real),
-    ("p_tx",               "p_tx_w",             "energy",   "p_tx",                _real),
-    ("p_rx",               "p_rx_w",             "energy",   "p_rx",                _real),
-    ("initial_energy",     "initial_energy_j",   "energy",   "initial",             _real),
-    ("rreq_retries",       "rreq_retries",       "proto",    "rreq_retries",        _int),
-    ("hello_interval",     "hello_interval",     "proto",    "hello_interval",      _real),
-    ("allowed_hello_loss", "allowed_hello_loss", "proto",    "allowed_hello_loss",  _int),
-    ("route_lifetime",     "route_lifetime",     "proto",    "route_lifetime",      _real),
-    ("rreq_id_cache_ttl",  "rreq_id_cache_ttl",  "proto",    "rreq_id_cache_ttl",   _real),
-    ("queue_capacity",     "queue_capacity",     "proto",    "queue_capacity",      _int),
-    ("control_bytes",      "control_bytes",      "proto",    "control_bytes",       _int),
+    ("range",              "range_m",            "radio",    "range",               _positive),
+    ("bandwidth",          "bandwidth_bps",      "radio",    "bandwidth",           _positive),
+    ("propagation_delay",  "propagation_delay",  "radio",    "propagation_delay",   _non_negative),
+    ("loss_prob",          "loss_prob",          "radio",    "per_frame_loss_prob", _probability),
+    ("v_max",              "v_max",              "mobility", "v_max",               _positive),
+    ("v_min",              "v_min",              "mobility", "v_min",               _positive),
+    ("pause_time",         "pause_time",         "mobility", "pause_time",          _non_negative),
+    ("p_tx",               "p_tx_w",             "energy",   "p_tx",                _positive),
+    ("p_rx",               "p_rx_w",             "energy",   "p_rx",                _positive),
+    ("initial_energy",     "initial_energy_j",   "energy",   "initial",             _charge),
+    ("rreq_retries",       "rreq_retries",       "proto",    "rreq_retries",        _positive_int),
+    ("hello_interval",     "hello_interval",     "proto",    "hello_interval",      _positive),
+    ("allowed_hello_loss", "allowed_hello_loss", "proto",    "allowed_hello_loss",  _positive_int),
+    ("route_lifetime",     "route_lifetime",     "proto",    "route_lifetime",      _positive),
+    ("rreq_id_cache_ttl",  "rreq_id_cache_ttl",  "proto",    "rreq_id_cache_ttl",   _positive),
+    ("queue_capacity",     "queue_capacity",     "proto",    "queue_capacity",      _positive_int),
+    ("control_bytes",      "control_bytes",      "proto",    "control_bytes",       _positive_int),
     ("discovery_timeout",  "discovery_timeout",  "proto",    "discovery_timeout",   _wait),
-    ("n0",                 "n0",                 "proto",    "n0",                  _int),
-    ("s0",                 "s0",                 "proto",    "s0",                  _int),
-    ("mpath_slack",        "mpath_slack",        "proto",    "mpath_slack",         _int),
+    ("n0",                 "n0",                 "proto",    "n0",                  _positive_int),
+    ("s0",                 "s0",                 "proto",    "s0",                  _positive_int),
+    ("mpath_slack",        "mpath_slack",        "proto",    "mpath_slack",         _non_negative_int),
     ("mpath_max_copies",   "mpath_max_copies",   "proto",    "mpath_max_copies",    _cap),
     ("mpath_max_paths",    "mpath_max_paths",    "proto",    "mpath_max_paths",     _cap),
     ("rrep_wait",          "rrep_wait",          "proto",    "rrep_wait",           _wait),
     ("degree_tiebreak",    "degree_tiebreak",    "proto",    "degree_tiebreak",     _flag),
-    # ignored, and reported as the number of `flow` lines, when flows are explicit
+    # ranged in Scenario.validate, since their rules bind only generated traffic;
+    # flow_count is ignored, and reported as the number of `flow` lines, when
+    # flows are explicit
     ("flow_count",         "flow_count explicit_flows", "", "flow_count", _int),
     ("payload",            "payload",            "",         "payload",             _int),
     ("interval",           "interval",           "",         "interval",            _real),
     ("traffic_start",      "traffic_start",      "",         "traffic_start",       _real),
-    ("duration",           "duration",           "",         "duration",            _real),
+    ("duration",           "duration",           "",         "duration",            _positive),
 ))
 FIELD_BY_KEY = {f.key: f for f in FIELDS}
 

@@ -103,17 +103,23 @@ def sweep(
 def write_rows(path: str, rows: list[dict]) -> None:
     if not rows:
         raise ScenarioError("no rows to write")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
 
 
-def read_rows(paths: Iterable[str]) -> list[dict]:
+def read_rows(paths: list[str]) -> list[dict]:
+    """Every data row of the UTF-8 CSV files, in order; none is an error."""
     rows = []
     for path in paths:
-        with open(path, newline="") as fh:
-            rows.extend(csv.DictReader(fh))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows.extend(csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
+    if not rows:
+        raise ScenarioError(f"no data rows in {', '.join(paths)}")
     return rows
 
 

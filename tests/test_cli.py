@@ -127,7 +127,29 @@ def test_scenario_that_is_not_utf8_exits_2(tmp_path, capsys):
     path.write_bytes("# caf\u00e9\nnode_count = 8\n".encode("latin-1"))
     for verb in ("validate", "run"):
         assert main([verb, str(path)]) == 2
-        assert "utf-8" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "utf-8" in err and str(path) in err
+
+
+def test_report_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("axis,axis_value,protocol,pdr\ncaf\u00e9,0,aodv,0.9\n".encode("latin-1"))
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "utf-8" in err and str(path) in err
+
+
+@pytest.mark.parametrize("text", ["", "axis,axis_value,protocol,pdr\n"], ids=["empty", "header_only"])
+def test_report_with_no_data_rows_exits_2(tmp_path, capsys, text):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "summary.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["report", *map(str, paths), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "no data rows" in err and all(str(path) in err for path in paths)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -108,17 +108,8 @@ def test_routing_never_exceeds_network():
     assert ledger.routing_consumed() <= ledger.network_consumed()
 
 
-def test_param_validation():
-    with pytest.raises(ValueError):
-        EnergyParams(p_tx=0.3, p_rx=0.4).validate()
-    with pytest.raises(ValueError):
-        EnergyParams(initial=0.0).validate()
-
-
 def test_initial_charge_must_round_to_a_picojoule():
-    # below 0.5 pJ the charge rounds to 0 pJ, a node born dead
-    for tiny in (1e-13, 0.4e-12, 0.5e-12):
-        with pytest.raises(ValueError, match="initial_energy"):
-            EnergyParams(initial=tiny).validate()
+    # the scenario refuses a charge that rounds to 0 pJ, a node born dead
+    # (test_scenario's OUT_OF_RANGE); the smallest it takes starts alive
     ledger = EnergyLedger(1, EnergyParams(initial=1e-12))
     assert ledger.remaining_pj == [1] and ledger.alive(0)

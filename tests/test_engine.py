@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim.engine import Engine, EventKind, RngStream, SimulationError, StreamFactory
+from manetsim.engine import Engine, EventKind, RngStream, SimulationError
 
 
 def test_events_processed_in_time_order():
@@ -149,10 +149,3 @@ def test_rng_streams_reproducible_and_independent():
     assert seq_a == seq_b
     assert seq_a != seq_c
 
-
-def test_stream_factory_caches_streams():
-    factory = StreamFactory(7)
-    s1 = factory.stream("traffic")
-    s1.random()
-    s2 = factory.stream("traffic")
-    assert s1 is s2

@@ -190,13 +190,3 @@ def test_position_query_is_pure():
     for node in range(4):
         assert model.position(node, 33.3) == model.position(node, 33.3)
 
-
-def test_param_validation():
-    with pytest.raises(ValueError):
-        MobilityParams(v_min=0.0).validate()
-    with pytest.raises(ValueError):
-        MobilityParams(v_min=6.0, v_max=5.0).validate()
-    with pytest.raises(ValueError):
-        MobilityParams(pause_time=-1.0).validate()
-    with pytest.raises(ValueError):
-        MobilityParams(area=(0.0, 600.0)).validate()

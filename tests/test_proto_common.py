@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from manetsim import Scenario, parse_scenario
 from manetsim.engine import SimulationError
-from manetsim.proto_common import SEQ_SPACE, Hello, ProtocolParams, fresher
+from manetsim.proto_common import SEQ_SPACE, Hello, fresher
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import TrafficSource
 
@@ -31,14 +31,6 @@ def test_fresher_wraparound():
 @given(st.integers(min_value=0, max_value=SEQ_SPACE - 1), st.integers(min_value=0, max_value=SEQ_SPACE - 1))
 def test_fresher_never_both_ways(a, b):
     assert not (fresher(a, b) and fresher(b, a))
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ProtocolParams(rreq_retries=0).validate()
-    with pytest.raises(ValueError):
-        ProtocolParams(n0=2, s0=2).validate()
-    ProtocolParams().validate()
 
 
 def make_pair_net(protocol="aodv", mobility=None, duration=30.0, **proto_kw):

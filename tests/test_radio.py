@@ -93,6 +93,28 @@ def test_range_boundary_inclusive():
     assert sorted(r for r, _, _ in inbox) == [1, 3]
 
 
+def test_propagation_delay_delivers_by_distance():
+    # receivers at 200, 50 and 120 m, one out of range; 1 ms per meter
+    positions = [(0, 0), (200, 0), (0, 50), (120, 0), (0, 300)]
+    delay = 1e-3
+    engine, radio, energy, _, _ = make_radio(positions, RadioParams(propagation_delay=delay))
+    arrivals = []
+    radio.routers[:] = stub_routers(
+        len(positions), lambda n, pkt, sender: arrivals.append((engine.now, n))
+    )
+    engine.run_until(0.5)
+    assert radio.send(0, control_pkt(0), 64) == 3
+    engine.run_until(2.0)
+    airtime = radio.tx_duration(64)
+    assert arrivals == [(0.5 + (airtime + delay * d), n) for n, d in ((2, 50), (3, 120), (1, 200))]
+    # charged as with no delay: the sender's airtime, and each receiver's
+    tx_pj = energy.cost_pj(TX_CONTROL, airtime)
+    rx_pj = energy.cost_pj(RX_CONTROL, airtime)
+    assert energy.consumed_by == [
+        [tx_pj, 0, 0, 0], [0, 0, rx_pj, 0], [0, 0, rx_pj, 0], [0, 0, rx_pj, 0], [0, 0, 0, 0]
+    ]
+
+
 def test_empty_neighborhood_still_debits_tx():
     engine, radio, energy, _, inbox = make_radio([(0, 0), (9000, 0)])
     radio.send(0, Hello(0), 64)
@@ -337,11 +359,3 @@ def test_hello_batch_books_like_a_debit_and_a_deadline_per_receiver(
     assert deaths == ref_deaths
     assert [r.hello_deadline for r in net.routers] == [r.hello_deadline for r in ref.routers]
 
-
-def test_radio_param_validation():
-    with pytest.raises(ValueError):
-        RadioParams(range=0).validate()
-    with pytest.raises(ValueError):
-        RadioParams(bandwidth=0).validate()
-    with pytest.raises(ValueError):
-        RadioParams(per_frame_loss_prob=1.5).validate()

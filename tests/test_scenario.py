@@ -78,7 +78,7 @@ INT_KEYS = (
 ZERO_MEANS_DERIVED = ("mpath_max_copies", "mpath_max_paths", "rrep_wait", "discovery_timeout")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge_int"])
 @pytest.mark.parametrize("key", sorted(FLOAT_FIELDS))
 def test_non_finite_numbers_rejected_naming_the_field(key, bad):
     with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
@@ -90,33 +90,54 @@ def test_non_finite_numbers_rejected_naming_the_field(key, bad):
         sc.validate()
 
 
-# an out-of-range value for every float key; each one has a range rule
+# out-of-range values for every float key and the area; each has a range rule
 OUT_OF_RANGE = {
-    "range": 0.0,
-    "bandwidth": -1.0,
-    "propagation_delay": -1e-9,
-    "loss_prob": 1.5,
-    "v_max": 0.1,  # below the default v_min
-    "v_min": 0.0,
-    "pause_time": -1.0,
-    "p_tx": 0.1,  # below the default p_rx
-    "p_rx": 0.0,
-    "initial_energy": 0.0,
-    "hello_interval": 0.0,
-    "route_lifetime": -1.0,
-    "rreq_id_cache_ttl": 0.0,
-    "discovery_timeout": -1.0,
-    "rrep_wait": -1.0,
-    "interval": 0.0,
-    "traffic_start": 120.0,  # not before the default duration
-    "duration": 0.0,
+    "area": ((0.0, 600.0), (800.0, -1.0)),
+    "range": (0.0,),
+    "bandwidth": (-1.0, 0.0),
+    "propagation_delay": (-1e-9,),
+    "loss_prob": (1.5,),
+    "v_max": (0.1,),  # below the default v_min
+    "v_min": (0.0, 6.0),  # 6 is above the default v_max
+    "pause_time": (-1.0,),
+    "p_tx": (0.1,),  # below the default p_rx
+    "p_rx": (0.0,),
+    "initial_energy": (0.0, 1e-13, 0.4e-12, 0.5e-12),  # each rounds to 0 pJ
+    "hello_interval": (0.0,),
+    "route_lifetime": (-1.0,),
+    "rreq_id_cache_ttl": (0.0,),
+    "discovery_timeout": (-1.0,),
+    "rrep_wait": (-1.0,),
+    "interval": (0.0,),
+    "traffic_start": (120.0,),  # not before the default duration
+    "duration": (0.0,),
+}
+# out-of-range values for the integer keys that have a range rule
+INT_OUT_OF_RANGE = {
+    "node_count": (1,),
+    "rreq_retries": (0,),
+    "allowed_hello_loss": (0,),
+    "queue_capacity": (0,),
+    "control_bytes": (0,),
+    "n0": (0, 1),  # 1 is not above the default s0
+    "s0": (0, 3),  # 3 is not below the default n0
+    "mpath_slack": (-1,),
+    "flow_count": (0,),
+    "payload": (0,),
 }
 
 
-@pytest.mark.parametrize("key", sorted(FLOAT_FIELDS))
+@pytest.mark.parametrize("key", sorted(OUT_OF_RANGE | INT_OUT_OF_RANGE))
 def test_out_of_range_numbers_rejected_naming_the_field(key):
-    with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
-        parse_scenario(f"{key} = {OUT_OF_RANGE[key]!r}\n").validate()
+    f = FIELD_BY_KEY[key]
+    for value in (OUT_OF_RANGE | INT_OUT_OF_RANGE)[key]:
+        text = " ".join(map(repr, value)) if key == "area" else repr(value)
+        with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+            parse_scenario(f"{key} = {text}\n").validate()
+        sc = Scenario()
+        setattr(getattr(sc, f.part) if f.part else sc, f.attr, value)
+        with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
+            sc.validate()
 
 
 @pytest.mark.parametrize("key", ZERO_MEANS_DERIVED)
@@ -196,21 +217,45 @@ def test_negative_propagation_delay_rejected():
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
 flow_line = st.tuples(st.integers(), st.integers(), st.integers(), finite, finite, finite)
+# every numeric key -> the values its own range admits
+IN_RANGE = {
+    **dict.fromkeys(("master_seed", "flow_count", "payload"), st.integers()),
+    "node_count": st.integers(min_value=2),
+    **dict.fromkeys(
+        ("rreq_retries", "allowed_hello_loss", "queue_capacity", "control_bytes", "n0", "s0"),
+        st.integers(min_value=1),
+    ),
+    **dict.fromkeys(
+        ("mpath_slack", "mpath_max_copies", "mpath_max_paths"), st.integers(min_value=0)
+    ),
+    **dict.fromkeys(
+        ("range", "bandwidth", "v_max", "v_min", "p_tx", "p_rx", "hello_interval",
+         "route_lifetime", "rreq_id_cache_ttl", "duration"),
+        positive,
+    ),
+    **dict.fromkeys(
+        ("propagation_delay", "pause_time", "discovery_timeout", "rrep_wait"), non_negative
+    ),
+    "loss_prob": st.floats(0.0, 1.0),
+    "initial_energy": st.floats(1e-12, 1e290),
+    **dict.fromkeys(("interval", "traffic_start"), finite),
+}
 
 
 @st.composite
 def scenario_texts(draw) -> str:
-    """A scenario file setting every key to an arbitrary value of its type."""
+    """A scenario file setting every key to an arbitrary value in its range."""
     lines = [
         "name = " + draw(st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True)),
         "protocol = " + draw(st.sampled_from(["aodv", "maodv"])),
         "degree_tiebreak = " + draw(st.sampled_from(["0", "1"])),
-        "area = {!r} {!r}".format(draw(finite), draw(finite)),
+        "area = {!r} {!r}".format(draw(positive), draw(positive)),
     ]
     for key in (*INT_KEYS, *FLOAT_FIELDS):
-        value = draw(st.integers() if key in INT_KEYS else finite)
-        lines.append(f"{key} = {abs(value) if key in ZERO_MEANS_DERIVED else value!r}")
+        lines.append(f"{key} = {draw(IN_RANGE[key])!r}")
     for flow in draw(st.lists(flow_line, max_size=3)):
         lines.append("flow = " + " ".join(repr(v) for v in flow))
     return "\n".join(draw(st.permutations(lines))) + "\n"

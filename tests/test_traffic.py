@@ -67,7 +67,7 @@ def test_emission_spacing_is_exact():
 def baseline_started(**overrides):
     sc = parse_scenario(BASELINE.read_text()).variant(**overrides)
     net = build_network(sc)
-    flows = resolve_flows(sc, net.streams)
+    flows = resolve_flows(sc)
     TrafficSource(flows, net).start()
     return net, flows
 
