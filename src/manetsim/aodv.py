@@ -116,8 +116,6 @@ class AodvRouter(RouterBase):
     # -- traffic entry ---------------------------------------------------------
 
     def send_data(self, pkt: Data) -> None:
-        if self._deliver_local(pkt):
-            return
         self.sourced.add(pkt.dest)
         e = self._valid_entry(pkt.dest)
         if e is not None:

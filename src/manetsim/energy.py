@@ -44,8 +44,6 @@ class EnergyLedger:
 
     def cost_pj(self, counter: int, duration: float) -> int:
         """Integer pJ that `duration` seconds on air cost under `counter`."""
-        if duration < 0:
-            raise ValueError("debit duration must be >= 0")
         return round(self._power[counter] * duration * PJ)
 
     def debit(self, node: int, counter: int, amount_pj: int) -> bool:

@@ -44,8 +44,6 @@ def select_disjoint(
     intermediate nodes. Output order is independent of input order.
     """
     candidates = sorted(set(tuple(p) for p in paths))
-    if not candidates:
-        return []
     rank = route_rank(list(preselected) + candidates, degree_tiebreak)
 
     taken: set[int] = set()
@@ -187,8 +185,6 @@ class MaodvRouter(RouterBase):
     # -- traffic entry ----------------------------------------------------------
 
     def send_data(self, pkt: Data) -> None:
-        if self._deliver_local(pkt):
-            return
         self.sourced.add(pkt.dest)
         cache = self.caches.get(pkt.dest)
         route = cache.primary_route() if cache is not None else None

@@ -80,9 +80,8 @@ class PacketLedger:
                 f"flow={pkt.flow_id} seq={pkt.data_seq}",
             )
 
-    def on_delivered(self, pkt: Data, t: float, local: bool = False) -> None:
-        """pkt reached its destination at t; `local` when it never left its
-        source because it was addressed there."""
+    def on_delivered(self, pkt: Data, t: float) -> None:
+        """pkt reached its destination at t."""
         rec = self.records[pkt.pkt_id]
         if rec.terminal:
             raise SimulationError(
@@ -94,8 +93,7 @@ class PacketLedger:
         rec.traversed = tuple(pkt.traversed)
         rec.source_route = tuple(pkt.source_route)
         if self.trace.enabled:
-            detail = "local" if local else f"hops={len(pkt.traversed) - 1}"
-            self.trace.emit(t, pkt.dest, "deliver", pkt.pkt_id, detail)
+            self.trace.emit(t, pkt.dest, "deliver", pkt.pkt_id, f"hops={len(pkt.traversed) - 1}")
 
     def on_dropped(self, pkt: Data, cause: str, t: float, node: int) -> None:
         rec = self.records[pkt.pkt_id]

@@ -44,8 +44,6 @@ def generate_schedule(
     The node pauses at its initial placement for pause_time before the
     first move, so pause_time >= horizon degenerates to a static node.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
     w, h = params.area
     pos = (rng.uniform(0.0, w), rng.uniform(0.0, h))
     legs = [WaypointLeg(pos, pos, 0.0, 0.0, params.pause_time)]

@@ -201,11 +201,6 @@ class RouterBase:
         entry = self.discovery_backoff.get(dest)
         return entry is None or self.engine.now >= entry[0]
 
-    def note_discovery_failure(self, dest: int) -> None:
-        streak = self.discovery_backoff.get(dest, (0.0, 0))[1] + 1
-        delay = min(self.ctx.discovery_timeout * (2**streak), 10.0)
-        self.discovery_backoff[dest] = (self.engine.now + delay, streak)
-
     def _watch_fired(self, neighbor: int) -> None:
         if not self.alive:
             self._watch_armed.discard(neighbor)
@@ -310,7 +305,9 @@ class RouterBase:
 
     def _give_up(self, discovery: Discovery) -> None:
         """The last attempt timed out: back off, then drop what waited."""
-        self.note_discovery_failure(discovery.dest)
+        streak = self.discovery_backoff.get(discovery.dest, (0.0, 0))[1] + 1
+        delay = min(self.ctx.discovery_timeout * (2**streak), 10.0)
+        self.discovery_backoff[discovery.dest] = (self.engine.now + delay, streak)
         self._drop_buffered(discovery, "discovery_fail")
 
     def _drop_buffered(self, discovery: Discovery, event: str) -> None:
@@ -328,13 +325,6 @@ class RouterBase:
         return discovery
 
     # -- data plane ------------------------------------------------------------
-
-    def _deliver_local(self, pkt: Data) -> bool:
-        """Deliver on the spot a packet its source addressed to itself."""
-        if pkt.dest != self.node:
-            return False
-        self.ctx.metrics.on_delivered(pkt, self.engine.now, local=True)
-        return True
 
     def _admit_data(self, pkt: Data) -> bool:
         """Loop check for a received data packet: one that already crossed

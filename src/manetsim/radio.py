@@ -38,7 +38,7 @@ class Radio:
         metrics,
         trace,
         routers: list,
-        loss_rng: RngStream | None = None,
+        loss_rng: RngStream,
     ):
         self.params = params
         self.engine = engine
@@ -127,7 +127,7 @@ class Radio:
         else:
             receivers = [addressee] if self.reaches(sender, addressee, now) else []
         loss_p = self.params.per_frame_loss_prob
-        if receivers and loss_p > 0.0 and self.loss_rng is not None:
+        if receivers and loss_p > 0.0:
             # one draw per in-range receiver, in ascending id order
             receivers = [r for r in receivers if not self.loss_rng.random() < loss_p]
         if not receivers:
@@ -167,19 +167,11 @@ class Radio:
         energy = self.energy
         remaining, consumed_by = energy.remaining_pj, energy.consumed_by
         routers = self.routers
+        # A hello's whole reception is one liveness write: the sender is heard
+        # until `expiry` by every receiver the charge leaves alive.
+        expiry = None
         if type(packet) is Hello:
-            # A hello's whole reception is one liveness write: the sender is
-            # heard until `expiry` by every receiver the charge leaves alive.
             expiry = self.engine.now + routers[sender].hello_allowance
-            for recv in receivers:
-                left = remaining[recv] - amount_pj
-                if left > 0:
-                    remaining[recv] = left
-                    consumed_by[recv][rx] += amount_pj
-                    routers[recv].hello_deadline[sender] = expiry
-                else:
-                    energy.debit(recv, rx, amount_pj)
-            return
         for recv in receivers:
             # A charge that leaves the receiver alive is booked here, any other
             # goes to debit, each in turn: the forwards of the receivers before
@@ -188,6 +180,9 @@ class Radio:
             if left > 0:
                 remaining[recv] = left
                 consumed_by[recv][rx] += amount_pj
-                routers[recv].on_frame(packet, sender)
+                if expiry is None:
+                    routers[recv].on_frame(packet, sender)
+                else:
+                    routers[recv].hello_deadline[sender] = expiry
             else:
                 energy.debit(recv, rx, amount_pj)

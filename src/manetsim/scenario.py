@@ -97,12 +97,19 @@ class Scenario:
                     f"{key} = {period!r} s is too short to advance the clock "
                     f"at duration = {self.duration!r}"
                 )
+        # so must a waypoint leg: the longest at top speed, with its pause
+        mob = self.mobility
+        if self.duration + mob.pause_time + math.hypot(*mob.area) / mob.v_max == self.duration:
+            raise ScenarioError(
+                f"v_max = {mob.v_max!r} m/s is too fast to advance the clock "
+                f"at duration = {self.duration!r}"
+            )
 
     def variant(self, **overrides) -> "Scenario":
-        """Copy with some fields replaced; nested params are copied.
+        """Copy with some scenario file keys replaced; nested params are copied.
 
-        A scenario file key is set through FIELDS, converted to its type and
-        checked against its range.
+        Each key is set through FIELDS, converted to its type and checked
+        against its range; a name that is not a file key is refused.
         """
         sc = replace(
             self,
@@ -113,12 +120,9 @@ class Scenario:
             flows=list(self.flows),
         )
         for key, value in overrides.items():
-            if key in FIELD_BY_KEY:
-                FIELD_BY_KEY[key].set(sc, value)
-            elif hasattr(sc, key):
-                setattr(sc, key, value)
-            else:
+            if key not in FIELD_BY_KEY:
                 raise ScenarioError(f"unknown scenario field: {key}")
+            FIELD_BY_KEY[key].set(sc, value)
         return sc
 
     def params_dict(self) -> dict:

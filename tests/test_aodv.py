@@ -35,16 +35,6 @@ def run_static(positions, flows, duration=30.0, protocol="aodv", mobility=None, 
     )
 
 
-def test_local_delivery_without_discovery():
-    net = build_network(Scenario(node_count=2, duration=1.0), mobility=static_model([(0, 0), (50, 0)]))
-    pkt = Data(0, 0, 512, 0, 0.0, 0, 0, traversed=[0])
-    net.metrics.on_sent(pkt)
-    net.routers[0].send_data(pkt)
-    report = net.metrics.finalize(1.0)
-    assert report.delivered == 1
-    assert report.control_transmissions == 0
-
-
 def test_bench_route_matches_bfs_oracle():
     flows = [FlowSpec(0, 8, 512, 0.25, 1.0, 29.0)]
     result = run_static(BENCH_POSITIONS, flows)

@@ -54,12 +54,6 @@ def test_debit_on_dead_node_is_noop():
     assert ledger.consumed_by[0] == before
 
 
-def test_negative_duration_rejected():
-    ledger = EnergyLedger(1, EnergyParams())
-    with pytest.raises(ValueError):
-        ledger.cost_pj(TX_DATA, -1.0)
-
-
 @given(
     st.lists(
         st.tuples(

@@ -237,7 +237,10 @@ def test_membership_decided_at_send_time():
     metrics = PacketLedger()
     inbox = []
     routers = stub_routers(2, lambda recv, *_: inbox.append(recv))
-    radio = Radio(RadioParams(), engine, model, energy, metrics, Trace(False), routers)
+    radio = Radio(
+        RadioParams(), engine, model, energy, metrics, Trace(False), routers,
+        RngStream(1, "radio/loss"),
+    )
     radio.send(0, control_pkt(0), 64)
     engine.run_until(1.0)
     assert inbox == [1]

@@ -184,6 +184,24 @@ def test_flow_interval_must_advance_the_clock_at_duration():
         Scenario(node_count=4, flows=[flow]).validate()
 
 
+def test_waypoint_legs_must_advance_the_clock_at_duration():
+    # at pause 0 such a leg would leave the schedule generator on one instant
+    # forever, so only validate() is called here
+    with pytest.raises(ScenarioError, match=r"\bv_max\b"):
+        Scenario(node_count=4, duration=3.0).variant(v_max=1e300).validate()
+    # a pause moves the clock even when the leg does not
+    Scenario(duration=3.0).variant(v_max=1e300, pause_time=1.0).validate()
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("flows", [FlowSpec(0, 1, 512, 0.25, 1.0, 2.0)]), ("radio", RadioParams())],
+)
+def test_variant_takes_only_file_keys(name, value):
+    with pytest.raises(ScenarioError, match=f"unknown scenario field: {name}"):
+        Scenario().variant(**{name: value})
+
+
 @pytest.mark.parametrize("bad", ["7", "-1", "2"])
 def test_flag_takes_only_0_or_1(bad):
     with pytest.raises(ScenarioError, match=r"\bdegree_tiebreak\b"):

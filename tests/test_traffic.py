@@ -42,14 +42,6 @@ def test_cbr_packet_count():
     assert times[-1] == pytest.approx(120.0)
 
 
-def test_empty_window():
-    for flow in (FlowSpec(0, 1, 512, 0.25, 5.0, 5.0), FlowSpec(0, 1, 512, 0.25, 6.0, 5.0)):
-        net = started([flow])
-        assert net.engine.reserve(0) == 0
-        assert not pending_ticks(net.engine)
-        assert sends(net, 200.0) == []
-
-
 def test_offered_load_arithmetic():
     flow = FlowSpec(0, 1, 512, 0.25, 1.0, 120.0)
     offered_kbps = flow.payload * 8 / flow.interval / 1000
