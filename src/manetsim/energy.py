@@ -23,7 +23,9 @@ class EnergyLedger:
     """Tracks every node's battery; kills nodes that hit zero.
 
     remaining_pj[node] is the node's charge and consumed_by[node] its pJ
-    spent per counter. A node is alive while its charge is above zero.
+    spent per counter. A node is alive while its charge is above zero;
+    `deaths` counts the nodes that have died, so a view of which nodes are
+    alive holds for as long as it stays the same.
     """
 
     def __init__(
@@ -38,6 +40,7 @@ class EnergyLedger:
         self.consumed_by = [[0, 0, 0, 0] for _ in range(node_count)]
         self._power = (params.p_tx, params.p_tx, params.p_rx, params.p_rx)  # by counter
         self.on_death = on_death
+        self.deaths = 0
 
     def alive(self, node: int) -> bool:
         return self.remaining_pj[node] > 0
@@ -62,6 +65,7 @@ class EnergyLedger:
             return True
         self.remaining_pj[node] = 0
         self.consumed_by[node][counter] += remaining
+        self.deaths += 1
         if self.on_death is not None:
             self.on_death(node)
         return False

@@ -50,10 +50,15 @@ class Radio:
         # any other calls its on_frame(packet, sender)
         self.routers = routers
         self.loss_rng = loss_rng
-        # broadcasts cluster at shared instants (flood waves, hello ticks),
-        # so one whole-network position snapshot per timestamp pays off
-        self._pos_time = -1.0
+        # One whole-network position snapshot, taken at _pos_from, holds for
+        # [_pos_from, _pos_until): the frozen stretch in which no node moves,
+        # or just that instant if a node is moving. Broadcasts cluster at
+        # shared instants (flood waves, hello ticks), and each sender's
+        # neighbor row, computed from the snapshot, holds for the stretch
+        # too while the death count it was taken at stays the same.
+        self._pos_from = self._pos_until = math.nan
         self._pos_cache: list[tuple[float, float]] = []
+        self._rows: dict[int, tuple[int, list[int]]] = {}  # sender -> (deaths, row)
         # a run sends only a few (data?, size) frame kinds, so each is priced
         # once: (airtime, tx counter, tx pJ, rx counter, rx pJ)
         self._prices: dict[tuple[bool, int], tuple[float, int, int, int, int]] = {}
@@ -71,15 +76,26 @@ class Radio:
         return price
 
     def positions(self, t: float) -> list[tuple[float, float]]:
-        if t != self._pos_time:
-            position = self.mobility.position
-            self._pos_cache = [position(n, t) for n in range(self.mobility.node_count)]
-            self._pos_time = t
+        if not self._pos_from <= t < self._pos_until:
+            mobility = self.mobility
+            position = mobility.position
+            self._pos_cache = [position(n, t) for n in range(mobility.node_count)]
+            self._pos_from = t
+            self._pos_until = max(mobility.frozen_until(t), math.nextafter(t, math.inf))
+            self._rows = {}
         return self._pos_cache
 
     def neighbors(self, node: int, t: float) -> list[int]:
-        """Alive nodes within range of `node` at time t, ascending id."""
+        """Alive nodes within range of `node` at time t, ascending id.
+
+        The list is shared with later calls in the same frozen stretch, so
+        a caller must not change it.
+        """
         pos = self.positions(t)
+        deaths = self.energy.deaths
+        row = self._rows.get(node)
+        if row is not None and row[0] == deaths:
+            return row[1]
         px, py = pos[node]
         rng2 = self.params.range * self.params.range
         remaining = self.energy.remaining_pj
@@ -88,15 +104,22 @@ class Radio:
             dx, dy = ox - px, oy - py
             if dx * dx + dy * dy <= rng2 and other != node and remaining[other] > 0:
                 out.append(other)
+        self._rows[node] = (deaths, out)
         return out
 
     def reaches(self, sender: int, recv: int, t: float) -> bool:
-        """Whether `recv` is among neighbors(sender, t), from two positions."""
+        """Whether `recv` is among neighbors(sender, t), from two positions:
+        the snapshot's if t lies in its stretch, else the mobility model's."""
         if recv == sender or self.energy.remaining_pj[recv] <= 0:
             return False
-        position = self.mobility.position
-        sx, sy = position(sender, t)
-        ox, oy = position(recv, t)
+        if self._pos_from <= t < self._pos_until:
+            pos = self._pos_cache
+            sx, sy = pos[sender]
+            ox, oy = pos[recv]
+        else:
+            position = self.mobility.position
+            sx, sy = position(sender, t)
+            ox, oy = position(recv, t)
         dx, dy = ox - sx, oy - sy
         return dx * dx + dy * dy <= self.params.range * self.params.range
 

@@ -19,6 +19,10 @@ from .traffic import FlowSpec
 
 PROTOCOLS = ("aodv", "maodv")
 
+# A run may build at most about this many waypoint legs, CBR sends and hello
+# ticks together; one that needs more would spend hours generating them.
+WORK_BUDGET = 10**8
+
 
 class ScenarioError(ValueError):
     """Configuration rejected; the message names the offending field."""
@@ -84,25 +88,36 @@ class Scenario:
                 raise ScenarioError("interval must be > 0")
             if not (0 <= self.traffic_start < self.duration):
                 raise ScenarioError("traffic_start must lie within [0, duration)")
-        # a timer re-armed at now + period must still move the clock at the end
-        periods = [
-            (key, getattr(self.proto, key))
-            for key in ("hello_interval", "discovery_timeout", "rrep_wait")
-        ]
-        periods += [("flow interval", f.interval) for f in self.flows]
-        periods += [] if self.flows else [("interval", self.interval)]
-        for key, period in periods:
+        # a retry timer re-armed at now + period must still move the clock
+        for key in ("discovery_timeout", "rrep_wait"):
+            period = getattr(self.proto, key)
             if period > 0 and self.duration + period == self.duration:
                 raise ScenarioError(
                     f"{key} = {period!r} s is too short to advance the clock "
                     f"at duration = {self.duration!r}"
                 )
-        # so must a waypoint leg: the longest at top speed, with its pause
+        # Estimated work, with the key that sets it. A uniform waypoint leg
+        # averages about a third of the area's diagonal; at top speed, with
+        # its pause, that is the shortest a typical leg lasts.
         mob = self.mobility
-        if self.duration + mob.pause_time + math.hypot(*mob.area) / mob.v_max == self.duration:
+        leg_s = math.hypot(*mob.area) / 3 / mob.v_max + mob.pause_time
+        hello_s = self.proto.hello_interval
+        work = [
+            (self.node_count * _count(self.duration, leg_s), "v_max", "waypoint legs"),
+            (self.node_count * _count(self.duration, hello_s), "hello_interval", "hello ticks"),
+        ]
+        if self.flows:
+            windows = [(min(f.stop, self.duration) - f.start, f.interval) for f in self.flows]
+            sends = sum(_count(*window) for window in windows)
+            work.append((sends, "flow interval", "CBR sends"))
+        else:
+            sends = _count(self.duration - self.traffic_start, self.interval)
+            work.append((self.flow_count * sends, "interval", "CBR sends"))
+        if sum(count for count, _, _ in work) > WORK_BUDGET:
+            count, key, what = max(work)
             raise ScenarioError(
-                f"v_max = {mob.v_max!r} m/s is too fast to advance the clock "
-                f"at duration = {self.duration!r}"
+                f"{key} gives about {count:.2g} {what} in {self.duration!r} s; a run may "
+                f"build at most {WORK_BUDGET:.0e} legs, sends and hello ticks in all"
             )
 
     def variant(self, **overrides) -> "Scenario":
@@ -138,6 +153,11 @@ class Scenario:
                 cells = (int(value) if f.type is _flag else value,)
             row.update(zip(f.column.split(), cells))
         return row
+
+
+def _count(span: float, period: float) -> float:
+    """About how many periods fit in span seconds; inf for a period of 0."""
+    return max(span, 0.0) / period if period > 0 else math.inf
 
 
 def _real(value) -> float:

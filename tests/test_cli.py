@@ -96,6 +96,8 @@ def test_overflowing_or_out_of_range_input_exits_2(tmp_path, capsys, key, value)
         ("flow", "0 1 512 1e-300 1.0 9.0"),
         # a waypoint leg that crosses the area in no time, at pause 0
         ("v_max", "1e300"),
+        # legs ~1e-9 s long: billions per node, over the work budget
+        ("v_max", "1e12"),
         # whole numbers too large for a float
         ("allowed_hello_loss", str(10**400)),
         ("mpath_slack", str(10**400)),

@@ -51,6 +51,42 @@ GOLDEN_ROW = {
     ("maodv", 100, 3): "eb21dfc708478f5b95471b65691b24ed8434dc37e1c11a29629be7c4e98d7170",
 }
 
+# The pins above all run at pause 0, where nodes move at every instant. These
+# run the baseline at n = 20 with nodes that stand still: pause 120 keeps the
+# network static for the whole 120 s run, pause 40 keeps it frozen for the
+# first 40 s and then sets it moving.
+# (protocol, pause_time, seed) -> sha256 of the run's trace text
+FROZEN = {
+    ("aodv", 40, 1): "10e7749ed22e30ac46ccee4ddc4b44f110bc19af6930eb5404a0ab74df4c06cd",
+    ("aodv", 40, 2): "4e87ddffdfa4e739801db3a7261f54bb6b1209854d9ea240bc06fce6fd450d88",
+    ("aodv", 40, 3): "8b78fc346f2c2907e5865f2cd1433af62ef6b9741d9b0dd5883ae0a05bf3619c",
+    ("maodv", 40, 1): "3b913a0775b1803438de3eb05c2e942593fadf16fd89401b825ec1dd275bb18b",
+    ("maodv", 40, 2): "721d01789dce012258656275d509b4e8e3ca52f580defa305e6b70dbf15894e9",
+    ("maodv", 40, 3): "7ba7269db06f1264c62baa4fb5f34ec8735a9ced0cce2ef08a0c53c3d86e430d",
+    ("aodv", 120, 1): "b7300cbf630a70fc9fb7035a413a6f89dae05db914185f12cba8ee069f7ee3fa",
+    ("aodv", 120, 2): "68bfc6743a5db6360135ef3cf9119875dcd769aee9f0658f419c4f82a0b2eb3c",
+    ("aodv", 120, 3): "fbdef7c72c1ab4472235666fba9bb2b7b10f0f7bbc868e1d43ee939786c085c8",
+    ("maodv", 120, 1): "874c24991408be6268feafa61bf8acbb1ab165618c91ca84952720f0547ece68",
+    ("maodv", 120, 2): "e1303e369bf85012af31d06bfe38b95f86a850ff980a136a21932b7a2f34039a",
+    ("maodv", 120, 3): "f1f4c5d045e22f713a4da5198f51580c40f9df04dad7d3bb0e8a5a6c27e42760",
+}
+
+# (protocol, pause_time, seed) -> sha256 of the run's report_row as sorted JSON
+FROZEN_ROW = {
+    ("aodv", 40, 1): "72c23afd3adbb6338d6361da794692a07a9b20b526e86d6946508dfaaa92e491",
+    ("aodv", 40, 2): "806dd4ad3e0a49189e135579c2eb6e1c8fe1a5487daa9821ff0f69dbe5cc176c",
+    ("aodv", 40, 3): "046cfa497818977ffef020ff48b1ba31828158caeb7f6accc54d189db0a6ed91",
+    ("maodv", 40, 1): "e041fa930bafdce034c3aec87d61d73e5056b388f72f6a2ea1963e1f5ebcb5aa",
+    ("maodv", 40, 2): "20d88b9d18976ab25aeb1de8053d4ba27953459dedf79d1e0f6bbbd6af278254",
+    ("maodv", 40, 3): "04423a92ff480f66dfc4e8a65b573fdd2ebe3df0ad14ca99f2bbf7cfed0343aa",
+    ("aodv", 120, 1): "6065d64f4bbd36117d53090fe369f926307962d7479db774a062130142add363",
+    ("aodv", 120, 2): "be182bf6901b23f0fae31ead5e42100e03a9091236cdb2d8fa57831a3c5f880e",
+    ("aodv", 120, 3): "2a8def99a7fbf41ac1a6f3fc3e4c2a5f24cbca2bdb070c62cf4b4769cacff110",
+    ("maodv", 120, 1): "e8c0d16c61bd6758039f970e3e2753c8a268f501f2ac960d021fc7ace8ceb4b0",
+    ("maodv", 120, 2): "3c33b31c2095e7d9d1092f54f27d0896c20cfafd1e1dc08edb808e5c88b28a05",
+    ("maodv", 120, 3): "4ac2de1b2a2d5d3c2ec00979503268acf0e23bd1a88fca700b4be9b21c96e2bd",
+}
+
 # report_row's columns in CSV order; the row digests above sort their keys,
 # so only this list can see a reordered or renamed column
 REPORT_HEADER = [
@@ -71,10 +107,12 @@ REPORT_HEADER = [
 
 
 @functools.cache
-def baseline_run(protocol: str, node_count: int, seed: int) -> dict:
+def baseline_run(protocol: str, node_count: int, seed: int, pause_time: float = 0.0) -> dict:
     """One traced baseline run, reduced to what the checks below compare."""
     base = parse_scenario(BASELINE.read_text(), "baseline")
-    sc = base.variant(protocol=protocol, node_count=node_count, master_seed=seed)
+    sc = base.variant(
+        protocol=protocol, node_count=node_count, master_seed=seed, pause_time=pause_time
+    )
     result = run_scenario(sc, with_trace=True)
     report, trace = result.report, result.trace
     row = report_row(sc, report)
@@ -114,6 +152,21 @@ def test_baseline_trace_agrees_with_report(protocol, node_count, seed):
     run = baseline_run(protocol, node_count, seed)
     assert run["traced_drops"] == run["drop_breakdown"]
     assert run["traced_events"] == run["protocol_events"]
+
+
+@pytest.mark.parametrize("protocol,pause_time,seed", sorted(FROZEN))
+def test_frozen_trace_digest(protocol, pause_time, seed):
+    run = baseline_run(protocol, 20, seed, pause_time)
+    assert run["energy_closed"]
+    assert run["trace_sha256"] == FROZEN[protocol, pause_time, seed]
+    assert run["traced_drops"] == run["drop_breakdown"]
+    assert run["traced_events"] == run["protocol_events"]
+
+
+@pytest.mark.parametrize("protocol,pause_time,seed", sorted(FROZEN_ROW))
+def test_frozen_report_row_digest(protocol, pause_time, seed):
+    run = baseline_run(protocol, 20, seed, pause_time)
+    assert run["row_sha256"] == FROZEN_ROW[protocol, pause_time, seed]
 
 
 def test_report_header_is_pinned():

@@ -138,24 +138,30 @@ def test_two_nodes_list_each_other():
 def test_neighbors_match_brute_force_oracle():
     rng = np.random.default_rng(5)
     pts = rng.uniform((0, 0), (800, 600), size=(20, 2))
-    engine, radio, energy, _, inbox = make_radio([tuple(p) for p in pts])
-    dead = {4, 11}
-    for node in dead:
-        energy.debit(node, TX_DATA, energy.remaining_pj[node])
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    for node in sorted(set(range(20)) - dead):
-        expected = sorted(
-            j for j in range(20) if j != node and j not in dead and d[node, j] <= 250.0
-        )
-        assert radio.neighbors(node, 0.0) == expected
-        # broadcast and unicast sends reach exactly the oracle's receivers
-        assert [j for j in range(20) if radio.reaches(node, j, 0.0)] == expected
-        inbox.clear()
-        assert radio.send(node, control_pkt(node), 64) == len(expected)
-        for j in range(20):
-            radio.send(node, control_pkt(node), 64, addressee=j)
-        engine.run_until(engine.now + 1.0)
-        assert [r for r, _, _ in inbox] == expected * 2
+    dead = {4, 11}
+    # the nodes die before any row is taken, or after every row is taken in
+    # the same frozen stretch, which a static network never leaves
+    for rows_first in (False, True):
+        engine, radio, energy, _, inbox = make_radio([tuple(p) for p in pts])
+        if rows_first:
+            for node in range(20):
+                radio.neighbors(node, 0.0)
+        for node in dead:
+            energy.debit(node, TX_DATA, energy.remaining_pj[node])
+        for node in sorted(set(range(20)) - dead):
+            expected = sorted(
+                j for j in range(20) if j != node and j not in dead and d[node, j] <= 250.0
+            )
+            assert radio.neighbors(node, 0.0) == expected
+            # broadcast and unicast sends reach exactly the oracle's receivers
+            assert [j for j in range(20) if radio.reaches(node, j, 0.0)] == expected
+            inbox.clear()
+            assert radio.send(node, control_pkt(node), 64) == len(expected)
+            for j in range(20):
+                radio.send(node, control_pkt(node), 64, addressee=j)
+            engine.run_until(engine.now + 1.0)
+            assert [r for r, _, _ in inbox] == expected * 2
 
 
 def test_link_symmetry():
@@ -244,6 +250,39 @@ def test_membership_decided_at_send_time():
     radio.send(0, control_pkt(0), 64)
     engine.run_until(1.0)
     assert inbox == [1]
+
+
+def test_snapshot_holds_until_the_next_departure():
+    # node 1 stands 200 m from node 0 until it departs at 5 s, then walks off
+    from manetsim.mobility import MobilityModel, WaypointLeg
+
+    model = MobilityModel([
+        [WaypointLeg((0.0, 0.0), (0.0, 0.0), 0.0, 0.0, 1e12)],
+        [
+            WaypointLeg((200.0, 0.0), (200.0, 0.0), 0.0, 0.0, 5.0),
+            WaypointLeg((200.0, 0.0), (600.0, 0.0), 5.0, 100.0, 1e12),
+        ],
+    ])
+    calls = []
+    position = model.position
+    model.position = lambda node, t: calls.append(t) or position(node, t)
+    engine = Engine()
+    radio = Radio(
+        RadioParams(), engine, model, EnergyLedger(2, EnergyParams()), PacketLedger(),
+        Trace(False), stub_routers(2, lambda *_: None), RngStream(1, "radio/loss"),
+    )
+    assert radio.neighbors(0, 1.0) == [1]
+    assert calls == [1.0, 1.0]
+    # later instants of the stretch [1, 5) reuse the snapshot and the row
+    assert radio.neighbors(0, 4.5) == [1]
+    assert radio.reaches(1, 0, 4.9)
+    assert calls == [1.0, 1.0]
+    # at the departure a new snapshot is taken; one second on, node 1 is
+    # 300 m out and the moving network's snapshot lasts one instant
+    assert radio.neighbors(0, 5.0) == [1]
+    assert not radio.reaches(0, 1, 6.0)
+    assert radio.neighbors(1, 6.0) == []
+    assert calls == [1.0, 1.0, 5.0, 5.0, 6.0, 6.0, 6.0, 6.0]
 
 
 def test_per_frame_loss_prob_drops_some():

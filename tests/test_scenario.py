@@ -175,13 +175,33 @@ def test_periods_must_advance_the_clock_at_duration(key):
     with pytest.raises(ScenarioError, match=rf"\b{key}\b"):
         Scenario().variant(**{key: 1e-300}).validate()
     # the smallest step that still moves a clock at the default 120 s passes
-    Scenario().variant(**{key: math.ulp(120.0)}).validate()
+    # the clock check; as a hello or CBR period it then costs ~1e16 ticks or
+    # sends, over the work budget
+    short = Scenario().variant(**{key: math.ulp(120.0)})
+    if key in ("hello_interval", "interval"):
+        with pytest.raises(ScenarioError, match=rf"^{key} gives about .* at most 1e\+08"):
+            short.validate()
+    else:
+        short.validate()
 
 
 def test_flow_interval_must_advance_the_clock_at_duration():
     flow = FlowSpec(0, 1, 512, 1e-300, 1.0, 2.0)
     with pytest.raises(ScenarioError, match=r"\bflow\b"):
         Scenario(node_count=4, flows=[flow]).validate()
+
+
+def test_waypoint_legs_over_the_work_budget_are_refused():
+    # ~1e-9 s legs: billions per node, which would take the schedule
+    # generator hours, so only validate() is called here
+    sc = Scenario(node_count=4, duration=3.0).variant(v_max=1e12)
+    with pytest.raises(ScenarioError, match=r"^v_max gives about 3\.6e\+10 waypoint legs"):
+        sc.validate()
+    # the work budget counts legs, CBR sends and hello ticks together
+    sc = Scenario(node_count=4, duration=3.0, flow_count=1).variant(interval=3e-8)
+    sc.validate()
+    with pytest.raises(ScenarioError, match=r"^interval gives"):
+        sc.variant(hello_interval=3e-7).validate()
 
 
 def test_waypoint_legs_must_advance_the_clock_at_duration():
