@@ -155,15 +155,7 @@ class AodvRouter(RouterBase):
         self._update_route(rreq.origin, sender, hops, rreq.origin_seq)
         if self.node == rreq.dest:
             self.seq = max(self.seq + 1, rreq.dest_seq_known)
-            rrep = Rrep(
-                origin=rreq.origin,
-                dest=self.node,
-                dest_seq=self.seq,
-                hop_count=0,
-                path_set=(),
-                lifetime=self.params.route_lifetime,
-            )
-            self._forward_rrep(rrep)
+            self._send_rrep(rreq.origin, self.node, self.seq, 0, self.params.route_lifetime)
             return
         e = self._valid_entry(rreq.dest)
         if (
@@ -174,21 +166,16 @@ class AodvRouter(RouterBase):
             and e.next_hop != sender
             and e.next_hop != rreq.origin
         ):
-            rrep = Rrep(
-                origin=rreq.origin,
-                dest=rreq.dest,
-                dest_seq=e.dest_seq,
-                hop_count=e.hop_count,
-                path_set=(),
-                lifetime=max(e.expires_at - now, self.params.hello_interval),
-            )
-            self._forward_rrep(rrep)
+            lifetime = max(e.expires_at - now, self.params.hello_interval)
+            self._send_rrep(rreq.origin, rreq.dest, e.dest_seq, e.hop_count, lifetime)
             return
         self._relay_rreq(rreq, hops, rreq.route_record + (self.node,))
 
-    def _forward_rrep(self, rrep: Rrep) -> None:
+    def _send_rrep(self, origin: int, dest: int, seq: int, hops: int, lifetime: float) -> None:
+        """Unicast a reply for dest, `hops` away from here, one hop back
+        along the reverse route toward origin."""
         now = self.engine.now
-        e = self._valid_entry(rrep.origin)
+        e = self._valid_entry(origin)
         if e is None:
             self.ctx.metrics.on_event("rrep_lost", now, self.node, "no_reverse_route")
             return
@@ -196,9 +183,8 @@ class AodvRouter(RouterBase):
         # treat that as use so its nodes keep announcing themselves.
         e.last_used = now
         e.expires_at = now + self.params.route_lifetime
-        self.ctx.radio.send(
-            self.node, rrep, self.params.control_bytes, addressee=e.next_hop
-        )
+        rrep = Rrep(origin, dest, seq, hops, path_set=(), lifetime=lifetime)
+        self.ctx.radio.send(self.node, rrep, self.params.control_bytes, addressee=e.next_hop)
 
     def _handle_rrep(self, rrep: Rrep, sender: int) -> None:
         hops = rrep.hop_count + 1
@@ -207,15 +193,7 @@ class AodvRouter(RouterBase):
         if rrep.origin == self.node:
             self._reply_reached_origin(rrep.dest)
             return
-        fwd = Rrep(
-            origin=rrep.origin,
-            dest=rrep.dest,
-            dest_seq=rrep.dest_seq,
-            hop_count=hops,
-            path_set=(),
-            lifetime=rrep.lifetime,
-        )
-        self._forward_rrep(fwd)
+        self._send_rrep(rrep.origin, rrep.dest, rrep.dest_seq, hops, rrep.lifetime)
 
     def _reply_reached_origin(self, dest: int) -> None:
         discovery = self._end_discovery(dest)

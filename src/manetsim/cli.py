@@ -1,7 +1,6 @@
 """Command-line entry: run, sweep, validate, and report verbs."""
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -56,10 +55,8 @@ def cmd_run(args) -> int:
         write_rows(args.csv, [row])
         print(f"  csv -> {args.csv}")
     if args.energy_csv:
-        with open(args.energy_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "network_j", "routing_j"])
-            writer.writerows(report.energy_series)
+        columns = ("time_s", "network_j", "routing_j")
+        write_rows(args.energy_csv, [dict(zip(columns, row)) for row in report.energy_series])
         print(f"  energy csv -> {args.energy_csv}")
     return 0
 

@@ -43,19 +43,17 @@ def select_disjoint(
     Routes already in `preselected` count toward n0 and reserve their
     intermediate nodes. Output order is independent of input order.
     """
-    candidates = sorted(set(tuple(p) for p in paths))
-    rank = route_rank(list(preselected) + candidates, degree_tiebreak)
+    candidates = set(map(tuple, paths)) - set(preselected)
+    # the rank ends with the path itself, so it orders the set totally
+    rank = route_rank([*preselected, *candidates], degree_tiebreak)
 
     taken: set[int] = set()
     for path in preselected:
         taken.update(path[1:-1])
     chosen: list[tuple[int, ...]] = []
-    existing = set(tuple(p) for p in preselected)
     for path in sorted(candidates, key=rank):
         if len(chosen) + len(preselected) >= n0:
             break
-        if path in existing:
-            continue
         intermediates = set(path[1:-1])
         if intermediates & taken:
             continue
@@ -203,7 +201,8 @@ class MaodvRouter(RouterBase):
         flood = self.floods.get(key)
         if flood is not None and flood.closed:
             return
-        if rreq.origin == self.node or self.node in rreq.route_record:
+        # the record starts at the origin, so this also turns the origin away
+        if self.node in rreq.route_record:
             return
         hops = rreq.hop_count + 1
         params = self.params
@@ -256,7 +255,8 @@ class MaodvRouter(RouterBase):
             "paths_collected", self.engine.now, self.node, f"origin={origin} n={len(flood.paths)}"
         )
         self.rrep_seen.add(key)
-        self._install_carried(rrep)
+        # the destination ends every path
+        self._install_carried(rrep, rrep.path_set)
         self.ctx.radio.send(self.node, rrep, self.params.control_bytes)
 
     def _handle_rrep(self, rrep: Rrep, sender: int) -> None:
@@ -264,19 +264,17 @@ class MaodvRouter(RouterBase):
         if key in self.rrep_seen:
             return
         self.rrep_seen.add(key)
-        mine = self.node == rrep.origin or any(self.node in p for p in rrep.path_set)
-        if not mine:
+        # the origin heads every path, so it always finds its own
+        my_paths = [p for p in rrep.path_set if self.node in p]
+        if not my_paths:
             return
-        self._install_carried(rrep)
+        self._install_carried(rrep, my_paths)
         if self.node == rrep.origin:
             self._discovery_complete(rrep)
             return
         self.ctx.radio.send(self.node, rrep, self.params.control_bytes)
 
-    def _install_carried(self, rrep: Rrep) -> None:
-        my_paths = [p for p in rrep.path_set if self.node in p]
-        if not my_paths:
-            return
+    def _install_carried(self, rrep: Rrep, my_paths) -> None:
         carried = self.carried.setdefault((rrep.origin, rrep.dest), {})
         for path in my_paths:
             carried.setdefault(path, True)
@@ -302,8 +300,7 @@ class MaodvRouter(RouterBase):
         # cleared even when the reply outlived its discovery
         self.discovery_backoff.pop(dest, None)
         for route in cache.routes:
-            if len(route) > 1:
-                self.watch(route[1])
+            self.watch(route[1])
         if discovery is not None:
             for pkt in discovery.buffered:
                 self.send_data(pkt)
@@ -311,9 +308,8 @@ class MaodvRouter(RouterBase):
     # -- failure handling ----------------------------------------------------------
 
     def _handle_rerr(self, rerr: Rerr, sender: int) -> None:
+        # a route error is unicast to a member of its prefix
         prefix = rerr.route_record_to_source
-        if self.node not in prefix:
-            return
         if self.node == prefix[0]:
             self._route_break(rerr.unreachable_dests[0], rerr.broken_link)
         else:

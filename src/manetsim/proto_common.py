@@ -289,9 +289,9 @@ class RouterBase:
     def _discovery_timeout(self, dest: int) -> None:
         if not self.alive:
             return
-        discovery = self.discoveries.get(dest)
-        if discovery is None:
-            return
+        # a discovery is removed only by _end_discovery, which cancels this
+        # timer, or below, where no timer is armed again
+        discovery = self.discoveries[dest]
         now = self.engine.now
         if discovery.attempts_left > 0:
             discovery.attempts_left -= 1

@@ -27,7 +27,6 @@ class Network:
     energy: EnergyLedger
     metrics: PacketLedger
     trace: Trace
-    mobility: MobilityModel
     rrep_wait: float  # destination collection window, s
     discovery_timeout: float  # wait for a reply before a retry, s
 
@@ -86,8 +85,7 @@ def build_network(
         discovery_timeout = round_trip + rrep_wait + 0.005
 
     net = Network(
-        sc, engine, routers, radio, energy, metrics, trace, mobility, rrep_wait,
-        discovery_timeout,
+        sc, engine, routers, radio, energy, metrics, trace, rrep_wait, discovery_timeout
     )
     router_cls = AodvRouter if sc.protocol == "aodv" else MaodvRouter
     routers.extend(router_cls(node, net) for node in range(sc.node_count))
@@ -141,11 +139,8 @@ def run_scenario(
         metrics.sample_energy(
             engine.now, energy.network_consumed(), energy.routing_consumed()
         )
-        nxt = engine.now + 1.0
-        if nxt <= sc.duration:
-            engine.schedule(nxt, EventKind.TIMER, sample_energy)
-        elif engine.now < sc.duration:
-            engine.schedule(sc.duration, EventKind.TIMER, sample_energy)
+        if engine.now < sc.duration:
+            engine.schedule(min(engine.now + 1.0, sc.duration), EventKind.TIMER, sample_energy)
 
     engine.schedule(0.0, EventKind.TIMER, sample_energy)
     engine.run_until(sc.duration)

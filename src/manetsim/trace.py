@@ -36,10 +36,10 @@ class Trace:
             self.lines.append(f"{self._stamp} {node} {event} {pkt}")
 
     def text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+        return b"".join(self.blocks()).decode()
 
     def blocks(self):
-        """Yield the bytes of text().encode(), DIGEST_BLOCK lines at a time."""
+        """Yield the trace's UTF-8 bytes, DIGEST_BLOCK newline-ended lines at a time."""
         lines = self.lines
         for i in range(0, len(lines), DIGEST_BLOCK):
             yield ("\n".join(lines[i : i + DIGEST_BLOCK]) + "\n").encode()

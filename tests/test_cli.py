@@ -197,6 +197,7 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["protocol"] == "aodv"
     assert "pdr" in rows[0]
+    assert energy.read_bytes().startswith(b"time_s,network_j,routing_j\r\n")
     energy_rows = read_csv(energy)
     assert len(energy_rows) == 11  # 0..10 inclusive
 

@@ -87,6 +87,46 @@ FROZEN_ROW = {
     ("maodv", 120, 3): "4ac2de1b2a2d5d3c2ec00979503268acf0e23bd1a88fca700b4be9b21c96e2bd",
 }
 
+# Every pin above runs with a lossless channel, no propagation delay and the
+# baseline's 10 J battery. These run the baseline at n = 20 for 60 s with one
+# of those changed, which sends the protocols down paths the runs above take
+# rarely or never: frames that arrive a propagation delay late, frames lost
+# at random, and a 2 J battery that kills nodes mid-run, so discoveries
+# retry and fail by the dozen.
+STRESS_OVERRIDE = {"propagation_delay": 2e-5, "loss_prob": 0.05, "initial_energy": 2}
+
+# (protocol, overridden key, seed) -> sha256 of the run's trace text
+STRESS = {
+    ("aodv", "initial_energy", 1): "ab223417dfd6f46f48fafd9966d1729bb24797c04a59bb91191c1ebe3ef5c1b8",
+    ("aodv", "initial_energy", 2): "88dc7705c83f0fdda559e735256ff024759eff20a1a4d018d1530fe834d10f25",
+    ("aodv", "loss_prob", 1): "57b6f462d7df520e4293f689a5ec57a5e2c1ca28aff78e3a5e76120be7db1ace",
+    ("aodv", "loss_prob", 2): "9ea33c2ceca88371a2283355e87ca72858160178d47d5ae543586a1a24b4ab19",
+    ("aodv", "propagation_delay", 1): "b9003331f869a076bad37b66db818332e37f9deadade7b5a34e85158ab97ec0c",
+    ("aodv", "propagation_delay", 2): "735497a3ab264418effebbb72fd4ea143fde6b90cc673c7edbb343ea81a0d60f",
+    ("maodv", "initial_energy", 1): "688cf5a75f7e50330a4097e788d1dc4fde821573f05839b4eb97c6fd04b856f4",
+    ("maodv", "initial_energy", 2): "7c28863fd2df48980eed9f082c2a08f3724013ba524f630af0cbbad46731fda1",
+    ("maodv", "loss_prob", 1): "251f6dc2abff68266bc085de048fbc54c36144d8d8638997825318095ea6e029",
+    ("maodv", "loss_prob", 2): "806074a6c459c69610caea14047f85de3daddc16c986f567582a2220ed484f3c",
+    ("maodv", "propagation_delay", 1): "4d2ade67b0f18cbb418df2405459b45ad1cf7323d7c79bc713dbe44cf09e6244",
+    ("maodv", "propagation_delay", 2): "71a6a037be58915b7ee0641ab1064017ddfb94ea6eb277f0e72f83eb9fa5964e",
+}
+
+# (protocol, overridden key, seed) -> sha256 of the run's report_row as sorted JSON
+STRESS_ROW = {
+    ("aodv", "initial_energy", 1): "a32c8885a73b60eef9f1ef5a55454dbd393ab81d7c5f2f68d339876f2ecf0c16",
+    ("aodv", "initial_energy", 2): "58897cb9b8dbd1bd1577681fccec911fa848ad008f16d463578b00979b39171b",
+    ("aodv", "loss_prob", 1): "7d7a0f7af5a291db10bf297cab77b2755fd75daf206542e4cf32bf199891a062",
+    ("aodv", "loss_prob", 2): "7f0e260f1b9965ae02969af560e07843500c86cb177d3279825055d8f648da82",
+    ("aodv", "propagation_delay", 1): "89e23cc453756b359522c5d32c2b893f1c2d54f33250ab204a2860a1b34218c0",
+    ("aodv", "propagation_delay", 2): "eb9e23bd04a2264f3649a5049fa97e180faab3fe1d8fc5b3f8ea7a6cbe5b760f",
+    ("maodv", "initial_energy", 1): "82ccc22d899187113c188c6db238170b09c2b61fe0c9412998d4ae5e6a8c3ff1",
+    ("maodv", "initial_energy", 2): "2ad616adeacccf32c8f01f29bf2fc56a517324403608f7c41dbbed104ed1282d",
+    ("maodv", "loss_prob", 1): "489f30237d56cfa475ac7b144f41ace1caa8eb8ec2a49c818181b5a2cad59847",
+    ("maodv", "loss_prob", 2): "11cae646a8cd3814e41324811b969c634ff425d145e3687fe8dce2fe425aa424",
+    ("maodv", "propagation_delay", 1): "a3ca89d579229017516c93dca701bdf256ba249226ee85a497434e3df2193c6d",
+    ("maodv", "propagation_delay", 2): "22ed701980674066acf86fb4227a6bfb82bf912f0b1d01c97f018cee50d119b6",
+}
+
 # report_row's columns in CSV order; the row digests above sort their keys,
 # so only this list can see a reordered or renamed column
 REPORT_HEADER = [
@@ -107,11 +147,15 @@ REPORT_HEADER = [
 
 
 @functools.cache
-def baseline_run(protocol: str, node_count: int, seed: int, pause_time: float = 0.0) -> dict:
-    """One traced baseline run, reduced to what the checks below compare."""
+def baseline_run(
+    protocol: str, node_count: int, seed: int, pause_time: float = 0.0, **overrides
+) -> dict:
+    """One traced baseline run, reduced to what the checks below compare;
+    `overrides` replaces further scenario keys."""
     base = parse_scenario(BASELINE.read_text(), "baseline")
     sc = base.variant(
-        protocol=protocol, node_count=node_count, master_seed=seed, pause_time=pause_time
+        protocol=protocol, node_count=node_count, master_seed=seed, pause_time=pause_time,
+        **overrides,
     )
     result = run_scenario(sc, with_trace=True)
     report, trace = result.report, result.trace
@@ -167,6 +211,24 @@ def test_frozen_trace_digest(protocol, pause_time, seed):
 def test_frozen_report_row_digest(protocol, pause_time, seed):
     run = baseline_run(protocol, 20, seed, pause_time)
     assert run["row_sha256"] == FROZEN_ROW[protocol, pause_time, seed]
+
+
+def stress_run(protocol: str, key: str, seed: int) -> dict:
+    return baseline_run(protocol, 20, seed, duration=60.0, **{key: STRESS_OVERRIDE[key]})
+
+
+@pytest.mark.parametrize("protocol,key,seed", sorted(STRESS))
+def test_stress_trace_digest(protocol, key, seed):
+    run = stress_run(protocol, key, seed)
+    assert run["energy_closed"]
+    assert run["trace_sha256"] == STRESS[protocol, key, seed]
+    assert run["traced_drops"] == run["drop_breakdown"]
+    assert run["traced_events"] == run["protocol_events"]
+
+
+@pytest.mark.parametrize("protocol,key,seed", sorted(STRESS_ROW))
+def test_stress_report_row_digest(protocol, key, seed):
+    assert stress_run(protocol, key, seed)["row_sha256"] == STRESS_ROW[protocol, key, seed]
 
 
 def test_report_header_is_pinned():

@@ -329,6 +329,43 @@ def test_same_seed_identical_trace_digest():
     assert a.trace.digest() == b.trace.digest()
 
 
+@st.composite
+def small_scenarios(draw):
+    """Short runs of a few nodes over the inputs that steer the protocols into
+    their rare paths: lost frames, in-flight delays, batteries that die."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    duration = draw(st.floats(min_value=5.0, max_value=20.0))
+    return Scenario().variant(
+        protocol=draw(st.sampled_from(["aodv", "maodv"])),
+        master_seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        node_count=n,
+        duration=duration,
+        area=(
+            draw(st.floats(min_value=50.0, max_value=800.0)),
+            draw(st.floats(min_value=50.0, max_value=800.0)),
+        ),
+        pause_time=draw(st.floats(min_value=0.0, max_value=30.0)),
+        loss_prob=draw(st.floats(min_value=0.0, max_value=0.3)),
+        propagation_delay=draw(st.sampled_from([0.0, 3.3e-9, 1e-6, 1e-4])),
+        initial_energy=draw(st.floats(min_value=0.05, max_value=10.0)),
+        flow_count=draw(st.integers(min_value=1, max_value=min(4, n * (n - 1)))),
+        traffic_start=draw(st.floats(min_value=0.0, max_value=duration, exclude_max=True)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios())
+def test_random_scenarios_keep_the_invariants(sc):
+    result = run_scenario(sc, with_trace=True)
+    report = result.report
+    assert report.sent == report.delivered + report.dropped + report.in_flight
+    assert result.energy_closed
+    for rec in report.records:
+        assert len(set(rec.traversed)) == len(rec.traversed), rec
+    again = run_scenario(sc.variant(), with_trace=True)
+    assert again.trace.digest() == result.trace.digest()
+
+
 def test_different_seed_differs():
     sc = Scenario(node_count=10, duration=15.0, master_seed=5)
     a = run_scenario(sc, with_trace=True)
@@ -367,12 +404,15 @@ def test_two_node_degenerate_network():
 
 
 def test_energy_series_sampled_every_second():
-    sc = Scenario(node_count=4, duration=10.0)
-    result = run_scenario(sc)
-    times = [t for t, _, _ in result.report.energy_series]
-    assert times == [float(k) for k in range(11)]
-    net_vals = [n for _, n, _ in result.report.energy_series]
-    assert net_vals == sorted(net_vals)
+    # a duration that is not a whole number of seconds ends on a last,
+    # partial-second sample at the end of the run
+    cases = ((10.0, [float(k) for k in range(11)]), (2.5, [0.0, 1.0, 2.0, 2.5]))
+    for duration, expected in cases:
+        result = run_scenario(Scenario(node_count=4, duration=duration))
+        times = [t for t, _, _ in result.report.energy_series]
+        assert times == expected
+        net_vals = [n for _, n, _ in result.report.energy_series]
+        assert net_vals == sorted(net_vals)
 
 
 def test_params_dict_covers_assumptions():
