@@ -169,7 +169,7 @@ class AodvRouter(RouterBase):
             lifetime = max(e.expires_at - now, self.params.hello_interval)
             self._send_rrep(rreq.origin, rreq.dest, e.dest_seq, e.hop_count, lifetime)
             return
-        self._relay_rreq(rreq, hops, rreq.route_record + (self.node,))
+        self._relay_rreq(rreq, hops, rreq.route_record)
 
     def _send_rrep(self, origin: int, dest: int, seq: int, hops: int, lifetime: float) -> None:
         """Unicast a reply for dest, `hops` away from here, one hop back

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from .engine import SimulationError
+from .metrics import REPORT_METRICS
 from .runner import run_scenario
 from .scenario import ScenarioError, parse_scenario
 from .sweep import SWEEP_AXES, read_rows, report_row, summarize, sweep, write_rows
@@ -30,20 +31,8 @@ def cmd_run(args) -> int:
     result = run_scenario(sc, with_trace=args.trace is not None)
     report = result.report
     print(f"run {sc.name} protocol={sc.protocol} seed={sc.master_seed}")
-    for key in (
-        "sent",
-        "delivered",
-        "in_flight",
-        "throughput_kbps",
-        "avg_e2e_delay",
-        "pdr",
-        "loss_ratio",
-        "nrl",
-        "control_transmissions",
-        "network_energy_j",
-        "routing_energy_j",
-    ):
-        print(f"  {key} = {_fmt(getattr(report, key))}")
+    for metric in REPORT_METRICS:
+        print(f"  {metric.source} = {_fmt(getattr(report, metric.source))}")
     if report.drop_breakdown:
         drops = " ".join(f"{k}={v}" for k, v in report.drop_breakdown.items())
         print(f"  drops: {drops}")

@@ -1,8 +1,10 @@
-"""Per-run packet ledger and derivation of the six report measurements."""
+"""Per-run packet ledger, derivation of the report measurements, and the
+table of the report's columns."""
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import SimulationError
 from .proto_common import Data
@@ -49,6 +51,45 @@ class MetricsReport:
     @property
     def dropped(self) -> int:
         return sum(self.drop_breakdown.values())
+
+
+class Metric(NamedTuple):
+    """One report column: its CSV name, whether `manetsim report` averages it,
+    and the `MetricsReport` attribute it reads where that is not its name."""
+
+    column: str
+    averaged: bool = False
+    attribute: str = ""
+
+    @property
+    def source(self) -> str:
+        return self.attribute or self.column
+
+
+# The report's columns in CSV order: the metrics, then one `drop_<cause>` per
+# drop cause (`finalize` refuses any other cause), then one `ev_<name>` per
+# protocol event. `manetsim run` prints the metrics in the same order.
+REPORT_METRICS = (
+    Metric("sent"),
+    Metric("delivered"),
+    Metric("in_flight"),
+    Metric("dropped_total", attribute="dropped"),
+    Metric("throughput_kbps", averaged=True),
+    Metric("avg_e2e_delay_s", averaged=True, attribute="avg_e2e_delay"),
+    Metric("pdr", averaged=True),
+    Metric("loss_ratio", averaged=True),
+    Metric("nrl", averaged=True),
+    Metric("control_transmissions"),
+    Metric("data_transmissions"),
+    Metric("network_energy_j", averaged=True),
+    Metric("routing_energy_j", averaged=True),
+)
+DROP_CAUSES = ("dead_node", "no_route", "queue_overflow", "link_break", "loop", "loop_avoided")
+REPORT_EVENTS = (
+    "discovery_start", "discovery_retry", "discovery_fail",
+    "repair_start", "repair_ok", "repair_fail",
+    "failover", "replenish_start", "death",
+)
 
 
 class PacketLedger:
@@ -123,6 +164,9 @@ class PacketLedger:
         sent = len(recs)
         delivered = [r for r in recs if r.delivered_at is not None]
         drops = Counter(r.drop_cause for r in recs if r.drop_cause is not None)
+        unknown = drops.keys() - DROP_CAUSES
+        if unknown:
+            raise SimulationError(f"drop causes with no report column: {sorted(unknown)}")
         in_flight = sent - len(delivered) - sum(drops.values())
 
         delivered_bytes = sum(r.size for r in delivered)

@@ -59,12 +59,7 @@ def generate_schedule(
 
 
 class MobilityModel:
-    """Per-node waypoint schedules generated once, queried analytically.
-
-    Each node keeps a cursor on the leg it was last queried on. Simulation
-    queries come in non-decreasing time, so the cursor only steps forward;
-    a query earlier than the cursor's leg re-seats it by bisection.
-    """
+    """Per-node waypoint schedules generated once, queried analytically."""
 
     def __init__(self, schedules: list[list[WaypointLeg]]):
         self.schedules = schedules
@@ -85,7 +80,6 @@ class MobilityModel:
             ]
             for legs in schedules
         ]
-        self._cursor = [0] * len(schedules)
 
     @classmethod
     def generate(
@@ -107,16 +101,8 @@ class MobilityModel:
 
     def position(self, node: int, t: float) -> tuple[float, float]:
         """Exact position at time t: linear along the current leg, fixed in pauses."""
-        departs = self._departs[node]
-        i = self._cursor[node]
-        if t < departs[i]:
-            i = max(bisect_right(departs, t) - 1, 0)
-        else:
-            last = len(departs) - 1
-            while i < last and departs[i + 1] <= t:
-                i += 1
-        self._cursor[node] = i
-        depart, travel, x0, y0, dx, dy, end_pos = self._legs[node][i]
+        i = bisect_right(self._departs[node], t) - 1
+        depart, travel, x0, y0, dx, dy, end_pos = self._legs[node][i if i > 0 else 0]
         dt = t - depart
         if dt >= travel:
             return end_pos

@@ -280,7 +280,8 @@ class RouterBase:
 
     def _relay_rreq(self, rreq: Rreq, hops: int, record: tuple[int, ...]) -> None:
         """Rebroadcast a request one hop on: `hops` is its hop count here and
-        `record` its route record with this node appended."""
+        `record` the route record it carries on. MAODV appends this node;
+        AODV never reads a record and passes the request's on unchanged."""
         fwd = Rreq(
             rreq.origin, rreq.dest, rreq.rreq_id, rreq.origin_seq, rreq.dest_seq_known, hops, record
         )

@@ -5,60 +5,21 @@ import math
 import statistics
 from typing import Iterable
 
-from .metrics import MetricsReport
+from .metrics import DROP_CAUSES, REPORT_EVENTS, REPORT_METRICS, MetricsReport
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError
 
 SWEEP_AXES = ("pause_time", "node_count")
 
-DROP_CAUSES = ("dead_node", "no_route", "queue_overflow", "link_break", "loop", "loop_avoided")
-
-METRIC_FIELDS = (
-    "throughput_kbps",
-    "avg_e2e_delay_s",
-    "pdr",
-    "loss_ratio",
-    "nrl",
-    "network_energy_j",
-    "routing_energy_j",
-)
+METRIC_FIELDS = tuple(m.column for m in REPORT_METRICS if m.averaged)
 
 
 def report_row(sc: Scenario, report: MetricsReport, axis: str = "", axis_value="") -> dict:
     """One CSV row: every parameter (defaults included) plus every metric."""
-    row = {"axis": axis, "axis_value": axis_value}
-    row.update(sc.params_dict())
-    row.update(
-        {
-            "sent": report.sent,
-            "delivered": report.delivered,
-            "in_flight": report.in_flight,
-            "dropped_total": report.dropped,
-            "throughput_kbps": report.throughput_kbps,
-            "avg_e2e_delay_s": report.avg_e2e_delay,
-            "pdr": report.pdr,
-            "loss_ratio": report.loss_ratio,
-            "nrl": report.nrl,
-            "control_transmissions": report.control_transmissions,
-            "data_transmissions": report.data_transmissions,
-            "network_energy_j": report.network_energy_j,
-            "routing_energy_j": report.routing_energy_j,
-        }
-    )
-    for cause in DROP_CAUSES:
-        row[f"drop_{cause}"] = report.drop_breakdown.get(cause, 0)
-    for name in (
-        "discovery_start",
-        "discovery_retry",
-        "discovery_fail",
-        "repair_start",
-        "repair_ok",
-        "repair_fail",
-        "failover",
-        "replenish_start",
-        "death",
-    ):
-        row[f"ev_{name}"] = report.protocol_events.get(name, 0)
+    row = {"axis": axis, "axis_value": axis_value, **sc.params_dict()}
+    row.update((m.column, getattr(report, m.source)) for m in REPORT_METRICS)
+    row.update((f"drop_{cause}", report.drop_breakdown.get(cause, 0)) for cause in DROP_CAUSES)
+    row.update((f"ev_{name}", report.protocol_events.get(name, 0)) for name in REPORT_EVENTS)
     return row
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import manetsim
 from manetsim.cli import main
+from manetsim.metrics import REPORT_METRICS
 from manetsim.scenario import Scenario, scenario_text
 
 
@@ -200,6 +201,41 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert energy.read_bytes().startswith(b"time_s,network_j,routing_j\r\n")
     energy_rows = read_csv(energy)
     assert len(energy_rows) == 11  # 0..10 inclusive
+
+
+def test_run_prints_one_line_per_report_metric_in_table_order(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert main(["run", str(path)]) == 0
+    printed = re.findall(r"^  (\w+) = ", capsys.readouterr().out, flags=re.MULTILINE)
+    assert printed == [m.source for m in REPORT_METRICS]
+    assert printed == [
+        "sent", "delivered", "in_flight", "dropped", "throughput_kbps", "avg_e2e_delay",
+        "pdr", "loss_ratio", "nrl", "control_transmissions", "data_transmissions",
+        "network_energy_j", "routing_energy_j",
+    ]
+
+
+def test_report_averages_exactly_the_averaged_columns(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    out = tmp_path / "sweep.csv"
+    summary = tmp_path / "summary.csv"
+    main([
+        "sweep", str(path), "--axis", "pause_time", "--values", "0",
+        "--seeds", "1", "--out", str(out), "--quiet",
+    ])
+    assert main(["report", str(out), "--out", str(summary)]) == 0
+    averaged = [m.column for m in REPORT_METRICS if m.averaged]
+    assert averaged == [
+        "throughput_kbps", "avg_e2e_delay_s", "pdr", "loss_ratio", "nrl",
+        "network_energy_j", "routing_energy_j",
+    ]
+    for protocol in ("aodv", "maodv"):
+        rows = [r for r in read_csv(summary) if r["protocol"] == protocol]
+        assert [r["metric"] for r in rows] == averaged
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    printed = re.findall(r" (\w+): ", capsys.readouterr().out)
+    assert printed == averaged * 2
 
 
 def test_run_is_reproducible(tmp_path):

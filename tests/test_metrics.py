@@ -79,6 +79,15 @@ def test_drop_then_deliver_is_hard_fault():
         ledger.on_delivered(p, 2.0)
 
 
+def test_drop_cause_with_no_report_column_is_hard_fault():
+    ledger = PacketLedger()
+    p = pkt(0)
+    ledger.on_sent(p)
+    ledger.on_dropped(p, "bogus", 1.0, 0)
+    with pytest.raises(SimulationError, match="bogus"):
+        ledger.finalize(120.0)
+
+
 def test_zero_deliveries_use_nan_sentinels():
     ledger = PacketLedger()
     p = pkt(0)
