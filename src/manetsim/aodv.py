@@ -36,10 +36,9 @@ class AodvRouter(RouterBase):
         return None
 
     def _update_route(
-        self, dest: int, next_hop: int, hops: int, seq: int, lifetime: float = 0.0
+        self, dest: int, next_hop: int, hops: int, seq: int, life: float
     ) -> RoutingTableEntry:
         now = self.engine.now
-        life = lifetime if lifetime > 0 else self.params.route_lifetime
         e = self.table.get(dest)
         if e is None:
             e = RoutingTableEntry(dest, next_hop, hops, seq, now + life)
@@ -75,12 +74,11 @@ class AodvRouter(RouterBase):
             # back through a node this packet already crossed. The tables are
             # consistent for future traffic; this one packet is sacrificed
             # rather than allowed to revisit a node.
-            self.ctx.metrics.on_dropped(pkt, "loop_avoided", now, self.node)
+            self._drop(pkt, "loop_avoided")
             return
         e.last_used = now
         e.expires_at = now + self.params.route_lifetime
-        self.ctx.radio.send(self.node, pkt, pkt.payload_size, addressee=e.next_hop)
-        self.watch(e.next_hop)
+        self._forward_data(pkt, e.next_hop)
 
     # -- hello scoping and liveness -------------------------------------------
 
@@ -102,7 +100,7 @@ class AodvRouter(RouterBase):
         ]
         if not affected:
             return
-        self.ctx.metrics.on_event("link_break", now, self.node, f"neighbor={neighbor}")
+        self._note("link_break", f"neighbor={neighbor}")
         for e in affected:
             e.expires_at = now
             dest = e.dest
@@ -111,7 +109,7 @@ class AodvRouter(RouterBase):
                 # repair degenerates to a fresh discovery.
                 self.rediscover(dest)
             elif dest not in self.discoveries:
-                self._begin_repair(dest, neighbor)
+                self._begin_repair(dest)
 
     # -- traffic entry ---------------------------------------------------------
 
@@ -125,20 +123,20 @@ class AodvRouter(RouterBase):
 
     # -- local repair ---------------------------------------------------------
 
-    def _begin_repair(self, dest: int, broken_hop: int) -> None:
+    def _begin_repair(self, dest: int) -> None:
         """RFC 3561 6.12: a relay that loses its next hop rediscovers dest
         itself, once, holding transit data meanwhile."""
-        repair = Discovery(dest, 0, self._requested_seq(dest, bump=True), broken_hop=broken_hop)
+        repair = Discovery(dest, 0, self._requested_seq(dest, bump=True), repair=True)
         self._open(repair, "repair_start", 2 * self.params.hello_interval)
 
     def _give_up(self, discovery: Discovery) -> None:
-        if discovery.broken_hop is None:
+        if not discovery.repair:
             super()._give_up(discovery)
             return
         # a failed repair notes no back-off; the error sends the sources
         # back to discovery
         self._drop_buffered(discovery, "repair_fail")
-        self._emit_rerr((self.node, discovery.broken_hop), (discovery.dest,))
+        self._emit_rerr((discovery.dest,))
 
     # -- control handlers --------------------------------------------------------
 
@@ -152,7 +150,7 @@ class AodvRouter(RouterBase):
             return
         self.rreq_seen[key] = now + self.params.rreq_id_cache_ttl
         hops = rreq.hop_count + 1
-        self._update_route(rreq.origin, sender, hops, rreq.origin_seq)
+        self._update_route(rreq.origin, sender, hops, rreq.origin_seq, self.params.route_lifetime)
         if self.node == rreq.dest:
             self.seq = max(self.seq + 1, rreq.dest_seq_known)
             self._send_rrep(rreq.origin, self.node, self.seq, 0, self.params.route_lifetime)
@@ -177,18 +175,17 @@ class AodvRouter(RouterBase):
         now = self.engine.now
         e = self._valid_entry(origin)
         if e is None:
-            self.ctx.metrics.on_event("rrep_lost", now, self.node, "no_reverse_route")
+            self._note("rrep_lost", "no_reverse_route")
             return
         # The reverse route carries the reply and will carry errors back;
         # treat that as use so its nodes keep announcing themselves.
         e.last_used = now
         e.expires_at = now + self.params.route_lifetime
-        rrep = Rrep(origin, dest, seq, hops, path_set=(), lifetime=lifetime)
-        self.ctx.radio.send(self.node, rrep, self.params.control_bytes, addressee=e.next_hop)
+        self._control(Rrep(origin, dest, seq, hops, lifetime), e.next_hop)
 
     def _handle_rrep(self, rrep: Rrep, sender: int) -> None:
         hops = rrep.hop_count + 1
-        self._update_route(rrep.dest, sender, hops, rrep.dest_seq, lifetime=rrep.lifetime)
+        self._update_route(rrep.dest, sender, hops, rrep.dest_seq, rrep.lifetime)
         self._note_dest_seq(rrep.dest, rrep.dest_seq)
         if rrep.origin == self.node:
             self._reply_reached_origin(rrep.dest)
@@ -200,8 +197,7 @@ class AodvRouter(RouterBase):
         if discovery is None:
             return
         self.discovery_backoff.pop(dest, None)
-        event = "discovery_ok" if discovery.broken_hop is None else "repair_ok"
-        self.ctx.metrics.on_event(event, self.engine.now, self.node, f"dest={dest}")
+        self._note("repair_ok" if discovery.repair else "discovery_ok", f"dest={dest}")
         # the reply has just refreshed dest's entry, which a positive
         # lifetime always leaves valid
         e = self.table[dest]
@@ -218,14 +214,13 @@ class AodvRouter(RouterBase):
                 affected.append(dest)
         if not affected:
             return
-        self.ctx.metrics.on_event("route_invalid", now, self.node, f"dests={affected}")
+        self._note("route_invalid", f"dests={affected}")
         for dest in affected:
             self.rediscover(dest)
-        self._emit_rerr(rerr.broken_link, tuple(affected))
+        self._emit_rerr(tuple(affected))
 
-    def _emit_rerr(self, broken_link: tuple[int, int], dests: tuple[int, ...]) -> None:
-        rerr = Rerr(broken_link=broken_link, unreachable_dests=dests)
-        self.ctx.radio.send(self.node, rerr, self.params.control_bytes)
+    def _emit_rerr(self, dests: tuple[int, ...]) -> None:
+        self._control(Rerr(dests))
 
     # -- data plane -----------------------------------------------------------
 
@@ -234,17 +229,17 @@ class AodvRouter(RouterBase):
             return
         if pkt.dest == self.node:
             self._touch_reverse(pkt, sender, install=True)
-            self.ctx.metrics.on_delivered(pkt, self.engine.now)
+            self._deliver(pkt)
             return
         self._touch_reverse(pkt, sender, install=False)
-        repair = self.discoveries.get(pkt.dest)
-        if repair is not None and repair.broken_hop is not None:
-            self._enqueue(repair, pkt)
+        discovery = self.discoveries.get(pkt.dest)
+        if discovery is not None and discovery.repair:
+            self._enqueue(discovery, pkt)
             return
         e = self._valid_entry(pkt.dest)
         if e is None:
-            self.ctx.metrics.on_dropped(pkt, "no_route", self.engine.now, self.node)
-            self._emit_rerr((self.node, self.node), (pkt.dest,))
+            self._drop(pkt, "no_route")
+            self._emit_rerr((pkt.dest,))
             return
         self._transmit(pkt, e)
 
@@ -253,16 +248,15 @@ class AodvRouter(RouterBase):
 
         Valid entries are refreshed in place; next hops are never rewritten
         from data (that is discovery's job). Only the destination installs a
-        missing entry, so it keeps announcing itself to its last hop.
+        missing or expired entry, so it keeps announcing itself to its last hop.
         """
         now = self.engine.now
-        origin = pkt.origin
-        e = self.table.get(origin)
+        life = self.params.route_lifetime
+        e = self.table.get(pkt.origin)
         if e is not None and e.valid(now):
-            e.expires_at = max(e.expires_at, now + self.params.route_lifetime)
-            e.last_used = now
+            e.expires_at = max(e.expires_at, now + life)
         elif install:
-            hops_back = len(pkt.traversed) - 1
-            e = RoutingTableEntry(origin, sender, hops_back, 0, now + self.params.route_lifetime)
-            e.last_used = now
-            self.table[origin] = e
+            e = self._update_route(pkt.origin, sender, len(pkt.traversed) - 1, 0, life)
+        else:
+            return
+        e.last_used = now

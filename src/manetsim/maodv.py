@@ -4,7 +4,7 @@ repair."""
 
 from dataclasses import dataclass, field
 
-from .engine import EventKind, SimulationError
+from .engine import SimulationError
 from .proto_common import Data, Rerr, Rrep, Rreq, RouterBase
 
 
@@ -157,7 +157,7 @@ class MaodvRouter(RouterBase):
         hits = list(self._paths_via(neighbor))
         if not hits:
             return
-        self.ctx.metrics.on_event("link_break", self.engine.now, self.node, f"neighbor={neighbor}")
+        self._note("link_break", f"neighbor={neighbor}")
         reported = set()
         for flow, path in hits:
             if path is None:
@@ -166,19 +166,13 @@ class MaodvRouter(RouterBase):
             self.carried[flow][path] = False
             if flow not in reported:
                 reported.add(flow)
-                self._send_upstream(Rerr(
-                    broken_link=(self.node, neighbor),
-                    unreachable_dests=(flow[1],),
-                    route_record_to_source=path[: path.index(self.node) + 1],
-                ))
+                prefix = path[: path.index(self.node) + 1]
+                self._send_upstream(Rerr((flow[1],), (self.node, neighbor), prefix))
 
     def _send_upstream(self, rerr: Rerr) -> None:
         """Pass a route error one hop back along its record toward the source."""
         prefix = rerr.route_record_to_source
-        self.ctx.radio.send(
-            self.node, rerr, self.params.control_bytes,
-            addressee=prefix[prefix.index(self.node) - 1],
-        )
+        self._control(rerr, prefix[prefix.index(self.node) - 1])
 
     # -- traffic entry ----------------------------------------------------------
 
@@ -190,8 +184,7 @@ class MaodvRouter(RouterBase):
             self._buffer_for_discovery(pkt)
             return
         pkt.source_route = route
-        self.ctx.radio.send(self.node, pkt, pkt.payload_size, addressee=route[1])
-        self.watch(route[1])
+        self._forward_data(pkt, route[1])
 
     # -- request flood (everyone else) ---------------------------------------------
 
@@ -212,11 +205,8 @@ class MaodvRouter(RouterBase):
         if flood is None:
             flood = self.floods[key] = RreqFlood(hops)
             if at_dest:
-                self.engine.schedule(
-                    self.engine.now + self.ctx.rrep_wait,
-                    EventKind.TIMER,
-                    lambda: self._emit_multipath_rrep(key),
-                )
+                reply_at = self.engine.now + self.ctx.rrep_wait
+                self._at(reply_at, lambda: self._emit_multipath_rrep(key))
         elif hops < flood.best_hops:
             flood.best_hops = hops
         if hops > flood.best_hops + params.mpath_slack:
@@ -241,23 +231,12 @@ class MaodvRouter(RouterBase):
         flood = self.floods[key]
         flood.closed = True
         origin, rreq_id = key
-        self.seq += 1
-        rrep = Rrep(
-            origin=origin,
-            dest=self.node,
-            dest_seq=self.seq,
-            hop_count=0,
-            path_set=tuple(flood.paths),
-            lifetime=self.params.route_lifetime,
-            rreq_id=rreq_id,
-        )
-        self.ctx.metrics.on_event(
-            "paths_collected", self.engine.now, self.node, f"origin={origin} n={len(flood.paths)}"
-        )
+        rrep = Rrep(origin, self.node, path_set=tuple(flood.paths), rreq_id=rreq_id)
+        self._note("paths_collected", f"origin={origin} n={len(flood.paths)}")
         self.rrep_seen.add(key)
         # the destination ends every path
         self._install_carried(rrep, rrep.path_set)
-        self.ctx.radio.send(self.node, rrep, self.params.control_bytes)
+        self._control(rrep)
 
     def _handle_rrep(self, rrep: Rrep, sender: int) -> None:
         key = (rrep.origin, rrep.rreq_id)
@@ -272,7 +251,7 @@ class MaodvRouter(RouterBase):
         if self.node == rrep.origin:
             self._discovery_complete(rrep)
             return
-        self.ctx.radio.send(self.node, rrep, self.params.control_bytes)
+        self._control(rrep)
 
     def _install_carried(self, rrep: Rrep, my_paths) -> None:
         carried = self.carried.setdefault((rrep.origin, rrep.dest), {})
@@ -294,9 +273,7 @@ class MaodvRouter(RouterBase):
             degree_tiebreak=self.params.degree_tiebreak,
         ))
         routes_text = ";".join("-".join(map(str, r)) for r in cache.routes)
-        self.ctx.metrics.on_event(
-            "routes_selected", self.engine.now, self.node, f"dest={dest} routes={routes_text}"
-        )
+        self._note("routes_selected", f"dest={dest} routes={routes_text}")
         # cleared even when the reply outlived its discovery
         self.discovery_backoff.pop(dest, None)
         for route in cache.routes:
@@ -322,14 +299,13 @@ class MaodvRouter(RouterBase):
         primary = cache.primary_route()
         if not cache.invalidate_link(link):
             return
-        now = self.engine.now
-        self.ctx.metrics.on_event("route_invalid", now, self.node, f"dest={dest} link={link}")
+        self._note("route_invalid", f"dest={dest} link={link}")
         if not cache.routes:
             self.rediscover(dest)
             return
         if cache.primary_route() != primary:
             route_text = "-".join(map(str, cache.primary_route()))
-            self.ctx.metrics.on_event("failover", now, self.node, f"dest={dest} route={route_text}")
+            self._note("failover", f"dest={dest} route={route_text}")
         if len(cache.routes) <= self.params.s0 and self.may_discover(dest):
             # replenish in parallel with data still flowing on the spares
             self.start_discovery(dest, event="replenish_start")
@@ -340,7 +316,7 @@ class MaodvRouter(RouterBase):
         if not self._admit_data(pkt):
             return
         if pkt.dest == self.node:
-            self.ctx.metrics.on_delivered(pkt, self.engine.now)
+            self._deliver(pkt)
             return
         route = pkt.source_route
         if self.node not in route:
@@ -348,7 +324,4 @@ class MaodvRouter(RouterBase):
                 f"node {self.node} forwarding packet {pkt.pkt_id} absent from its "
                 f"source route {route}"
             )
-        idx = route.index(self.node)
-        successor = route[idx + 1]
-        self.ctx.radio.send(self.node, pkt, pkt.payload_size, addressee=successor)
-        self.watch(successor)
+        self._forward_data(pkt, route[route.index(self.node) + 1])

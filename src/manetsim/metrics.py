@@ -99,8 +99,8 @@ class PacketLedger:
     trace line, so a fact and its line cannot drift apart.
     """
 
-    def __init__(self, trace: Trace | None = None) -> None:
-        self.trace = trace if trace is not None else Trace(enabled=False)
+    def __init__(self, trace: Trace) -> None:
+        self.trace = trace
         self.records: dict[int, PacketRecord] = {}
         self.control_transmissions = 0
         self.data_transmissions = 0
@@ -159,7 +159,7 @@ class PacketLedger:
 
     # -- derivation ---------------------------------------------------------
 
-    def finalize(self, duration: float, energy_ledger=None) -> MetricsReport:
+    def finalize(self, duration: float, energy_ledger) -> MetricsReport:
         recs = list(self.records.values())
         sent = len(recs)
         delivered = [r for r in recs if r.delivered_at is not None]
@@ -180,16 +180,12 @@ class PacketLedger:
         pdr = len(delivered) / sent if sent else 0.0
         loss = (sent - len(delivered) - in_flight) / sent if sent else 0.0
 
-        network_j = routing_j = 0.0
-        if energy_ledger is not None:
-            network_j = energy_ledger.network_consumed()
-            routing_j = energy_ledger.routing_consumed()
-            if self.energy_series:
-                last_t, last_net, last_routing = self.energy_series[-1]
-                if last_t == duration and (
-                    last_net != network_j or last_routing != routing_j
-                ):
-                    raise SimulationError("energy series diverged from ledger totals")
+        network_j = energy_ledger.network_consumed()
+        routing_j = energy_ledger.routing_consumed()
+        if self.energy_series:
+            last_t, last_net, last_routing = self.energy_series[-1]
+            if last_t == duration and (last_net != network_j or last_routing != routing_j):
+                raise SimulationError("energy series diverged from ledger totals")
 
         return MetricsReport(
             sent=sent,

@@ -35,23 +35,27 @@ class Rreq:
 class Rrep:
     origin: int  # discovery originator the reply travels back to
     dest: int  # destination that produced the reply
-    dest_seq: int
-    hop_count: int
-    path_set: tuple[tuple[int, ...], ...]  # multipath reply; empty for hop-by-hop
-    lifetime: float
+    dest_seq: int = 0  # hop-by-hop reply fields
+    hop_count: int = 0
+    lifetime: float = 0.0
+    path_set: tuple[tuple[int, ...], ...] = ()  # multipath reply fields
     rreq_id: int = -1
 
 
 @dataclass(slots=True)
 class Rerr:
-    broken_link: tuple[int, int]
     unreachable_dests: tuple[int, ...]
-    route_record_to_source: tuple[int, ...] = ()  # reverse prefix, source-routed mode
+    # source-routed mode: the broken link and the reverse prefix to the source
+    broken_link: tuple[int, int] | None = None
+    route_record_to_source: tuple[int, ...] = ()
 
 
 @dataclass(slots=True)
 class Hello:
-    sender: int
+    """Carries nothing: the radio hands every receiver the sender."""
+
+
+HELLO = Hello()
 
 
 @dataclass(slots=True)
@@ -94,14 +98,14 @@ class ProtocolParams:
 class Discovery:
     """A route discovery this node runs toward dest. Data toward dest waits
     in `buffered` until a reply arrives or the last attempt times out. A
-    local repair is a one-attempt discovery that names the lost next hop."""
+    local repair is a one-attempt discovery with `repair` set."""
 
     dest: int
     attempts_left: int
     requested_seq: int
     buffered: list = field(default_factory=list)
     timer: object = None
-    broken_hop: int | None = None  # set on a local repair
+    repair: bool = False
 
 
 class RouterBase:
@@ -114,7 +118,11 @@ class RouterBase:
     `_handle_rreq`, `_handle_rrep` and `_handle_rerr` (packet, sender), and
     may override `_requested_seq`. `on_neighbor_lost` is the one break hook:
     it decides for itself whether the neighbor matters and does nothing when
-    no route it keeps runs through that neighbor."""
+    no route it keeps runs through that neighbor.
+
+    A protocol reaches the run only through the helpers below, which stamp
+    this node and the clock: `_control` and `_forward_data` transmit,
+    `_deliver`, `_drop` and `_note` record, `_at` sets a timer."""
 
     def __init__(self, node: int, ctx: "Network"):
         self.node = node
@@ -140,6 +148,29 @@ class RouterBase:
     def alive(self) -> bool:
         return self.ctx.energy.alive(self.node)
 
+    # -- the run: transmissions, records, timers ---------------------------
+
+    def _control(self, packet, addressee: int | None = None) -> None:
+        self.ctx.radio.send(self.node, packet, self.params.control_bytes, addressee)
+
+    def _forward_data(self, pkt: Data, next_hop: int) -> None:
+        """Unicast data to next_hop, then watch that hop."""
+        self.ctx.radio.send(self.node, pkt, pkt.payload_size, next_hop)
+        self.watch(next_hop)
+
+    def _deliver(self, pkt: Data) -> None:
+        self.ctx.metrics.on_delivered(pkt, self.engine.now)
+
+    def _drop(self, pkt: Data, cause: str) -> None:
+        self.ctx.metrics.on_dropped(pkt, cause, self.engine.now, self.node)
+
+    def _note(self, event: str, detail: str = "") -> None:
+        self.ctx.metrics.on_event(event, self.engine.now, self.node, detail)
+
+    def _at(self, time: float, fn):
+        """Run fn at the absolute time given; returns the timer's handle."""
+        return self.engine.schedule(time, EventKind.TIMER, fn)
+
     # -- frame dispatch ----------------------------------------------------
 
     def __init_subclass__(cls, **kwargs):
@@ -163,24 +194,21 @@ class RouterBase:
     # -- hello & liveness ---------------------------------------------------
 
     def start_maintenance(self) -> None:
-        self.engine.schedule(
-            self.engine.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
-        )
+        self._at(self.engine.now + self.params.hello_interval, self._hello_tick)
 
     def _hello_tick(self) -> None:
         if self.alive and self.hello_active():
-            self.ctx.radio.send(self.node, Hello(self.node), self.params.control_bytes)
+            self._control(HELLO)
         if self.alive:
-            self.engine.schedule(
-                self.engine.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
-            )
+            self._at(self.engine.now + self.params.hello_interval, self._hello_tick)
 
     def watch(self, neighbor: int) -> None:
         """Start liveness tracking for a next-hop neighbor.
 
         A stale deadline (no hello heard for ages because both ends sat on
-        no active route) says nothing about liveness, so tracking restarts
-        with a fresh allowance instead of declaring an instant break.
+        no active route, or the neighbor was already declared lost) says
+        nothing about liveness, so tracking restarts with a fresh allowance
+        instead of declaring an instant break.
         """
         now = self.engine.now
         deadline = self.hello_deadline.get(neighbor)
@@ -188,11 +216,7 @@ class RouterBase:
             self.hello_deadline[neighbor] = now + self.hello_allowance
         if neighbor not in self._watch_armed:
             self._watch_armed.add(neighbor)
-            self.engine.schedule(
-                self.hello_deadline[neighbor],
-                EventKind.TIMER,
-                lambda n=neighbor: self._watch_fired(n),
-            )
+            self._at(self.hello_deadline[neighbor], lambda n=neighbor: self._watch_fired(n))
 
     def may_discover(self, dest: int) -> bool:
         """True when no discovery toward dest runs and none is backing off."""
@@ -205,17 +229,13 @@ class RouterBase:
         if not self.alive:
             self._watch_armed.discard(neighbor)
             return
-        deadline = self.hello_deadline.get(neighbor)
-        if deadline is None:
-            self._watch_armed.discard(neighbor)
-            return
+        # an armed watch always has a deadline: watch() wrote it, and a
+        # hello only ever moves it
+        deadline = self.hello_deadline[neighbor]
         if deadline > self.engine.now:
-            self.engine.schedule(
-                deadline, EventKind.TIMER, lambda n=neighbor: self._watch_fired(n)
-            )
+            self._at(deadline, lambda n=neighbor: self._watch_fired(n))
             return
         self._watch_armed.discard(neighbor)
-        del self.hello_deadline[neighbor]
         self.on_neighbor_lost(neighbor)
 
     # -- route discovery ------------------------------------------------------
@@ -227,7 +247,7 @@ class RouterBase:
         discovery = self.discoveries.get(pkt.dest)
         if discovery is None:
             if not self.may_discover(pkt.dest):
-                self.ctx.metrics.on_dropped(pkt, "no_route", self.engine.now, self.node)
+                self._drop(pkt, "no_route")
                 return
             discovery = self.start_discovery(pkt.dest, self._requested_seq(pkt.dest))
         self._enqueue(discovery, pkt)
@@ -235,7 +255,7 @@ class RouterBase:
     def _enqueue(self, discovery: Discovery, pkt: Data) -> None:
         """Hold a packet until the discovery ends, or drop it when the queue is full."""
         if len(discovery.buffered) >= self.params.queue_capacity:
-            self.ctx.metrics.on_dropped(pkt, "queue_overflow", self.engine.now, self.node)
+            self._drop(pkt, "queue_overflow")
         else:
             discovery.buffered.append(pkt)
 
@@ -255,7 +275,7 @@ class RouterBase:
         """Register a discovery and flood its first request."""
         dest = discovery.dest
         self.discoveries[dest] = discovery
-        self.ctx.metrics.on_event(event, self.engine.now, self.node, f"dest={dest}")
+        self._note(event, f"dest={dest}")
         discovery.timer = self._flood_rreq(dest, discovery.requested_seq, wait)
         return discovery
 
@@ -264,7 +284,7 @@ class RouterBase:
         dest's discovery timeout after `wait` unless it is cancelled first."""
         self.seq += 1
         self.rreq_counter += 1
-        rreq = Rreq(
+        self._control(Rreq(
             origin=self.node,
             dest=dest,
             rreq_id=self.rreq_counter,
@@ -272,20 +292,16 @@ class RouterBase:
             dest_seq_known=requested_seq,
             hop_count=0,
             route_record=(self.node,),
-        )
-        self.ctx.radio.send(self.node, rreq, self.params.control_bytes)
-        return self.engine.schedule(
-            self.engine.now + wait, EventKind.TIMER, lambda: self._discovery_timeout(dest)
-        )
+        ))
+        return self._at(self.engine.now + wait, lambda: self._discovery_timeout(dest))
 
     def _relay_rreq(self, rreq: Rreq, hops: int, record: tuple[int, ...]) -> None:
         """Rebroadcast a request one hop on: `hops` is its hop count here and
         `record` the route record it carries on. MAODV appends this node;
         AODV never reads a record and passes the request's on unchanged."""
-        fwd = Rreq(
+        self._control(Rreq(
             rreq.origin, rreq.dest, rreq.rreq_id, rreq.origin_seq, rreq.dest_seq_known, hops, record
-        )
-        self.ctx.radio.send(self.node, fwd, self.params.control_bytes)
+        ))
 
     def _discovery_timeout(self, dest: int) -> None:
         if not self.alive:
@@ -293,10 +309,9 @@ class RouterBase:
         # a discovery is removed only by _end_discovery, which cancels this
         # timer, or below, where no timer is armed again
         discovery = self.discoveries[dest]
-        now = self.engine.now
         if discovery.attempts_left > 0:
             discovery.attempts_left -= 1
-            self.ctx.metrics.on_event("discovery_retry", now, self.node, f"dest={dest}")
+            self._note("discovery_retry", f"dest={dest}")
             discovery.timer = self._flood_rreq(
                 dest, discovery.requested_seq, self.ctx.discovery_timeout
             )
@@ -312,10 +327,9 @@ class RouterBase:
         self._drop_buffered(discovery, "discovery_fail")
 
     def _drop_buffered(self, discovery: Discovery, event: str) -> None:
-        now = self.engine.now
-        self.ctx.metrics.on_event(event, now, self.node, f"dest={discovery.dest}")
+        self._note(event, f"dest={discovery.dest}")
         for pkt in discovery.buffered:
-            self.ctx.metrics.on_dropped(pkt, "no_route", now, self.node)
+            self._drop(pkt, "no_route")
 
     def _end_discovery(self, dest: int) -> Discovery | None:
         """Stop dest's running discovery, if any, and return it so the
@@ -331,7 +345,7 @@ class RouterBase:
         """Loop check for a received data packet: one that already crossed
         this node is dropped, any other records this hop and may proceed."""
         if self.node in pkt.traversed:
-            self.ctx.metrics.on_dropped(pkt, "loop", self.engine.now, self.node)
+            self._drop(pkt, "loop")
             return False
         pkt.traversed.append(self.node)
         return True

@@ -150,7 +150,7 @@ def test_relay_buffers_transit_data_during_repair():
         relay._handle_data(pkt, sender=0)
     assert len(relay.discoveries[4].buffered) == 3
     net.engine.run_until(1.0)
-    report = net.metrics.finalize(1.0)
+    report = net.metrics.finalize(1.0, net.energy)
     assert report.protocol_events["repair_start"] == 1
     assert report.protocol_events["repair_ok"] == 1
     # the queue holds three; the other two are dropped at the relay
@@ -171,7 +171,7 @@ def test_sourcing_during_repair_queues_behind_it():
     # the packet waits on the running repair: no second request is flooded
     assert len(node_events(net, 1, "tx_rreq")) == 1
     net.engine.run_until(1.0)
-    report = net.metrics.finalize(1.0)
+    report = net.metrics.finalize(1.0, net.energy)
     assert len(node_events(net, 1, "tx_rreq")) == 1
     assert "discovery_start" not in report.protocol_events
     assert report.protocol_events["repair_ok"] == 1
@@ -231,7 +231,7 @@ def test_expired_entry_drops_and_reports():
     pkt = Data(0, 2, 512, 0, 0.0, 0, 0, traversed=[0])
     net.metrics.on_sent(pkt)
     net.routers[1]._handle_data(pkt, sender=0)
-    assert net.metrics.finalize(1.0).drop_breakdown == {"no_route": 1}
+    assert net.metrics.finalize(1.0, net.energy).drop_breakdown == {"no_route": 1}
     assert net.trace.count("tx_rerr") == 1
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from manetsim import Scenario, parse_scenario
 from manetsim.engine import SimulationError
-from manetsim.proto_common import SEQ_SPACE, Hello, fresher
+from manetsim.proto_common import HELLO, SEQ_SPACE, fresher
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import TrafficSource
 
@@ -101,7 +101,7 @@ def test_hello_deadline_refresh_rule():
     assert p.allowed_hello_loss * p.hello_interval == 2.0
     net.routers[1].hello_deadline.clear()
     net.engine.run_until(10.0)
-    net.radio.send(0, Hello(0), p.control_bytes)
+    net.radio.send(0, HELLO, p.control_bytes)
     net.engine.run_until(11.0)
     received_at = 10.0 + net.radio.tx_duration(p.control_bytes)
     assert net.routers[1].hello_deadline == {0: received_at + 2.0}
@@ -112,7 +112,26 @@ def test_hello_deadline_refresh_rule():
 def test_a_hello_never_reaches_on_frame(protocol):
     net = make_pair_net(protocol)
     with pytest.raises(SimulationError, match="unknown packet type"):
-        net.routers[1].on_frame(Hello(0), 0)
+        net.routers[1].on_frame(HELLO, 0)
+
+
+def test_a_stale_deadline_restarts_the_watch():
+    # no route is active, so no hellos are sent and node 1 is never heard
+    net = make_pair_net()
+    router = net.routers[0]
+    lost = []
+    router.on_neighbor_lost = lambda n: lost.append((net.engine.now, n))
+    router.watch(1)
+    net.engine.run_until(5.0)
+    assert lost == [(2.0, 1)]
+    # the deadline from before the loss is stale: a fresh allowance starts
+    router.watch(1)
+    assert router.hello_deadline[1] == 7.0
+    net.engine.run_until(6.9)
+    assert lost == [(2.0, 1)]
+    net.engine.run_until(7.0)
+    assert lost == [(2.0, 1), (7.0, 1)]
+    assert net.trace.count("tx_hello") == 0
 
 
 def test_no_hello_without_active_route():

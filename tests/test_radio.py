@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from manetsim.energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA, EnergyLedger, EnergyParams
 from manetsim.engine import Engine, RngStream
 from manetsim.metrics import PacketLedger
-from manetsim.proto_common import Data, Hello, Rreq
+from manetsim.proto_common import HELLO, Data, Rreq
 from manetsim.radio import Radio, RadioParams
 from manetsim.runner import build_network
 from manetsim.scenario import Scenario
@@ -26,7 +26,7 @@ def make_radio(positions, params=None, initial_j=10.0):
     engine = Engine()
     model = static_model(positions)
     energy = EnergyLedger(model.node_count, EnergyParams(initial=initial_j))
-    metrics = PacketLedger()
+    metrics = PacketLedger(Trace(False))
     inbox = []
     radio = Radio(
         params or RadioParams(),
@@ -117,7 +117,7 @@ def test_propagation_delay_delivers_by_distance():
 
 def test_empty_neighborhood_still_debits_tx():
     engine, radio, energy, _, inbox = make_radio([(0, 0), (9000, 0)])
-    radio.send(0, Hello(0), 64)
+    radio.send(0, HELLO, 64)
     engine.run_until(1.0)
     assert inbox == []
     spent = energy.consumed_by[0]
@@ -195,13 +195,13 @@ def test_unicast_consumed_only_by_addressee():
 
 
 def test_unicast_void_counts_link_break():
-    engine, radio, _, metrics, inbox = make_radio([(0, 0), (1000, 0)])
+    engine, radio, energy, metrics, inbox = make_radio([(0, 0), (1000, 0)])
     pkt = data_pkt(0, 1)
     metrics.on_sent(pkt)
     radio.send(0, pkt, 512, addressee=1)
     engine.run_until(1.0)
     assert inbox == []
-    report = metrics.finalize(1.0)
+    report = metrics.finalize(1.0, energy)
     assert report.drop_breakdown == {"link_break": 1}
 
 
@@ -214,7 +214,7 @@ def test_dead_sender_sends_nothing():
     radio.send(0, pkt, 512, addressee=1)
     engine.run_until(1.0)
     assert inbox == []
-    assert metrics.finalize(1.0).drop_breakdown == {"dead_node": 1}
+    assert metrics.finalize(1.0, energy).drop_breakdown == {"dead_node": 1}
 
 
 def test_delivery_delayed_by_tx_duration():
@@ -240,7 +240,7 @@ def test_membership_decided_at_send_time():
     model = MobilityModel(legs)
     engine = Engine()
     energy = EnergyLedger(2, EnergyParams())
-    metrics = PacketLedger()
+    metrics = PacketLedger(Trace(False))
     inbox = []
     routers = stub_routers(2, lambda recv, *_: inbox.append(recv))
     radio = Radio(
@@ -268,7 +268,7 @@ def test_snapshot_holds_until_the_next_departure():
     model.position = lambda node, t: calls.append(t) or position(node, t)
     engine = Engine()
     radio = Radio(
-        RadioParams(), engine, model, EnergyLedger(2, EnergyParams()), PacketLedger(),
+        RadioParams(), engine, model, EnergyLedger(2, EnergyParams()), PacketLedger(Trace(False)),
         Trace(False), stub_routers(2, lambda *_: None), RngStream(1, "radio/loss"),
     )
     assert radio.neighbors(0, 1.0) == [1]
@@ -388,7 +388,7 @@ def test_hello_batch_books_like_a_debit_and_a_deadline_per_receiver(
 
     deaths = []
     net = network(deaths)
-    net.radio._deliver_batch(receivers, Hello(sender), sender, RX_CONTROL, amount_pj)
+    net.radio._deliver_batch(receivers, HELLO, sender, RX_CONTROL, amount_pj)
 
     ref_deaths = []
     ref = network(ref_deaths)
