@@ -26,6 +26,7 @@ class AodvRouter(RouterBase):
         self.table: dict[int, RoutingTableEntry] = {}
         self.rreq_seen: dict[tuple[int, int], float] = {}
         self.last_dest_seq: dict[int, int] = {}
+        self.seq = 0  # this node's own sequence number
 
     # -- helpers -------------------------------------------------------------
 
@@ -61,6 +62,10 @@ class AodvRouter(RouterBase):
         # after a break, ask for a route fresher than the one that failed
         known = self.last_dest_seq.get(dest, 0)
         return known + 1 if bump and known else known
+
+    def _flood_seqs(self, requested_seq: int) -> tuple[int, int]:
+        self.seq += 1
+        return (self.seq, requested_seq)
 
     def _note_dest_seq(self, dest: int, seq: int) -> None:
         known = self.last_dest_seq.get(dest)
@@ -150,15 +155,16 @@ class AodvRouter(RouterBase):
             return
         self.rreq_seen[key] = now + self.params.rreq_id_cache_ttl
         hops = rreq.hop_count + 1
-        self._update_route(rreq.origin, sender, hops, rreq.origin_seq, self.params.route_lifetime)
+        origin_seq, dest_seq_known = rreq.seqs
+        self._update_route(rreq.origin, sender, hops, origin_seq, self.params.route_lifetime)
         if self.node == rreq.dest:
-            self.seq = max(self.seq + 1, rreq.dest_seq_known)
+            self.seq = max(self.seq + 1, dest_seq_known)
             self._send_rrep(rreq.origin, self.node, self.seq, 0, self.params.route_lifetime)
             return
         e = self._valid_entry(rreq.dest)
         if (
             e is not None
-            and (e.dest_seq == rreq.dest_seq_known or fresher(e.dest_seq, rreq.dest_seq_known))
+            and (e.dest_seq == dest_seq_known or fresher(e.dest_seq, dest_seq_known))
             # split horizon: never advertise a route that runs back through
             # the requesting side, which would weld a forwarding loop
             and e.next_hop != sender

@@ -65,21 +65,30 @@ class MobilityModel:
         self.schedules = schedules
         self._departs = [[leg.depart_time for leg in legs] for legs in schedules]
         # per leg: (depart, travel, x0, y0, x1 - x0, y1 - y0, end_pos)
-        self._legs = [
-            [
-                (
-                    leg.depart_time,
-                    leg.travel_time,
-                    leg.start_pos[0],
-                    leg.start_pos[1],
-                    leg.end_pos[0] - leg.start_pos[0],
-                    leg.end_pos[1] - leg.start_pos[1],
-                    leg.end_pos,
-                )
-                for leg in legs
-            ]
-            for legs in schedules
-        ]
+        self._legs = []
+        # Largest leg speed, so no node covers more than speed_bound * |dt|
+        # metres in dt and no two nodes' distance changes by more than twice
+        # that. A schedule that jumps makes it math.inf: a leg with distinct
+        # endpoints but no travel time, a leg that starts away from where the
+        # previous one ended, or one that departs before the previous arrives.
+        self.speed_bound = 0.0
+        for legs in schedules:
+            rows = []
+            end, arrival = legs[0].start_pos, -math.inf
+            for leg in legs:
+                travel = leg.travel_time
+                if leg.start_pos != end or leg.depart_time < arrival:
+                    self.speed_bound = math.inf
+                elif leg.start_pos != leg.end_pos:
+                    self.speed_bound = max(
+                        self.speed_bound, leg.speed if travel > 0.0 else math.inf
+                    )
+                end, arrival = leg.end_pos, leg.depart_time + travel
+                x0, y0 = leg.start_pos
+                rows.append((
+                    leg.depart_time, travel, x0, y0, end[0] - x0, end[1] - y0, end
+                ))
+            self._legs.append(rows)
 
     @classmethod
     def generate(

@@ -25,10 +25,9 @@ class Rreq:
     origin: int
     dest: int
     rreq_id: int  # (origin, rreq_id) identifies one flood
-    origin_seq: int
-    dest_seq_known: int
     hop_count: int
     route_record: tuple[int, ...]
+    seqs: tuple[int, int] | None = None  # AODV's (origin_seq, dest_seq_known)
 
 
 @dataclass(slots=True)
@@ -109,16 +108,16 @@ class Discovery:
 
 
 class RouterBase:
-    """Per-node machinery shared by both protocols: sequence number, hello
-    emission scoped to active routes, hello-based neighbor liveness, and
-    route discovery with retry, back-off and buffering.
+    """Per-node machinery shared by both protocols: hello emission scoped to
+    active routes, hello-based neighbor liveness, and route discovery with
+    retry, back-off and buffering.
 
     A protocol supplies `hello_active()`, `on_neighbor_lost(neighbor)`,
     `send_data(pkt)` and the four frame handlers `_handle_data`,
     `_handle_rreq`, `_handle_rrep` and `_handle_rerr` (packet, sender), and
-    may override `_requested_seq`. `on_neighbor_lost` is the one break hook:
-    it decides for itself whether the neighbor matters and does nothing when
-    no route it keeps runs through that neighbor.
+    may override `_requested_seq` and `_flood_seqs`. `on_neighbor_lost` is
+    the one break hook: it decides for itself whether the neighbor matters
+    and does nothing when no route it keeps runs through that neighbor.
 
     A protocol reaches the run only through the helpers below, which stamp
     this node and the clock: `_control` and `_forward_data` transmit,
@@ -129,7 +128,6 @@ class RouterBase:
         self.ctx = ctx
         self.engine = ctx.engine  # handlers read the clock as self.engine.now
         self.params = ctx.scenario.proto
-        self.seq = 0
         self.rreq_counter = 0
         self.sourced: set[int] = set()  # destinations this node has sent data to
         self.discoveries: dict[int, Discovery] = {}
@@ -282,26 +280,16 @@ class RouterBase:
     def _flood_rreq(self, dest: int, requested_seq: int, wait: float):
         """Broadcast a fresh request for dest; returns the timer that runs
         dest's discovery timeout after `wait` unless it is cancelled first."""
-        self.seq += 1
         self.rreq_counter += 1
-        self._control(Rreq(
-            origin=self.node,
-            dest=dest,
-            rreq_id=self.rreq_counter,
-            origin_seq=self.seq,
-            dest_seq_known=requested_seq,
-            hop_count=0,
-            route_record=(self.node,),
-        ))
+        seqs = self._flood_seqs(requested_seq)
+        self._control(Rreq(self.node, dest, self.rreq_counter, 0, (self.node,), seqs))
         return self._at(self.engine.now + wait, lambda: self._discovery_timeout(dest))
 
     def _relay_rreq(self, rreq: Rreq, hops: int, record: tuple[int, ...]) -> None:
         """Rebroadcast a request one hop on: `hops` is its hop count here and
         `record` the route record it carries on. MAODV appends this node;
         AODV never reads a record and passes the request's on unchanged."""
-        self._control(Rreq(
-            rreq.origin, rreq.dest, rreq.rreq_id, rreq.origin_seq, rreq.dest_seq_known, hops, record
-        ))
+        self._control(Rreq(rreq.origin, rreq.dest, rreq.rreq_id, hops, record, rreq.seqs))
 
     def _discovery_timeout(self, dest: int) -> None:
         if not self.alive:
@@ -356,3 +344,7 @@ class RouterBase:
         """Destination sequence number a new discovery toward dest asks for;
         `bump` asks for a route fresher than one that just broke."""
         return 0
+
+    def _flood_seqs(self, requested_seq: int) -> tuple[int, int] | None:
+        """The `seqs` a fresh request carries: AODV's own and asked-for numbers."""
+        return None

@@ -27,6 +27,18 @@ class Radio:
     (addressee set) are consumed only by the addressee; bystanders pay no
     energy. A unicast whose addressee is not reachable vanishes, which for
     data packets is recorded as a link-break loss.
+
+    Membership is the exact test `dx*dx + dy*dy <= range*range` on the
+    mobility model's positions, but an answer may be reused while it cannot
+    have changed. No node moves faster than the model's `speed_bound` v, so
+    two nodes' distance changes by at most 2·v·|t - t0| between t0 and t.
+    A pair found d0 <= range apart at t0 therefore stays in range for
+    |t - t0| <= (range - d0 - eps) / (2v), and a node more than w metres
+    inside or outside the range stays so for |t - t0| <= (w - eps) / (2v).
+    eps = 1e-6 * range absorbs float rounding in the positions, which is
+    many orders of magnitude smaller, so each reused answer is the one the
+    exact test gives. A schedule that jumps has v = math.inf, and then
+    nothing is reused across instants.
     """
 
     def __init__(
@@ -59,6 +71,22 @@ class Radio:
         self._pos_from = self._pos_until = math.nan
         self._pos_cache: list[tuple[float, float]] = []
         self._rows: dict[int, tuple[int, list[int]]] = {}  # sender -> (deaths, row)
+        # The holds of the class notes: a metre between a pair's distance and
+        # the range edge lasts `_per_metre` = 1 / (2v) seconds, and a scan's
+        # split into sure-in `near` and unsure `ring` lasts `_ring_hold`.
+        r, v = params.range, mobility.speed_bound
+        ring = r / 10
+        self._range2 = r * r
+        self._eps = 1e-6 * r
+        self._near2, self._far2 = (r - ring) ** 2, (r + ring) ** 2
+        self._per_metre = 0.5 / v if v > 0.0 else math.inf
+        self._ring_hold = (ring - self._eps) * self._per_metre
+        # sender -> (deaths, from, until, near, ring)
+        self._splits: dict[int, tuple[int, float, float, list[int], list[int]]] = {}
+        # by sender: addressee -> (from, until) in which it is surely in range
+        self._links: list[dict[int, tuple[float, float]]] = [
+            {} for _ in range(mobility.node_count)
+        ]
         # a run sends only a few (data?, size) frame kinds, so each is priced
         # once: (airtime, tx counter, tx pJ, rx counter, rx pJ)
         self._prices: dict[tuple[bool, int], tuple[float, int, int, int, int]] = {}
@@ -88,7 +116,13 @@ class Radio:
     def neighbors(self, node: int, t: float) -> list[int]:
         """Alive nodes within range of `node` at time t, ascending id.
 
-        The list is shared with later calls in the same frozen stretch, so
+        A full scan of the snapshot also keeps the node's split: the alive
+        nodes within range - w (`near`, in range for the split's hold) and
+        those within range ± w (`ring`), w = range / 10. While t lies in the
+        hold and the death count is the one it was taken at, the row is
+        `near` plus the ring members the exact test admits on the snapshot.
+
+        The list is shared with later calls while the row or split holds, so
         a caller must not change it.
         """
         pos = self.positions(t)
@@ -97,21 +131,52 @@ class Radio:
         if row is not None and row[0] == deaths:
             return row[1]
         px, py = pos[node]
-        rng2 = self.params.range * self.params.range
-        remaining = self.energy.remaining_pj
-        out = []
-        for other, (ox, oy) in enumerate(pos):
-            dx, dy = ox - px, oy - py
-            if dx * dx + dy * dy <= rng2 and other != node and remaining[other] > 0:
-                out.append(other)
+        rng2 = self._range2
+        split = self._splits.get(node)
+        if split is not None and split[0] == deaths and split[1] <= t <= split[2]:
+            near = split[3]
+            admitted = []
+            for other in split[4]:
+                ox, oy = pos[other]
+                dx, dy = ox - px, oy - py
+                if dx * dx + dy * dy <= rng2:
+                    admitted.append(other)
+            out = sorted(near + admitted) if admitted else near
+        else:
+            near2, far2 = self._near2, self._far2
+            remaining = self.energy.remaining_pj
+            out, near, ring = [], [], []
+            for other, (ox, oy) in enumerate(pos):
+                dx, dy = ox - px, oy - py
+                d2 = dx * dx + dy * dy
+                if d2 <= far2 and other != node and remaining[other] > 0:
+                    if d2 <= near2:
+                        near.append(other)
+                        out.append(other)
+                    else:
+                        ring.append(other)
+                        if d2 <= rng2:
+                            out.append(other)
+            hold = self._ring_hold
+            if hold > 0.0:
+                self._splits[node] = (deaths, t - hold, t + hold, near, ring)
         self._rows[node] = (deaths, out)
         return out
 
     def reaches(self, sender: int, recv: int, t: float) -> bool:
-        """Whether `recv` is among neighbors(sender, t), from two positions:
-        the snapshot's if t lies in its stretch, else the mobility model's."""
+        """Whether `recv` is among neighbors(sender, t).
+
+        An in-range answer holds the pair for |t - t0| <= (range - d0 -
+        eps) / (2v) (see the class notes); outside a hold it is worked out
+        from two positions: the snapshot's if t lies in its stretch, else
+        the mobility model's. The addressee's battery is read on every call.
+        """
         if recv == sender or self.energy.remaining_pj[recv] <= 0:
             return False
+        links = self._links[sender]
+        held = links.get(recv)
+        if held is not None and held[0] <= t <= held[1]:
+            return True
         if self._pos_from <= t < self._pos_until:
             pos = self._pos_cache
             sx, sy = pos[sender]
@@ -121,7 +186,13 @@ class Radio:
             sx, sy = position(sender, t)
             ox, oy = position(recv, t)
         dx, dy = ox - sx, oy - sy
-        return dx * dx + dy * dy <= self.params.range * self.params.range
+        d2 = dx * dx + dy * dy
+        if d2 > self._range2:
+            return False
+        hold = (self.params.range - math.sqrt(d2) - self._eps) * self._per_metre
+        if hold > 0.0:
+            links[recv] = (t - hold, t + hold)
+        return True
 
     def send(self, sender: int, packet, size_bytes: int, addressee: int | None = None) -> int:
         """Transmit a frame; returns the number of deliveries scheduled."""

@@ -76,8 +76,7 @@ def test_destination_replies_with_incremented_seq():
     from manetsim.proto_common import Rreq
 
     net.routers[1].seq = 7
-    rreq = Rreq(origin=0, dest=1, rreq_id=1, origin_seq=3, dest_seq_known=0,
-                hop_count=0, route_record=(0,))
+    rreq = Rreq(origin=0, dest=1, rreq_id=1, hop_count=0, route_record=(0,), seqs=(3, 0))
     net.routers[1]._handle_rreq(rreq, sender=0)
     assert net.routers[1].seq == 8
 

@@ -127,6 +127,24 @@ STRESS_ROW = {
     ("maodv", "propagation_delay", 2): "22ed701980674066acf86fb4227a6bfb82bf912f0b1d01c97f018cee50d119b6",
 }
 
+# Every mobile pin above moves nodes at the baseline's v_max = 5 m/s. These
+# run the baseline at n = 50, pause 0, for 60 s with v_max = 20 m/s, where
+# the radio's reachability holds (two nodes' distance changes by at most
+# 2·v_max per second) last a quarter as long and lapse far more often.
+FAST_OVERRIDE = {"v_max": 20.0, "duration": 60.0}
+
+# (protocol, seed) -> (sha256 of the trace text, sha256 of the report_row)
+FAST = {
+    ("aodv", 1): (
+        "57f70fa67c0c9779c07b69dc0cbdaa2feeb6193bd9ea17828c01a57c75127347",
+        "5ee2c8bd25c197d1e0eed983bd4deb6ec9be0f21c0bbc7c6d914a58582594359",
+    ),
+    ("maodv", 1): (
+        "afdf092b8a445db688f612da511301f5922db4e3d34c8e13098a93c0d821ffc2",
+        "432e3e04557bed4dcf54bb8ce16217e5ae563be9089c4f35b78ff05f0a1cf81d",
+    ),
+}
+
 # report_row's columns in CSV order; the row digests above sort their keys,
 # so only this list can see a reordered or renamed column
 REPORT_HEADER = [
@@ -229,6 +247,15 @@ def test_stress_trace_digest(protocol, key, seed):
 @pytest.mark.parametrize("protocol,key,seed", sorted(STRESS_ROW))
 def test_stress_report_row_digest(protocol, key, seed):
     assert stress_run(protocol, key, seed)["row_sha256"] == STRESS_ROW[protocol, key, seed]
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(FAST))
+def test_fast_mobility_digests(protocol, seed):
+    run = baseline_run(protocol, 50, seed, **FAST_OVERRIDE)
+    assert run["energy_closed"]
+    assert (run["trace_sha256"], run["row_sha256"]) == FAST[protocol, seed]
+    assert run["traced_drops"] == run["drop_breakdown"]
+    assert run["traced_events"] == run["protocol_events"]
 
 
 def test_report_header_is_pinned():

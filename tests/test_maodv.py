@@ -135,10 +135,21 @@ def test_cache_disjointness_enforced():
 def test_forward_drops_when_already_on_record():
     sc = Scenario(node_count=3, duration=1.0, protocol="maodv")
     net = build_network(sc, with_trace=True, mobility=static_model([(0, 0), (100, 0), (200, 0)]))
-    rreq = Rreq(origin=0, dest=2, rreq_id=1, origin_seq=1, dest_seq_known=0,
-                hop_count=1, route_record=(0, 1))
+    rreq = Rreq(origin=0, dest=2, rreq_id=1, hop_count=1, route_record=(0, 1))
     net.routers[1]._handle_rreq(rreq, sender=0)
     assert net.trace.count("tx_rreq") == 0
+
+
+def test_requests_carry_no_sequence_numbers():
+    # MAODV reads no sequence number, so its floods and relays carry none
+    sc = Scenario(node_count=3, duration=1.0, protocol="maodv")
+    net = build_network(sc, mobility=static_model([(0, 0), (100, 0), (200, 0)]))
+    sent = []
+    net.radio.send = lambda sender, pkt, size, addressee=None: sent.append(pkt)
+    net.routers[0].start_discovery(2)
+    net.routers[1]._handle_rreq(sent[0], sender=0)
+    assert [(p.route_record, p.seqs) for p in sent] == [((0,), None), ((0, 1), None)]
+    assert not any(hasattr(r, "seq") for r in net.routers)
 
 
 # -- flood records close when full ------------------------------------------------
@@ -164,8 +175,7 @@ def flood_net(**proto_kw):
 
 def copy_of(record):
     """A copy of flood (0, 1) toward node 7 that travelled `record`."""
-    return Rreq(origin=0, dest=7, rreq_id=1, origin_seq=1, dest_seq_known=0,
-                hop_count=len(record) - 1, route_record=record)
+    return Rreq(origin=0, dest=7, rreq_id=1, hop_count=len(record) - 1, route_record=record)
 
 
 # four distinct route records from 0, hop counts 1, 1, 1 and 2

@@ -241,3 +241,52 @@ def test_position_query_is_pure():
     for node in range(4):
         assert model.position(node, 33.3) == model.position(node, 33.3)
 
+
+
+def test_speed_bound_is_the_fastest_leg_of_a_continuous_schedule():
+    model = MobilityModel.generate(
+        6, MobilityParams(v_max=7.0, pause_time=3.0), 300.0, lambda label: RngStream(4, label)
+    )
+    moving = [leg.speed for legs in model.schedules for leg in legs if leg.travel_time > 0]
+    assert len(moving) > 6
+    assert model.speed_bound == max(moving)
+    # a network that never moves has nothing to bound
+    still = [[WaypointLeg((1.0, 2.0), (1.0, 2.0), 0.0, 0.0, 1e9)]]
+    assert MobilityModel(still).speed_bound == 0.0
+
+
+JUMPS = {
+    # a leg with distinct endpoints but speed 0 has no travel time: the node
+    # jumps to its end at departure (the scripted schedule of
+    # test_frozen_until_matches_brute_force_on_scripted_schedules)
+    "zero_speed": [
+        WaypointLeg((50.0, 0.0), (60.0, 0.0), 2.0, 1.0, 8.0),
+        WaypointLeg((60.0, 0.0), (70.0, 0.0), 20.0, 0.0, 1e9),
+    ],
+    # the next leg starts 5 m away from where the previous one ended
+    "starts_away": [
+        WaypointLeg((0.0, 0.0), (10.0, 0.0), 0.0, 1.0, 0.0),
+        WaypointLeg((15.0, 0.0), (20.0, 0.0), 10.0, 1.0, 1e9),
+    ],
+    # the next leg departs at 9 s while the previous one arrives at 10 s,
+    # so the node leaps from (9, 0) back to (10, 0)
+    "departs_early": [
+        WaypointLeg((0.0, 0.0), (10.0, 0.0), 0.0, 1.0, 0.0),
+        WaypointLeg((10.0, 0.0), (20.0, 0.0), 9.0, 1.0, 1e9),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(JUMPS))
+def test_a_schedule_that_jumps_has_no_speed_bound(case):
+    slow = [
+        WaypointLeg((0.0, 0.0), (0.0, 0.0), 0.0, 0.0, 1.0),
+        WaypointLeg((0.0, 0.0), (3.0, 4.0), 1.0, 0.5, 1e9),
+    ]
+    assert MobilityModel([slow]).speed_bound == 0.5
+    assert MobilityModel([slow, JUMPS[case]]).speed_bound == math.inf
+    # the same legs made continuous are bounded by their fastest speed
+    legs = JUMPS[case]
+    first = legs[0]
+    fixed = WaypointLeg(first.end_pos, legs[1].end_pos, first.arrival_time, 2.0, 1e9)
+    assert MobilityModel([slow, [first, fixed]]).speed_bound == 2.0

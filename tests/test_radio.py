@@ -1,13 +1,15 @@
+import math
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from manetsim.energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA, EnergyLedger, EnergyParams
 from manetsim.engine import Engine, RngStream
 from manetsim.metrics import PacketLedger
+from manetsim.mobility import MobilityModel, MobilityParams, WaypointLeg
 from manetsim.proto_common import HELLO, Data, Rreq
 from manetsim.radio import Radio, RadioParams
 from manetsim.runner import build_network
@@ -47,7 +49,7 @@ def data_pkt(origin, dest, pkt_id=0):
 
 def control_pkt(origin, rreq_id=1):
     """A broadcast control frame that reaches on_frame (a hello does not)."""
-    return Rreq(origin, 0, rreq_id, 0, 0, 0, (origin,))
+    return Rreq(origin, 0, rreq_id, 0, (origin,))
 
 
 def test_tx_duration_arithmetic():
@@ -228,8 +230,6 @@ def test_delivery_delayed_by_tx_duration():
 
 def test_membership_decided_at_send_time():
     # receiver walks out of range immediately after the frame leaves
-    from manetsim.mobility import MobilityModel, WaypointLeg
-
     legs = [
         [WaypointLeg((0.0, 0.0), (0.0, 0.0), 0.0, 0.0, 1e12)],
         [
@@ -254,8 +254,6 @@ def test_membership_decided_at_send_time():
 
 def test_snapshot_holds_until_the_next_departure():
     # node 1 stands 200 m from node 0 until it departs at 5 s, then walks off
-    from manetsim.mobility import MobilityModel, WaypointLeg
-
     model = MobilityModel([
         [WaypointLeg((0.0, 0.0), (0.0, 0.0), 0.0, 0.0, 1e12)],
         [
@@ -283,6 +281,120 @@ def test_snapshot_holds_until_the_next_departure():
     assert not radio.reaches(0, 1, 6.0)
     assert radio.neighbors(1, 6.0) == []
     assert calls == [1.0, 1.0, 5.0, 5.0, 6.0, 6.0, 6.0, 6.0]
+
+
+def mobile_radio(model, initial_j=10.0):
+    energy = EnergyLedger(model.node_count, EnergyParams(initial=initial_j))
+    radio = Radio(
+        RadioParams(), Engine(), model, energy, PacketLedger(Trace(False)), Trace(False),
+        stub_routers(model.node_count, lambda *_: None), RngStream(1, "radio/loss"),
+    )
+    return radio, energy
+
+
+def test_a_schedule_that_jumps_holds_nothing():
+    # node 1 stands 100 m from node 0 and jumps 1 km away at 5 s; node 2
+    # walks slowly far off, so the network moves at every instant and only
+    # a hold could carry an answer from one instant to the next
+    model = MobilityModel([
+        [WaypointLeg((0.0, 0.0), (0.0, 0.0), 0.0, 0.0, 1e12)],
+        [
+            WaypointLeg((100.0, 0.0), (100.0, 0.0), 0.0, 0.0, 5.0),
+            WaypointLeg((100.0, 0.0), (1000.0, 0.0), 5.0, 0.0, 1e12),
+        ],
+        [WaypointLeg((0.0, 5000.0), (10.0, 5000.0), 0.0, 0.1, 1e12)],
+    ])
+    assert model.speed_bound == math.inf
+    radio, _ = mobile_radio(model)
+    assert radio.neighbors(0, 1.0) == [1]
+    assert radio.reaches(0, 1, 1.0)
+    assert radio.neighbors(0, 5.0) == []
+    assert not radio.reaches(0, 1, 5.0)
+
+
+def test_holds_end_in_time_for_nodes_at_the_speed_bound():
+    # every node flies along the x axis at the bound, 10 m/s, node 0 to the
+    # right and the others to the left, so their distances to node 0 grow
+    # or shrink at 20 m/s, the fastest any two nodes' distance can change.
+    # Node 1 (200 m behind) leaves the range at 2.5 s, node 2 (230 m behind,
+    # in the ring) at 1 s and node 3 (225 m behind, on the ring's inner
+    # edge) at 1.25 s. Node 4 (270 m ahead, in the ring) enters at 1 s and
+    # node 5 (276 m ahead, past the ring) at 1.3 s. Node 6 (210 m ahead)
+    # stays in throughout.
+    speed, far = 10.0, 1e5
+    starts = (0, -200, -230, -225, 270, 276, 210)
+    model = MobilityModel([
+        [WaypointLeg((x, 0.0), (x + (far if x == 0 else -far), 0.0), 0.0, speed, 1e12)]
+        for x in starts
+    ])
+    assert model.speed_bound == speed
+    radio, _ = mobile_radio(model)
+    nodes = range(len(starts))
+    for step in range(61):
+        t = step / 20
+        pos = [model.position(n, t) for n in nodes]
+        expected = [n for n in nodes[1:] if abs(pos[n][0] - pos[0][0]) <= 250.0]
+        assert radio.neighbors(0, t) == expected, t
+        assert [n for n in nodes if radio.reaches(0, n, t)] == expected, t
+        assert [n for n in nodes if radio.reaches(n, 0, t)] == expected, t
+
+
+# a query step: how far the clock moves, then what is asked at the new time
+_gaps = st.one_of(
+    st.just(0.0),  # another query at the same instant
+    st.floats(0.0, 1e-3),  # the next hop of a flood wave
+    st.floats(1e-3, 0.5),
+    st.floats(0.5, 8.0),  # a hello period or more
+)
+_asks = st.one_of(
+    st.just(("neighbors", 0)),  # every node's row
+    st.tuples(st.just("reaches"), st.integers(0, 29)),  # from one node to every node
+    st.tuples(st.just("kill"), st.integers(0, 29)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    node_count=st.integers(2, 30),
+    v_max=st.floats(0.5, 50.0),
+    slowest=st.floats(0.0, 1.0),  # v_min as a share of v_max
+    pause_time=st.sampled_from([0.0, 0.0, 2.0, 15.0]),
+    seed=st.integers(1, 10_000),
+    steps=st.lists(st.tuples(_gaps, _asks), min_size=1, max_size=60),
+)
+def test_answers_match_a_brute_force_check_at_every_query(
+    node_count, v_max, slowest, pause_time, seed, steps
+):
+    # random-waypoint nodes in a small area, so many pairs sit near the range
+    # edge and cross it; time never runs backwards, as in a run
+    params = MobilityParams(
+        area=(500.0, 400.0), v_max=v_max, v_min=max(slowest * v_max, 0.1), pause_time=pause_time
+    )
+    model = MobilityModel.generate(
+        node_count, params, 200.0, lambda label: RngStream(seed, label)
+    )
+    radio, energy = mobile_radio(model)
+    nodes = range(node_count)
+    t = 0.0
+    for gap, (ask, node) in steps:
+        t = min(t + gap, 200.0)
+        node %= node_count
+        if ask == "kill":
+            energy.debit(node, TX_DATA, energy.remaining_pj[node])
+            continue
+        pos = [model.position(n, t) for n in nodes]
+        expected = [
+            [
+                o for o in nodes
+                if o != n and energy.remaining_pj[o] > 0
+                and (pos[o][0] - pos[n][0]) ** 2 + (pos[o][1] - pos[n][1]) ** 2 <= 250.0**2
+            ]
+            for n in nodes
+        ]
+        if ask == "neighbors":
+            assert [radio.neighbors(n, t) for n in nodes] == expected
+        else:
+            assert [o for o in nodes if radio.reaches(node, o, t)] == expected[node]
 
 
 def test_per_frame_loss_prob_drops_some():
