@@ -121,24 +121,3 @@ class MobilityModel:
         frac = dt / travel
         return (x0 + dx * frac, y0 + dy * frac)
 
-    def frozen_until(self, t: float) -> float:
-        """End of the frozen stretch that starts at t.
-
-        If every node is paused at t, this is the earliest next departure of
-        any node (math.inf if none departs again), and `position` returns the
-        same point for each node throughout [t, frozen_until(t)). If any
-        node is moving at t, it is t itself.
-        """
-        until = math.inf
-        for departs, legs in zip(self._departs, self._legs):
-            i = max(bisect_right(departs, t) - 1, 0)
-            depart, travel = legs[i][:2]
-            dt = t - depart
-            if dt < 0:
-                # waiting at the start for the first leg
-                until = min(until, depart)
-            elif dt < travel:
-                return t
-            elif i + 1 < len(departs):
-                until = min(until, departs[i + 1])
-        return until

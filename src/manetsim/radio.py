@@ -38,7 +38,8 @@ class Radio:
     eps = 1e-6 * range absorbs float rounding in the positions, which is
     many orders of magnitude smaller, so each reused answer is the one the
     exact test gives. A schedule that jumps has v = math.inf, and then
-    nothing is reused across instants.
+    nothing is reused across instants. A network that never moves has v = 0,
+    and then the positions and every in-range answer hold for the whole run.
     """
 
     def __init__(
@@ -63,11 +64,11 @@ class Radio:
         self.routers = routers
         self.loss_rng = loss_rng
         # One whole-network position snapshot, taken at _pos_from, holds for
-        # [_pos_from, _pos_until): the frozen stretch in which no node moves,
-        # or just that instant if a node is moving. Broadcasts cluster at
-        # shared instants (flood waves, hello ticks), and each sender's
-        # neighbor row, computed from the snapshot, holds for the stretch
-        # too while the death count it was taken at stays the same.
+        # [_pos_from, _pos_until]: that one instant, or the whole run if the
+        # speed bound is 0. Broadcasts cluster at shared instants (flood
+        # waves, hello ticks), and each sender's neighbor row, computed from
+        # the snapshot, holds as long as the snapshot does while the death
+        # count it was taken at stays the same.
         self._pos_from = self._pos_until = math.nan
         self._pos_cache: list[tuple[float, float]] = []
         self._rows: dict[int, tuple[int, list[int]]] = {}  # sender -> (deaths, row)
@@ -104,19 +105,26 @@ class Radio:
         return price
 
     def positions(self, t: float) -> list[tuple[float, float]]:
-        if not self._pos_from <= t < self._pos_until:
+        """Every node's position at t, by node id, from the snapshot.
+
+        A snapshot lasts the instant it is taken at, or the whole run when
+        the speed bound is 0: no node then leaves the point it starts at.
+        """
+        if not self._pos_from <= t <= self._pos_until:
             mobility = self.mobility
             position = mobility.position
             self._pos_cache = [position(n, t) for n in range(mobility.node_count)]
             self._pos_from = t
-            self._pos_until = max(mobility.frozen_until(t), math.nextafter(t, math.inf))
+            self._pos_until = math.inf if self._per_metre == math.inf else t
             self._rows = {}
         return self._pos_cache
 
     def neighbors(self, node: int, t: float) -> list[int]:
         """Alive nodes within range of `node` at time t, ascending id.
 
-        A full scan of the snapshot also keeps the node's split: the alive
+        The row is kept as long as the snapshot lasts (one instant, or the
+        whole run when the speed bound is 0) while the death count is the one
+        it was computed at. A full scan also keeps the node's split: the alive
         nodes within range - w (`near`, in range for the split's hold) and
         those within range ± w (`ring`), w = range / 10. While t lies in the
         hold and the death count is the one it was taken at, the row is
@@ -167,9 +175,10 @@ class Radio:
         """Whether `recv` is among neighbors(sender, t).
 
         An in-range answer holds the pair for |t - t0| <= (range - d0 -
-        eps) / (2v) (see the class notes); outside a hold it is worked out
-        from two positions: the snapshot's if t lies in its stretch, else
-        the mobility model's. The addressee's battery is read on every call.
+        eps) / (2v) (see the class notes), for the whole run when v = 0;
+        outside a hold it is worked out from two positions: the snapshot's if
+        t lies in its span, else the mobility model's. The addressee's
+        battery is read on every call.
         """
         if recv == sender or self.energy.remaining_pj[recv] <= 0:
             return False
@@ -177,7 +186,7 @@ class Radio:
         held = links.get(recv)
         if held is not None and held[0] <= t <= held[1]:
             return True
-        if self._pos_from <= t < self._pos_until:
+        if self._pos_from <= t <= self._pos_until:
             pos = self._pos_cache
             sx, sy = pos[sender]
             ox, oy = pos[recv]

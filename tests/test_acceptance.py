@@ -461,3 +461,31 @@ def test_criterion_11_energy(pause_sweep):
             "spare routes maintained adds hello traffic the single-path protocol "
             "never pays - margins above; see notes/decisions.md"
         )
+
+
+def test_rows_computed_twice_agree(pause_sweep, density_sweep):
+    """Runs the fixtures repeat give the same rows, so each could run once."""
+
+    def by_run(rows, axis_value, *ignored):
+        # str keeps a nan delay comparable and tells 0.0 from -0.0
+        return {
+            (row["seed"], row["protocol"]): {
+                k: str(v) for k, v in row.items() if k not in ignored
+            }
+            for row in rows
+            if float(row["axis_value"]) == axis_value
+        }
+
+    pause_rows, _ = pause_sweep
+    density_rows, _ = density_sweep
+    # the pause sweep at pause 0 and the density sweep at n = 20 both run
+    # the baseline itself
+    baseline = by_run(pause_rows, 0, "axis", "axis_value")
+    assert len(baseline) == 2 * len(SEEDS)
+    assert baseline == by_run(density_rows, 20, "axis", "axis_value")
+    # a pause of at least the duration leaves every node at its placement,
+    # the one draw its schedule makes
+    assert baseline_scenario().duration <= 120
+    static = [by_run(pause_rows, p, "axis_value", "pause_time") for p in (120, 160, 200)]
+    assert len(static[0]) == 2 * len(SEEDS)
+    assert static[0] == static[1] == static[2]

@@ -27,18 +27,6 @@ def bisect_position(legs, t):
     return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
 
 
-def brute_frozen_until(schedules, t):
-    """Reference stretch end, by scanning every leg: t if some node's current
-    leg (the last one departed by t) is under way at t, else the first
-    departure of any leg after t."""
-    for legs in schedules:
-        departed = [leg for leg in legs if leg.depart_time <= t]
-        if departed and 0.0 <= t - departed[-1].depart_time < departed[-1].travel_time:
-            return t
-    later = [leg.depart_time for legs in schedules for leg in legs if leg.depart_time > t]
-    return min(later, default=math.inf)
-
-
 def velocity_at(legs, t):
     for leg in legs:
         if leg.depart_time <= t < leg.arrival_time:
@@ -193,45 +181,6 @@ def test_cursor_matches_bisect_for_any_query_order(moves, queries):
     times = queries + [leg.depart_time for leg in reversed(legs)]
     for t in times + sorted(times):
         assert model.position(0, t) == bisect_position(legs, t)
-        until = model.frozen_until(t)
-        assert until == brute_frozen_until([legs], t)
-        # the node stands still for the whole stretch
-        if until > t:
-            end = min(until, t + 1e3)
-            for later in ((t + end) / 2, math.nextafter(end, t)):
-                assert model.position(0, later) == model.position(0, t)
-
-
-def test_frozen_until_matches_brute_force_on_scripted_schedules():
-    schedules = [
-        # waits at its start until its first leg departs at 5
-        [WaypointLeg((0.0, 0.0), (10.0, 0.0), 5.0, 1.0, 0.0)],
-        # pauses 0-2, moves 2-12, pauses until 20, then jumps on a leg with
-        # speed 0, which has no travel time
-        [
-            WaypointLeg((50.0, 0.0), (50.0, 0.0), 0.0, 0.0, 2.0),
-            WaypointLeg((50.0, 0.0), (60.0, 0.0), 2.0, 1.0, 8.0),
-            WaypointLeg((60.0, 0.0), (70.0, 0.0), 20.0, 0.0, 1e9),
-        ],
-        # static for good
-        [WaypointLeg((90.0, 0.0), (90.0, 0.0), 0.0, 0.0, 1e9)],
-    ]
-    model = MobilityModel(schedules)
-    cases = {
-        1.0: 2.0,  # inside a pause, before the first departure of node 0 too
-        -3.0: 0.0,  # before every first departure: each node waits at its start
-        2.0: 2.0,  # a departure instant: node 1 is under way
-        7.0: 7.0,  # nodes 0 and 1 are moving
-        15.0: 20.0,  # every node paused; node 1's speed-0 leg departs next
-        20.0: math.inf,  # node 1 jumped; nobody departs again
-        1.5: 2.0,  # earlier than every cursor, after the queries above
-    }
-    for node in range(3):
-        model.position(node, 30.0)  # move every cursor past all the cases
-    for t, expected in cases.items():
-        assert model.frozen_until(t) == expected == brute_frozen_until(schedules, t)
-    # a static network is frozen for good
-    assert MobilityModel(schedules[2:]).frozen_until(0.0) == math.inf
 
 
 def test_position_query_is_pure():
@@ -257,8 +206,7 @@ def test_speed_bound_is_the_fastest_leg_of_a_continuous_schedule():
 
 JUMPS = {
     # a leg with distinct endpoints but speed 0 has no travel time: the node
-    # jumps to its end at departure (the scripted schedule of
-    # test_frozen_until_matches_brute_force_on_scripted_schedules)
+    # jumps to its end at departure
     "zero_speed": [
         WaypointLeg((50.0, 0.0), (60.0, 0.0), 2.0, 1.0, 8.0),
         WaypointLeg((60.0, 0.0), (70.0, 0.0), 20.0, 0.0, 1e9),

@@ -142,8 +142,8 @@ def test_neighbors_match_brute_force_oracle():
     pts = rng.uniform((0, 0), (800, 600), size=(20, 2))
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
     dead = {4, 11}
-    # the nodes die before any row is taken, or after every row is taken in
-    # the same frozen stretch, which a static network never leaves
+    # the nodes die before any row is taken, or after every row is taken from
+    # the one snapshot, which a static network keeps for the whole run
     for rows_first in (False, True):
         engine, radio, energy, _, inbox = make_radio([tuple(p) for p in pts])
         if rows_first:
@@ -252,37 +252,6 @@ def test_membership_decided_at_send_time():
     assert inbox == [1]
 
 
-def test_snapshot_holds_until_the_next_departure():
-    # node 1 stands 200 m from node 0 until it departs at 5 s, then walks off
-    model = MobilityModel([
-        [WaypointLeg((0.0, 0.0), (0.0, 0.0), 0.0, 0.0, 1e12)],
-        [
-            WaypointLeg((200.0, 0.0), (200.0, 0.0), 0.0, 0.0, 5.0),
-            WaypointLeg((200.0, 0.0), (600.0, 0.0), 5.0, 100.0, 1e12),
-        ],
-    ])
-    calls = []
-    position = model.position
-    model.position = lambda node, t: calls.append(t) or position(node, t)
-    engine = Engine()
-    radio = Radio(
-        RadioParams(), engine, model, EnergyLedger(2, EnergyParams()), PacketLedger(Trace(False)),
-        Trace(False), stub_routers(2, lambda *_: None), RngStream(1, "radio/loss"),
-    )
-    assert radio.neighbors(0, 1.0) == [1]
-    assert calls == [1.0, 1.0]
-    # later instants of the stretch [1, 5) reuse the snapshot and the row
-    assert radio.neighbors(0, 4.5) == [1]
-    assert radio.reaches(1, 0, 4.9)
-    assert calls == [1.0, 1.0]
-    # at the departure a new snapshot is taken; one second on, node 1 is
-    # 300 m out and the moving network's snapshot lasts one instant
-    assert radio.neighbors(0, 5.0) == [1]
-    assert not radio.reaches(0, 1, 6.0)
-    assert radio.neighbors(1, 6.0) == []
-    assert calls == [1.0, 1.0, 5.0, 5.0, 6.0, 6.0, 6.0, 6.0]
-
-
 def mobile_radio(model, initial_j=10.0):
     energy = EnergyLedger(model.node_count, EnergyParams(initial=initial_j))
     radio = Radio(
@@ -290,6 +259,45 @@ def mobile_radio(model, initial_j=10.0):
         stub_routers(model.node_count, lambda *_: None), RngStream(1, "radio/loss"),
     )
     return radio, energy
+
+
+def test_a_snapshot_lasts_one_instant_or_the_whole_static_run():
+    def counted(model):
+        calls = []
+        position = model.position
+        model.position = lambda node, t: calls.append(t) or position(node, t)
+        return model, calls
+
+    # a network that never moves takes one snapshot, n calls, that answers
+    # every later instant, before and after a death
+    model, calls = counted(static_model([(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)]))
+    assert model.speed_bound == 0.0
+    radio, energy = mobile_radio(model)
+    assert radio.neighbors(1, 1.0) == [0, 2]
+    assert radio.neighbors(0, 50.0) == [1]
+    assert radio.reaches(2, 1, 1e6)
+    energy.debit(1, TX_DATA, energy.remaining_pj[1])
+    assert radio.neighbors(0, 2e6) == []
+    assert not radio.reaches(2, 1, 3e6)
+    assert radio.neighbors(1, 4e6) == [0, 2]
+    assert calls == [1.0] * 3
+    # node 1 stands 200 m from node 0 until it departs at 5 s, then walks off:
+    # every node is paused before 5 s, yet each instant takes its own snapshot
+    model, calls = counted(MobilityModel([
+        [WaypointLeg((0.0, 0.0), (0.0, 0.0), 0.0, 0.0, 1e12)],
+        [
+            WaypointLeg((200.0, 0.0), (200.0, 0.0), 0.0, 0.0, 5.0),
+            WaypointLeg((200.0, 0.0), (600.0, 0.0), 5.0, 100.0, 1e12),
+        ],
+    ]))
+    radio, _ = mobile_radio(model)
+    assert radio.neighbors(0, 1.0) == [1]
+    assert radio.neighbors(1, 1.0) == [0]
+    assert calls == [1.0, 1.0]
+    assert radio.neighbors(0, 4.5) == [1]
+    # one second after its departure node 1 is 300 m out
+    assert radio.neighbors(0, 6.0) == []
+    assert calls == [1.0, 1.0, 4.5, 4.5, 6.0, 6.0]
 
 
 def test_a_schedule_that_jumps_holds_nothing():
@@ -358,7 +366,7 @@ _asks = st.one_of(
     node_count=st.integers(2, 30),
     v_max=st.floats(0.5, 50.0),
     slowest=st.floats(0.0, 1.0),  # v_min as a share of v_max
-    pause_time=st.sampled_from([0.0, 0.0, 2.0, 15.0]),
+    pause_time=st.sampled_from([0.0, 0.0, 2.0, 15.0, 200.0]),  # 200: static
     seed=st.integers(1, 10_000),
     steps=st.lists(st.tuples(_gaps, _asks), min_size=1, max_size=60),
 )
