@@ -145,15 +145,19 @@ class AodvRouter(RouterBase):
 
     # -- control handlers --------------------------------------------------------
 
-    def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
+    def discards_rreq(self, rreq: Rreq) -> bool:
+        """RFC 3561 6.5: a node drops its own request and one it has seen
+        within the cache lifetime."""
         if rreq.origin == self.node:
+            return True
+        seen_until = self.rreq_seen.get((rreq.origin, rreq.rreq_id))
+        return seen_until is not None and seen_until > self.engine.now
+
+    def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
+        if self.discards_rreq(rreq):
             return
         now = self.engine.now
-        key = (rreq.origin, rreq.rreq_id)
-        seen_until = self.rreq_seen.get(key)
-        if seen_until is not None and seen_until > now:
-            return
-        self.rreq_seen[key] = now + self.params.rreq_id_cache_ttl
+        self.rreq_seen[(rreq.origin, rreq.rreq_id)] = now + self.params.rreq_id_cache_ttl
         hops = rreq.hop_count + 1
         origin_seq, dest_seq_known = rreq.seqs
         self._update_route(rreq.origin, sender, hops, origin_seq, self.params.route_lifetime)

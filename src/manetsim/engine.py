@@ -3,7 +3,6 @@
 import hashlib
 import heapq
 import random
-from enum import Enum
 from typing import Callable
 
 # Scheduling clamps a time at most this far behind the clock (float error in
@@ -16,9 +15,10 @@ class SimulationError(Exception):
     """Hard fault: indicates a simulator bug, aborts the run."""
 
 
-class EventKind(Enum):
+class EventKind:
     """What a scheduled callback is for; callers name it, the engine stores
-    nothing of it."""
+    nothing of it. Plain string constants, not an Enum: every schedule call
+    reads one, and a class attribute is the cheaper read."""
 
     FRAME_DELIVERY = "frame"
     TIMER = "timer"
@@ -44,11 +44,15 @@ class Engine:
         self._counter = 0
         self.processed = 0
 
-    def schedule(self, time: float, kind: EventKind, fn: Callable[[], None]) -> Handle:
+    def schedule(self, time: float, kind: str, fn: Callable[[], None]) -> Handle:
         """Enqueue work at ``time``; returns a handle usable with cancel()."""
         seq = self._counter
         self._counter = seq + 1
-        return self._push(time, seq, fn)
+        if time < self.now:
+            return self._push(time, seq, fn)
+        entry = [time, seq, fn]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def reserve(self, count: int) -> int:
         """Take ``count`` insertion numbers now for events pushed later with
@@ -59,7 +63,7 @@ class Engine:
         return base
 
     def schedule_reserved(
-        self, time: float, seq: int, kind: EventKind, fn: Callable[[], None]
+        self, time: float, seq: int, kind: str, fn: Callable[[], None]
     ) -> Handle:
         """Enqueue work at ``time`` under a number taken with reserve()."""
         return self._push(time, seq, fn)

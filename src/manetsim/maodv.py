@@ -188,15 +188,17 @@ class MaodvRouter(RouterBase):
 
     # -- request flood (everyone else) ---------------------------------------------
 
+    def discards_rreq(self, rreq: Rreq) -> bool:
+        # most copies reach a closed record, so that is checked first; the
+        # route record starts at the origin, so it also turns the origin away
+        flood = self.floods.get((rreq.origin, rreq.rreq_id))
+        return (flood is not None and flood.closed) or self.node in rreq.route_record
+
     def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
-        # most copies reach a closed record, so that is checked first
+        if self.discards_rreq(rreq):
+            return
         key = (rreq.origin, rreq.rreq_id)
         flood = self.floods.get(key)
-        if flood is not None and flood.closed:
-            return
-        # the record starts at the origin, so this also turns the origin away
-        if self.node in rreq.route_record:
-            return
         hops = rreq.hop_count + 1
         params = self.params
         at_dest = self.node == rreq.dest

@@ -113,11 +113,15 @@ class RouterBase:
     retry, back-off and buffering.
 
     A protocol supplies `hello_active()`, `on_neighbor_lost(neighbor)`,
-    `send_data(pkt)` and the four frame handlers `_handle_data`,
-    `_handle_rreq`, `_handle_rrep` and `_handle_rerr` (packet, sender), and
-    may override `_requested_seq` and `_flood_seqs`. `on_neighbor_lost` is
-    the one break hook: it decides for itself whether the neighbor matters
-    and does nothing when no route it keeps runs through that neighbor.
+    `send_data(pkt)`, `discards_rreq(rreq)` and the four frame handlers
+    `_handle_data`, `_handle_rreq`, `_handle_rrep` and `_handle_rerr`
+    (packet, sender), and may override `_requested_seq` and `_flood_seqs`.
+    `on_neighbor_lost` is the one break hook: it decides for itself whether
+    the neighbor matters and does nothing when no route it keeps runs
+    through that neighbor. `discards_rreq` is the one discard rule for a
+    request copy: it has no side effects, `_handle_rreq` starts from it, and
+    the radio asks it before dispatch, so a discarded copy never reaches
+    `on_frame`.
 
     A protocol reaches the run only through the helpers below, which stamp
     this node and the clock: `_control` and `_forward_data` transmit,
@@ -144,7 +148,7 @@ class RouterBase:
 
     @property
     def alive(self) -> bool:
-        return self.ctx.energy.alive(self.node)
+        return self.ctx.energy.remaining_pj[self.node] > 0
 
     # -- the run: transmissions, records, timers ---------------------------
 
@@ -195,10 +199,14 @@ class RouterBase:
         self._at(self.engine.now + self.params.hello_interval, self._hello_tick)
 
     def _hello_tick(self) -> None:
-        if self.alive and self.hello_active():
+        remaining, node = self.ctx.energy.remaining_pj, self.node
+        if remaining[node] > 0 and self.hello_active():
             self._control(HELLO)
-        if self.alive:
-            self._at(self.engine.now + self.params.hello_interval, self._hello_tick)
+        if remaining[node] > 0:
+            engine = self.engine
+            engine.schedule(
+                engine.now + self.params.hello_interval, EventKind.TIMER, self._hello_tick
+            )
 
     def watch(self, neighbor: int) -> None:
         """Start liveness tracking for a next-hop neighbor.

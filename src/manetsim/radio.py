@@ -60,6 +60,7 @@ class Radio:
         self.metrics = metrics
         self.trace = trace
         # by node id; a hello reception writes the receiver's hello_deadline,
+        # a request copy its discards_rreq(packet) turns away goes no further,
         # any other calls its on_frame(packet, sender)
         self.routers = routers
         self.loss_rng = loss_rng
@@ -239,11 +240,13 @@ class Radio:
                 self.metrics.on_dropped(packet, "link_break", now, sender)
             return 0
         if self.params.propagation_delay == 0.0:
-            # one shared delivery instant; batching keeps ordering identical
+            # one shared delivery instant; batching keeps ordering identical.
+            # The batch holds the list uncopied: a neighbor row is never
+            # changed once built (see neighbors).
             self.engine.schedule(
                 now + duration,
                 EventKind.FRAME_DELIVERY,
-                lambda rs=tuple(receivers), p=packet, s=sender: self._deliver_batch(
+                lambda rs=receivers, p=packet, s=sender: self._deliver_batch(
                     rs, p, s, rx, rx_pj
                 ),
             )
@@ -265,7 +268,7 @@ class Radio:
         return len(receivers)
 
     def _deliver_batch(
-        self, receivers: tuple[int, ...], packet, sender: int, rx: int, amount_pj: int
+        self, receivers: list[int] | tuple[int], packet, sender: int, rx: int, amount_pj: int
     ) -> None:
         energy = self.energy
         remaining, consumed_by = energy.remaining_pj, energy.consumed_by
@@ -273,19 +276,24 @@ class Radio:
         # A hello's whole reception is one liveness write: the sender is heard
         # until `expiry` by every receiver the charge leaves alive.
         expiry = None
-        if type(packet) is Hello:
+        kind = type(packet)
+        if kind is Hello:
             expiry = self.engine.now + routers[sender].hello_allowance
+        # a request copy its receiver discards is booked and goes no further
+        is_rreq = kind is Rreq
         for recv in receivers:
             # A charge that leaves the receiver alive is booked here, any other
             # goes to debit, each in turn: the forwards of the receivers before
             # it read its aliveness, so it must not be charged any earlier.
+            # The discard check has no side effects, so this order holds.
             left = remaining[recv] - amount_pj
             if left > 0:
                 remaining[recv] = left
                 consumed_by[recv][rx] += amount_pj
-                if expiry is None:
-                    routers[recv].on_frame(packet, sender)
-                else:
-                    routers[recv].hello_deadline[sender] = expiry
+                router = routers[recv]
+                if expiry is not None:
+                    router.hello_deadline[sender] = expiry
+                elif not (is_rreq and router.discards_rreq(packet)):
+                    router.on_frame(packet, sender)
             else:
                 energy.debit(recv, rx, amount_pj)

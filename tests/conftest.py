@@ -1,5 +1,6 @@
 """Shared fixtures: scripted topologies and independent oracles."""
 
+import copy
 import math
 
 import pytest
@@ -125,6 +126,14 @@ def bfs_hops(adjacency: dict, src, dst) -> int | None:
         frontier = nxt
         hops += 1
     return None
+
+
+def router_state(router):
+    """A copy of what a frame handler could change: the router's own fields
+    (its run context and engine aside) and the engine's pending events."""
+    fields = {k: v for k, v in vars(router).items() if k not in ("ctx", "engine")}
+    engine = router.engine
+    return copy.deepcopy(fields), [entry[:] for entry in engine._heap], engine._counter
 
 
 @pytest.fixture

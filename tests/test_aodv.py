@@ -2,7 +2,7 @@ import pytest
 
 from manetsim import Scenario
 from manetsim.aodv import RoutingTableEntry
-from manetsim.proto_common import Data
+from manetsim.proto_common import Data, Rreq
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import FlowSpec
 
@@ -11,6 +11,7 @@ from conftest import (
     adjacency_from_positions,
     bfs_hops,
     departing_model,
+    router_state,
     static_model,
 )
 
@@ -79,6 +80,27 @@ def test_destination_replies_with_incremented_seq():
     rreq = Rreq(origin=0, dest=1, rreq_id=1, hop_count=0, route_record=(0,), seqs=(3, 0))
     net.routers[1]._handle_rreq(rreq, sender=0)
     assert net.routers[1].seq == 8
+
+
+def test_a_discarded_request_copy_changes_nothing():
+    # 0 - 1 - 2 in a line: node 1 relays 0's request once, then discards the
+    # copy 2 relays back, and 0 discards its own request
+    sc = Scenario(node_count=3, duration=10.0)
+    net = build_network(sc, mobility=static_model([(0, 0), (200, 0), (400, 0)]))
+    rreq = Rreq(origin=0, dest=2, rreq_id=1, hop_count=0, route_record=(0,), seqs=(1, 0))
+    relay = net.routers[1]
+    assert not relay.discards_rreq(rreq)
+    relay.on_frame(rreq, 0)
+    assert relay.rreq_seen
+    echo = Rreq(origin=0, dest=2, rreq_id=1, hop_count=2, route_record=(0,), seqs=(1, 0))
+    for router, sender in ((relay, 2), (net.routers[0], 1)):
+        before = router_state(router)
+        assert router.discards_rreq(echo)
+        router.on_frame(echo, sender)
+        assert router_state(router) == before
+    # a seen entry lasts the cache lifetime, no longer
+    net.engine.run_until(sc.proto.rreq_id_cache_ttl)
+    assert not relay.discards_rreq(echo)
 
 
 def test_intermediate_reply_from_cached_route():

@@ -16,6 +16,7 @@ from conftest import (
     adjacency_from_positions,
     all_simple_paths,
     departing_model,
+    router_state,
     static_model,
 )
 
@@ -200,6 +201,23 @@ def test_closed_flood_rejects_a_copy_before_building_its_record():
     relay._handle_rreq(copy_of(NoConcat((0, 2))), sender=2)
     assert net.trace.count("tx_rreq") == 1
     assert list(relay.floods[(0, 1)].paths) == [(0, 1, 5)]
+
+
+def test_a_discarded_request_copy_changes_nothing():
+    net = flood_net(mpath_max_copies=1)
+    relay = net.routers[5]
+    relay.on_frame(copy_of((0, 1)), 1)
+    assert relay.floods[(0, 1)].closed
+    # a copy at a closed record, a copy of a new flood whose record already
+    # holds the relay, and the origin's own request
+    on_record = Rreq(origin=0, dest=7, rreq_id=2, hop_count=2, route_record=(0, 5, 6))
+    for router, rreq in (
+        (relay, copy_of((0, 2))), (relay, on_record), (net.routers[0], copy_of((0, 3)))
+    ):
+        before = router_state(router)
+        assert router.discards_rreq(rreq)
+        router.on_frame(rreq, rreq.route_record[-1])
+        assert router_state(router) == before
 
 
 def test_unbounded_copy_cap_admits_every_in_slack_copy_and_never_closes():

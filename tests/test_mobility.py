@@ -166,7 +166,7 @@ _moves = st.lists(
 
 @settings(max_examples=150)
 @given(moves=_moves, queries=st.lists(st.floats(min_value=0.0, max_value=600.0), max_size=30))
-def test_cursor_matches_bisect_for_any_query_order(moves, queries):
+def test_any_query_order_gives_the_bisected_position(moves, queries):
     pos, t = (100.0, 200.0), 1.0
     legs = [WaypointLeg(pos, pos, 0.0, 0.0, t)]
     for dx, dy, speed, pause in moves:

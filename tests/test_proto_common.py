@@ -64,6 +64,39 @@ def test_derived_timings_on_baseline(protocol):
     assert all(r.ctx is net for r in net.routers)
 
 
+# (protocol) -> (RREQ receptions, those that reach on_frame) on the baseline at
+# n = 100, seed 1: RFC 3561 6.5 and MAODV's closed flood records turn the
+# rest away before dispatch
+RREQ_DISPATCH = {"aodv": (104_490, 2_772), "maodv": (233_225, 6_528)}
+
+
+@pytest.mark.parametrize("protocol", sorted(RREQ_DISPATCH))
+def test_discarded_request_copies_never_reach_dispatch(protocol, monkeypatch):
+    from manetsim.proto_common import RouterBase, Rreq
+    from manetsim.radio import Radio
+
+    seen = {"received": 0, "dispatched": 0}
+    deliver_batch, on_frame = Radio._deliver_batch, RouterBase.on_frame
+
+    def counted_batch(radio, receivers, packet, *rest):
+        if type(packet) is Rreq:
+            seen["received"] += len(receivers)
+        deliver_batch(radio, receivers, packet, *rest)
+
+    def counted_frame(router, packet, sender):
+        if type(packet) is Rreq:
+            seen["dispatched"] += 1
+        on_frame(router, packet, sender)
+
+    monkeypatch.setattr(Radio, "_deliver_batch", counted_batch)
+    monkeypatch.setattr(RouterBase, "on_frame", counted_frame)
+    sc = parse_scenario(BASELINE.read_text()).variant(
+        protocol=protocol, node_count=100, master_seed=1
+    )
+    run_scenario(sc)
+    assert (seen["received"], seen["dispatched"]) == RREQ_DISPATCH[protocol]
+
+
 def test_explicit_timings_used_as_given():
     base = parse_scenario(BASELINE.read_text())
     derived = build_network(base)

@@ -19,9 +19,13 @@ from manetsim.trace import Trace
 from conftest import static_model
 
 
-def stub_routers(node_count, on_frame):
-    """Router stand-ins: a reception at node n calls on_frame(n, pkt, sender)."""
-    return [SimpleNamespace(on_frame=partial(on_frame, n)) for n in range(node_count)]
+def stub_routers(node_count, on_frame, discards=lambda n, pkt: False):
+    """Router stand-ins: a reception at node n calls on_frame(n, pkt, sender)
+    unless it is a request copy that discards(n, pkt) turns away."""
+    return [
+        SimpleNamespace(on_frame=partial(on_frame, n), discards_rreq=partial(discards, n))
+        for n in range(node_count)
+    ]
 
 
 def make_radio(positions, params=None, initial_j=10.0):
@@ -450,6 +454,8 @@ def test_receiver_drained_mid_frame_is_charged_after_earlier_receivers():
 def test_batch_delivery_books_like_a_debit_per_receiver(budgets, amount_pj, rx, data):
     receivers = tuple(data.draw(st.permutations(range(len(budgets)))))
     receivers = receivers[: data.draw(st.integers(0, len(receivers)))]
+    # receivers that discard the request copy: booked alike, never handled
+    discarding = data.draw(st.sets(st.sampled_from(range(len(budgets)))))
     positions = [(10 * n, 0) for n in range(len(budgets) + 1)]
     sender = len(budgets)
 
@@ -457,23 +463,30 @@ def test_batch_delivery_books_like_a_debit_per_receiver(budgets, amount_pj, rx, 
         _, radio, energy, _, _ = make_radio(positions)
         energy.remaining_pj[:sender] = budgets
         energy.on_death = deaths.append
-        radio.routers[:] = stub_routers(sender + 1, lambda node, *_: handled.append(node))
+        radio.routers[:] = stub_routers(
+            sender + 1,
+            lambda node, *_: handled.append(node),
+            lambda node, _: asked.append(node) or node in discarding,
+        )
         return radio, energy
 
-    handled, deaths = [], []
+    handled, deaths, asked, debited = [], [], [], []
     radio, energy = ledger(handled, deaths)
+    debit = energy.debit
+    energy.debit = lambda node, *charge: debited.append(node) or debit(node, *charge)
     radio._deliver_batch(receivers, control_pkt(sender), sender, rx, amount_pj)
 
-    ref_handled, ref_deaths = [], []
-    _, ref = ledger(ref_handled, ref_deaths)
-    for recv in receivers:
-        if ref.debit(recv, rx, amount_pj):
-            ref_handled.append(recv)
+    ref_deaths = []
+    _, ref = ledger([], ref_deaths)
+    survivors = [recv for recv in receivers if ref.debit(recv, rx, amount_pj)]
 
     assert energy.remaining_pj == ref.remaining_pj
     assert energy.consumed_by == ref.consumed_by
     assert deaths == ref_deaths
-    assert handled == ref_handled
+    # only a receiver the charge leaves alive is asked; one it drains goes to debit
+    assert asked == survivors
+    assert debited == [recv for recv in receivers if recv not in survivors]
+    assert handled == [recv for recv in survivors if recv not in discarding]
 
 
 @given(
