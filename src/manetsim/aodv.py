@@ -24,7 +24,6 @@ class AodvRouter(RouterBase):
     def __init__(self, node, ctx):
         super().__init__(node, ctx)
         self.table: dict[int, RoutingTableEntry] = {}
-        self.rreq_seen: dict[tuple[int, int], float] = {}
         self.last_dest_seq: dict[int, int] = {}
         self.seq = 0  # this node's own sequence number
 
@@ -145,19 +144,12 @@ class AodvRouter(RouterBase):
 
     # -- control handlers --------------------------------------------------------
 
-    def discards_rreq(self, rreq: Rreq) -> bool:
-        """RFC 3561 6.5: a node drops its own request and one it has seen
-        within the cache lifetime."""
-        if rreq.origin == self.node:
-            return True
-        seen_until = self.rreq_seen.get((rreq.origin, rreq.rreq_id))
-        return seen_until is not None and seen_until > self.engine.now
-
     def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
-        if self.discards_rreq(rreq):
-            return
+        # RFC 3561 6.5: a node drops its own request (the route record holds
+        # just the origin) and every copy of a flood it has seen within the
+        # cache lifetime, by the entry written here; the radio reads both
         now = self.engine.now
-        self.rreq_seen[(rreq.origin, rreq.rreq_id)] = now + self.params.rreq_id_cache_ttl
+        rreq.flood[self.node] = now + self.params.rreq_id_cache_ttl
         hops = rreq.hop_count + 1
         origin_seq, dest_seq_known = rreq.seqs
         self._update_route(rreq.origin, sender, hops, origin_seq, self.params.route_lifetime)

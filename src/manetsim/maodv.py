@@ -2,6 +2,7 @@
 route caches with spare-route failover and threshold replenishment, no local
 repair."""
 
+import math
 from dataclasses import dataclass, field
 
 from .engine import SimulationError
@@ -103,15 +104,15 @@ class RreqFlood:
     """What a node remembers of one request flood (origin, rreq_id): the
     fewest hops any copy arrived with and the route records it admitted, one
     per copy in arrival order. A relay forwards each admitted copy; the
-    destination collects them until it replies. The record is `closed` once
-    it can admit nothing more: when the admitted records reach the cap
-    (`mpath_max_copies` at a relay, `mpath_max_paths` at the destination; 0
-    never closes) or the destination replies. `paths` never shrinks and the
-    cap is fixed, so a closed record rejects every later copy unread."""
+    destination collects them until it replies. Once the node can admit
+    nothing more, when the admitted records reach the cap (`mpath_max_copies`
+    at a relay, `mpath_max_paths` at the destination; 0 never fills) or the
+    destination replies, it closes the flood for itself: its entry in the
+    copies' shared `Rreq.flood` table becomes math.inf, so the radio turns
+    every later copy away unread."""
 
     best_hops: int
     paths: dict = field(default_factory=dict)
-    closed: bool = False
 
 
 class MaodvRouter(RouterBase):
@@ -188,15 +189,9 @@ class MaodvRouter(RouterBase):
 
     # -- request flood (everyone else) ---------------------------------------------
 
-    def discards_rreq(self, rreq: Rreq) -> bool:
-        # most copies reach a closed record, so that is checked first; the
-        # route record starts at the origin, so it also turns the origin away
-        flood = self.floods.get((rreq.origin, rreq.rreq_id))
-        return (flood is not None and flood.closed) or self.node in rreq.route_record
-
     def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
-        if self.discards_rreq(rreq):
-            return
+        # the radio turns away a copy whose route record holds this node (the
+        # origin included) or whose flood this node has closed
         key = (rreq.origin, rreq.rreq_id)
         flood = self.floods.get(key)
         hops = rreq.hop_count + 1
@@ -208,7 +203,8 @@ class MaodvRouter(RouterBase):
             flood = self.floods[key] = RreqFlood(hops)
             if at_dest:
                 reply_at = self.engine.now + self.ctx.rrep_wait
-                self._at(reply_at, lambda: self._emit_multipath_rrep(key))
+                table = rreq.flood
+                self._at(reply_at, lambda: self._emit_multipath_rrep(key, table))
         elif hops < flood.best_hops:
             flood.best_hops = hops
         if hops > flood.best_hops + params.mpath_slack:
@@ -219,19 +215,21 @@ class MaodvRouter(RouterBase):
         flood.paths[record] = None
         cap = params.mpath_max_paths if at_dest else params.mpath_max_copies
         if len(flood.paths) == cap:
-            flood.closed = True
+            rreq.flood[self.node] = math.inf
         if at_dest:
             return
         self._relay_rreq(rreq, hops, record)
 
     # -- reply flood -----------------------------------------------------------------
 
-    def _emit_multipath_rrep(self, key: tuple[int, int]) -> None:
+    def _emit_multipath_rrep(self, key: tuple[int, int], table: dict[int, float]) -> None:
+        """Reply to flood `key` with the route records collected, and close
+        the flood here through the copies' shared `table`."""
         if not self.alive:
             return
         # the copy that opened the flood was admitted, so paths is not empty
         flood = self.floods[key]
-        flood.closed = True
+        table[self.node] = math.inf
         origin, rreq_id = key
         rrep = Rrep(origin, self.node, path_set=tuple(flood.paths), rreq_id=rreq_id)
         self._note("paths_collected", f"origin={origin} n={len(flood.paths)}")

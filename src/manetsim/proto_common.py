@@ -28,6 +28,10 @@ class Rreq:
     hop_count: int
     route_record: tuple[int, ...]
     seqs: tuple[int, int] | None = None  # AODV's (origin_seq, dest_seq_known)
+    # node -> time until which it turns away every copy of this flood; one
+    # table shared by all of the flood's copies, written by the handlers and
+    # read by the radio, and freed with the flood's last copy
+    flood: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -113,15 +117,15 @@ class RouterBase:
     retry, back-off and buffering.
 
     A protocol supplies `hello_active()`, `on_neighbor_lost(neighbor)`,
-    `send_data(pkt)`, `discards_rreq(rreq)` and the four frame handlers
-    `_handle_data`, `_handle_rreq`, `_handle_rrep` and `_handle_rerr`
-    (packet, sender), and may override `_requested_seq` and `_flood_seqs`.
-    `on_neighbor_lost` is the one break hook: it decides for itself whether
-    the neighbor matters and does nothing when no route it keeps runs
-    through that neighbor. `discards_rreq` is the one discard rule for a
-    request copy: it has no side effects, `_handle_rreq` starts from it, and
-    the radio asks it before dispatch, so a discarded copy never reaches
-    `on_frame`.
+    `send_data(pkt)` and the four frame handlers `_handle_data`,
+    `_handle_rreq`, `_handle_rrep` and `_handle_rerr` (packet, sender), and
+    may override `_requested_seq` and `_flood_seqs`. `on_neighbor_lost` is
+    the one break hook: it decides for itself whether the neighbor matters
+    and does nothing when no route it keeps runs through that neighbor.
+    `_handle_rreq` sees only the copies the radio admits: a node on the
+    copy's route record, or one its flood's `flood` table holds past now,
+    never gets one, so a handler that writes its node's entry turns away
+    the flood's later copies.
 
     A protocol reaches the run only through the helpers below, which stamp
     this node and the clock: `_control` and `_forward_data` transmit,
@@ -296,8 +300,11 @@ class RouterBase:
     def _relay_rreq(self, rreq: Rreq, hops: int, record: tuple[int, ...]) -> None:
         """Rebroadcast a request one hop on: `hops` is its hop count here and
         `record` the route record it carries on. MAODV appends this node;
-        AODV never reads a record and passes the request's on unchanged."""
-        self._control(Rreq(rreq.origin, rreq.dest, rreq.rreq_id, hops, record, rreq.seqs))
+        AODV passes the request's on unchanged, so it holds just the origin.
+        The copy shares the flood's table."""
+        self._control(
+            Rreq(rreq.origin, rreq.dest, rreq.rreq_id, hops, record, rreq.seqs, rreq.flood)
+        )
 
     def _discovery_timeout(self, dest: int) -> None:
         if not self.alive:

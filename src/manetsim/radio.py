@@ -60,8 +60,9 @@ class Radio:
         self.metrics = metrics
         self.trace = trace
         # by node id; a hello reception writes the receiver's hello_deadline,
-        # a request copy its discards_rreq(packet) turns away goes no further,
-        # any other calls its on_frame(packet, sender)
+        # a request copy goes no further when the receiver is on its route
+        # record or the flood's table holds it past now, any other reception
+        # calls the receiver's on_frame(packet, sender)
         self.routers = routers
         self.loss_rng = loss_rng
         # One whole-network position snapshot, taken at _pos_from, holds for
@@ -225,21 +226,37 @@ class Radio:
             pid = packet.pkt_id if is_data else "-"
             self.trace.emit(now, sender, TX_EVENT[type(packet)], pid, f"to={tgt}")
 
-        # a broadcast needs every position, a unicast only two
-        if addressee is None:
-            receivers = self.neighbors(sender, now)
-        else:
-            receivers = [addressee] if self.reaches(sender, addressee, now) else []
         loss_p = self.params.per_frame_loss_prob
+        delay_per_m = self.params.propagation_delay
+        if addressee is not None:
+            # a unicast needs only two positions and one loss draw
+            if not self.reaches(sender, addressee, now) or (
+                loss_p > 0.0 and self.loss_rng.random() < loss_p
+            ):
+                if is_data:
+                    # Unicast into the void: the frame reaches nobody.
+                    self.metrics.on_dropped(packet, "link_break", now, sender)
+                return 0
+            if delay_per_m > 0.0:
+                position = self.mobility.position
+                sx, sy = position(sender, now)
+                ox, oy = position(addressee, now)
+                dx, dy = ox - sx, oy - sy
+                duration += delay_per_m * math.sqrt(dx * dx + dy * dy)
+            self.engine.schedule(
+                now + duration,
+                EventKind.FRAME_DELIVERY,
+                lambda r=addressee, p=packet, s=sender: self._deliver_one(r, p, s, rx, rx_pj),
+            )
+            return 1
+
+        receivers = self.neighbors(sender, now)
         if receivers and loss_p > 0.0:
             # one draw per in-range receiver, in ascending id order
             receivers = [r for r in receivers if not self.loss_rng.random() < loss_p]
         if not receivers:
-            if addressee is not None and is_data:
-                # Unicast into the void: the frame reaches nobody.
-                self.metrics.on_dropped(packet, "link_break", now, sender)
             return 0
-        if self.params.propagation_delay == 0.0:
+        if delay_per_m == 0.0:
             # one shared delivery instant; batching keeps ordering identical.
             # The batch holds the list uncopied: a neighbor row is never
             # changed once built (see neighbors).
@@ -256,8 +273,7 @@ class Radio:
             for recv in receivers:
                 ox, oy = position(recv, now)
                 dx, dy = ox - sx, oy - sy
-                distance = math.sqrt(dx * dx + dy * dy)
-                delay = duration + self.params.propagation_delay * distance
+                delay = duration + delay_per_m * math.sqrt(dx * dx + dy * dy)
                 self.engine.schedule(
                     now + delay,
                     EventKind.FRAME_DELIVERY,
@@ -267,33 +283,61 @@ class Radio:
                 )
         return len(receivers)
 
+    # Each reception path below books a charge that leaves the receiver alive
+    # in place and hands any other to debit, receiver by receiver in the order
+    # given: the forwards of the receivers before it read its aliveness, so it
+    # must not be charged any earlier.
+
+    def _deliver_one(self, recv: int, packet, sender: int, rx: int, amount_pj: int) -> None:
+        """One reception of a frame that is neither a hello nor a request:
+        every unicast, and each receiver of any other broadcast."""
+        energy = self.energy
+        remaining = energy.remaining_pj
+        left = remaining[recv] - amount_pj
+        if left > 0:
+            remaining[recv] = left
+            energy.consumed_by[recv][rx] += amount_pj
+            self.routers[recv].on_frame(packet, sender)
+        else:
+            energy.debit(recv, rx, amount_pj)
+
     def _deliver_batch(
         self, receivers: list[int] | tuple[int], packet, sender: int, rx: int, amount_pj: int
     ) -> None:
+        """A broadcast's receptions, one loop per frame kind."""
         energy = self.energy
         remaining, consumed_by = energy.remaining_pj, energy.consumed_by
         routers = self.routers
-        # A hello's whole reception is one liveness write: the sender is heard
-        # until `expiry` by every receiver the charge leaves alive.
-        expiry = None
         kind = type(packet)
         if kind is Hello:
+            # A hello's whole reception is one liveness write: the sender is
+            # heard until `expiry` by every receiver the charge leaves alive.
             expiry = self.engine.now + routers[sender].hello_allowance
-        # a request copy its receiver discards is booked and goes no further
-        is_rreq = kind is Rreq
-        for recv in receivers:
-            # A charge that leaves the receiver alive is booked here, any other
-            # goes to debit, each in turn: the forwards of the receivers before
-            # it read its aliveness, so it must not be charged any earlier.
-            # The discard check has no side effects, so this order holds.
-            left = remaining[recv] - amount_pj
-            if left > 0:
-                remaining[recv] = left
-                consumed_by[recv][rx] += amount_pj
-                router = routers[recv]
-                if expiry is not None:
-                    router.hello_deadline[sender] = expiry
-                elif not (is_rreq and router.discards_rreq(packet)):
-                    router.on_frame(packet, sender)
-            else:
-                energy.debit(recv, rx, amount_pj)
+            for recv in receivers:
+                left = remaining[recv] - amount_pj
+                if left > 0:
+                    remaining[recv] = left
+                    consumed_by[recv][rx] += amount_pj
+                    routers[recv].hello_deadline[sender] = expiry
+                else:
+                    energy.debit(recv, rx, amount_pj)
+        elif kind is Rreq:
+            # A request copy is booked, then turned away unread by a receiver
+            # on its route record or one its flood's table holds past now
+            # (the rules are the protocols', see RouterBase). A handler writes
+            # only its own node's entry, so each receiver's is read in turn.
+            now = self.engine.now
+            record, flood = packet.route_record, packet.flood
+            for recv in receivers:
+                left = remaining[recv] - amount_pj
+                if left > 0:
+                    remaining[recv] = left
+                    consumed_by[recv][rx] += amount_pj
+                    if recv not in record and flood.get(recv, -1.0) <= now:
+                        routers[recv].on_frame(packet, sender)
+                else:
+                    energy.debit(recv, rx, amount_pj)
+        else:
+            deliver = self._deliver_one
+            for recv in receivers:
+                deliver(recv, packet, sender, rx, amount_pj)

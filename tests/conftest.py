@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from manetsim.energy import RX_CONTROL
 from manetsim.mobility import MobilityModel, WaypointLeg
 
 # Nine-node benchmark topology (S=0, N1..N7=1..7, D=8). The coordinates
@@ -134,6 +135,13 @@ def router_state(router):
     fields = {k: v for k, v in vars(router).items() if k not in ("ctx", "engine")}
     engine = router.engine
     return copy.deepcopy(fields), [entry[:] for entry in engine._heap], engine._counter
+
+
+def receive(net, recv, packet, sender):
+    """Hand `packet` from `sender` to node `recv` the way the radio delivers
+    a broadcast, charged one picojoule: a request copy its receiver's route
+    record or flood table turns away never reaches the handler."""
+    net.radio._deliver_batch((recv,), packet, sender, RX_CONTROL, 1)
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from manetsim import Scenario
+from manetsim import Scenario, parse_scenario, runner
 from manetsim.aodv import RoutingTableEntry
 from manetsim.proto_common import Data, Rreq
 from manetsim.runner import build_network, run_scenario
@@ -11,9 +13,12 @@ from conftest import (
     adjacency_from_positions,
     bfs_hops,
     departing_model,
+    receive,
     router_state,
     static_model,
 )
+
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
 # diamond: source - relay - (mover|backup) - dest, backup reachable only via relay
 DIAMOND = {
@@ -83,24 +88,27 @@ def test_destination_replies_with_incremented_seq():
 
 
 def test_a_discarded_request_copy_changes_nothing():
-    # 0 - 1 - 2 in a line: node 1 relays 0's request once, then discards the
-    # copy 2 relays back, and 0 discards its own request
+    # 0 - 1 - 2 in a line: node 1 relays 0's request once, then turns away
+    # the copy 2 relays back, and 0 turns away its own request
     sc = Scenario(node_count=3, duration=10.0)
-    net = build_network(sc, mobility=static_model([(0, 0), (200, 0), (400, 0)]))
+    net = build_network(sc, with_trace=True, mobility=static_model([(0, 0), (200, 0), (400, 0)]))
     rreq = Rreq(origin=0, dest=2, rreq_id=1, hop_count=0, route_record=(0,), seqs=(1, 0))
     relay = net.routers[1]
-    assert not relay.discards_rreq(rreq)
-    relay.on_frame(rreq, 0)
-    assert relay.rreq_seen
-    echo = Rreq(origin=0, dest=2, rreq_id=1, hop_count=2, route_record=(0,), seqs=(1, 0))
+    receive(net, 1, rreq, 0)
+    ttl = sc.proto.rreq_id_cache_ttl
+    assert rreq.flood == {1: ttl}
+    assert net.trace.count("tx_rreq") == 1
+    echo = Rreq(0, 2, 1, 2, (0,), (1, 0), rreq.flood)
     for router, sender in ((relay, 2), (net.routers[0], 1)):
         before = router_state(router)
-        assert router.discards_rreq(echo)
-        router.on_frame(echo, sender)
+        receive(net, router.node, echo, sender)
         assert router_state(router) == before
     # a seen entry lasts the cache lifetime, no longer
-    net.engine.run_until(sc.proto.rreq_id_cache_ttl)
-    assert not relay.discards_rreq(echo)
+    net.engine.run_until(ttl)
+    sent = net.trace.count("tx_rreq")
+    receive(net, 1, echo, 2)
+    assert rreq.flood[1] == 2 * ttl
+    assert net.trace.count("tx_rreq") == sent + 1
 
 
 def test_intermediate_reply_from_cached_route():
@@ -281,3 +289,27 @@ def test_rrep_travels_installed_reverse_hops_only():
             rreq_senders.add(parts[1])
         elif parts[2] == "tx_rrep" and parts[1] != "8":
             assert parts[1] in rreq_senders
+
+
+def test_router_state_stays_bounded_over_a_long_run(monkeypatch):
+    # Every dict and set an AODV router keeps is bounded by what the network
+    # holds (neighbors, destinations, live floods), not by how long it runs:
+    # at n = 50 the most entries any router holds stays well under 2 n after
+    # 480 s, where a per-node request-id cache that only expires its entries
+    # reached 223.
+    nets = []
+    build = runner.build_network
+
+    def keep(*args, **kwargs):
+        nets.append(build(*args, **kwargs))
+        return nets[-1]
+
+    monkeypatch.setattr(runner, "build_network", keep)
+    base = parse_scenario(BASELINE.read_text(), "baseline")
+    n = 50
+    run_scenario(base.variant(protocol="aodv", node_count=n, master_seed=1, duration=480.0))
+    entries = [
+        sum(len(v) for v in vars(router).values() if isinstance(v, (dict, set)))
+        for router in nets[0].routers
+    ]
+    assert max(entries) <= 2 * n

@@ -145,6 +145,25 @@ FAST = {
     ),
 }
 
+# Every pin above delivers a flood's copies within a few milliseconds, well
+# inside AODV's 6 s request-id cache lifetime (RFC 3561 6.5). These run the
+# baseline at n = 20 for 8 s with a propagation delay of 4 ms per metre (up to
+# a second per hop) and a 0.5 s cache lifetime, so many copies reach a node
+# after it has forgotten their flood and are admitted again.
+LATE_OVERRIDE = {"propagation_delay": 0.004, "rreq_id_cache_ttl": 0.5, "duration": 8.0}
+
+# (protocol, seed) -> (sha256 of the trace text, sha256 of the report_row)
+LATE = {
+    ("aodv", 1): (
+        "041fdf413d55ec00c840eb2ed2bea9b99880f473b96f71322fe093dceb690577",
+        "85de41f2b298aaba1ad750d84bc3c2e3687460aa6513ae92432936dff2b83245",
+    ),
+    ("maodv", 1): (
+        "7c29d8e90c55b5e5de5617e98a77685c5d81ad1e8c5ec2cda28494e202b19f6d",
+        "4a36a8ec1bf072b73128a5e2cd1c16ee9737c29cd319687e4f1f0bcce68d66a4",
+    ),
+}
+
 # report_row's columns in CSV order; the row digests above sort their keys,
 # so only this list can see a reordered or renamed column
 REPORT_HEADER = [
@@ -193,6 +212,7 @@ def baseline_run(
         "traced_drops": dict(sorted(traced_drops.items())),
         "protocol_events": report.protocol_events,
         "traced_events": {name: trace.count(name) for name in report.protocol_events},
+        "rreq_sent": trace.count("tx_rreq"),
     }
 
 
@@ -256,6 +276,27 @@ def test_fast_mobility_digests(protocol, seed):
     assert (run["trace_sha256"], run["row_sha256"]) == FAST[protocol, seed]
     assert run["traced_drops"] == run["drop_breakdown"]
     assert run["traced_events"] == run["protocol_events"]
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(LATE))
+def test_late_flood_copy_digests(protocol, seed):
+    run = baseline_run(protocol, 20, seed, **LATE_OVERRIDE)
+    assert run["energy_closed"]
+    assert (run["trace_sha256"], run["row_sha256"]) == LATE[protocol, seed]
+    assert run["traced_drops"] == run["drop_breakdown"]
+    assert run["traced_events"] == run["protocol_events"]
+
+
+def test_late_flood_copies_are_admitted_again_after_the_cache_lifetime():
+    # An AODV node relays a flood at most once while it remembers the flood,
+    # so more than n requests sent per flood means late copies were admitted
+    # again (15,742 requests for 153 floods at n = 20; 2,285 with the
+    # baseline's 6 s lifetime).
+    run = baseline_run("aodv", 20, 1, **LATE_OVERRIDE)
+    events = run["protocol_events"]
+    floods = sum(events.get(e, 0) for e in ("discovery_start", "discovery_retry", "repair_start"))
+    assert floods > 0
+    assert run["rreq_sent"] > 20 * floods
 
 
 def test_report_header_is_pinned():

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     adjacency_from_positions,
     all_simple_paths,
     departing_model,
+    receive,
     router_state,
     static_model,
 )
@@ -137,8 +139,9 @@ def test_forward_drops_when_already_on_record():
     sc = Scenario(node_count=3, duration=1.0, protocol="maodv")
     net = build_network(sc, with_trace=True, mobility=static_model([(0, 0), (100, 0), (200, 0)]))
     rreq = Rreq(origin=0, dest=2, rreq_id=1, hop_count=1, route_record=(0, 1))
-    net.routers[1]._handle_rreq(rreq, sender=0)
+    receive(net, 1, rreq, 0)
     assert net.trace.count("tx_rreq") == 0
+    assert not net.routers[1].floods
 
 
 def test_requests_carry_no_sequence_numbers():
@@ -153,7 +156,7 @@ def test_requests_carry_no_sequence_numbers():
     assert not any(hasattr(r, "seq") for r in net.routers)
 
 
-# -- flood records close when full ------------------------------------------------
+# -- a node closes a flood when it can admit no more --------------------------------
 
 # eight nodes 300 m apart: nobody hears anybody, so only the handler under
 # test acts, and a frame it sends reaches no one
@@ -174,9 +177,11 @@ def flood_net(**proto_kw):
     return build_network(sc, with_trace=True, mobility=static_model(APART))
 
 
-def copy_of(record):
-    """A copy of flood (0, 1) toward node 7 that travelled `record`."""
-    return Rreq(origin=0, dest=7, rreq_id=1, hop_count=len(record) - 1, route_record=record)
+def copy_of(record, table):
+    """A copy of flood (0, 1) toward node 7 that travelled `record`; all
+    copies of the flood share its `table`."""
+    return Rreq(origin=0, dest=7, rreq_id=1, hop_count=len(record) - 1, route_record=record,
+                flood=table)
 
 
 # four distinct route records from 0, hop counts 1, 1, 1 and 2
@@ -185,66 +190,74 @@ COPIES = [(0, 1), (0, 2), (0, 3), (0, 1, 2)]
 
 def test_relay_forwards_up_to_its_copy_cap_then_closes():
     net = flood_net(mpath_max_copies=2)
-    relay = net.routers[5]
+    table = {}
     for record in COPIES:
-        relay._handle_rreq(copy_of(record), sender=record[-1])
+        receive(net, 5, copy_of(record, table), record[-1])
     assert net.trace.count("tx_rreq") == 2
-    flood = relay.floods[(0, 1)]
-    assert flood.closed
-    assert list(flood.paths) == [(0, 1, 5), (0, 2, 5)]
+    assert table == {5: math.inf}
+    assert list(net.routers[5].floods[(0, 1)].paths) == [(0, 1, 5), (0, 2, 5)]
 
 
 def test_closed_flood_rejects_a_copy_before_building_its_record():
     net = flood_net(mpath_max_copies=1)
-    relay = net.routers[5]
-    relay._handle_rreq(copy_of((0, 1)), sender=1)
-    relay._handle_rreq(copy_of(NoConcat((0, 2))), sender=2)
+    table = {}
+    receive(net, 5, copy_of((0, 1), table), 1)
+    receive(net, 5, copy_of(NoConcat((0, 2)), table), 2)
     assert net.trace.count("tx_rreq") == 1
-    assert list(relay.floods[(0, 1)].paths) == [(0, 1, 5)]
+    assert list(net.routers[5].floods[(0, 1)].paths) == [(0, 1, 5)]
 
 
 def test_a_discarded_request_copy_changes_nothing():
     net = flood_net(mpath_max_copies=1)
-    relay = net.routers[5]
-    relay.on_frame(copy_of((0, 1)), 1)
-    assert relay.floods[(0, 1)].closed
-    # a copy at a closed record, a copy of a new flood whose record already
-    # holds the relay, and the origin's own request
+    table = {}
+    receive(net, 5, copy_of((0, 1), table), 1)
+    assert table == {5: math.inf}
+    # a copy of a flood the relay has closed, a copy of a new flood whose
+    # record already holds the relay, and the origin's own request
     on_record = Rreq(origin=0, dest=7, rreq_id=2, hop_count=2, route_record=(0, 5, 6))
-    for router, rreq in (
-        (relay, copy_of((0, 2))), (relay, on_record), (net.routers[0], copy_of((0, 3)))
-    ):
+    for node, rreq in ((5, copy_of((0, 2), table)), (5, on_record), (0, copy_of((0, 3), table))):
+        router = net.routers[node]
         before = router_state(router)
-        assert router.discards_rreq(rreq)
-        router.on_frame(rreq, rreq.route_record[-1])
+        receive(net, node, rreq, rreq.route_record[-1])
         assert router_state(router) == before
 
 
 def test_unbounded_copy_cap_admits_every_in_slack_copy_and_never_closes():
     net = flood_net(mpath_max_copies=0, mpath_slack=1)
-    relay = net.routers[5]
+    table = {}
     # (0, 1, 2, 3) is 3 hops against a best of 1 and a slack of 1
     for record in COPIES + [(0, 1, 2, 3), (0, 4)]:
-        relay._handle_rreq(copy_of(record), sender=record[-1])
-    flood = relay.floods[(0, 1)]
+        receive(net, 5, copy_of(record, table), record[-1])
     assert net.trace.count("tx_rreq") == 5
-    assert not flood.closed
-    assert list(flood.paths) == [r + (5,) for r in COPIES + [(0, 4)]]
+    assert table == {}
+    assert list(net.routers[5].floods[(0, 1)].paths) == [r + (5,) for r in COPIES + [(0, 4)]]
 
 
 def test_destination_collects_up_to_its_path_cap_and_replies_once():
     net = flood_net(mpath_max_paths=2)
-    dest = net.routers[7]
+    table = {}
     for record in COPIES[:3]:
-        dest._handle_rreq(copy_of(record), sender=record[-1])
-    flood = dest.floods[(0, 1)]
-    assert flood.closed
-    assert list(flood.paths) == [(0, 1, 7), (0, 2, 7)]
+        receive(net, 7, copy_of(record, table), record[-1])
+    assert table == {7: math.inf}
+    assert list(net.routers[7].floods[(0, 1)].paths) == [(0, 1, 7), (0, 2, 7)]
     net.engine.run_until(5.0)
     replies = [l for l in net.trace.lines if " paths_collected " in l]
     assert len(replies) == 1
     assert replies[0].endswith("origin=0 n=2")
     assert net.trace.count("tx_rrep") == 1
+
+
+def test_destination_closes_its_flood_when_it_replies():
+    net = flood_net(mpath_max_paths=0)
+    table = {}
+    receive(net, 7, copy_of((0, 1), table), 1)
+    assert table == {}
+    net.engine.run_until(5.0)
+    assert net.trace.count("tx_rrep") == 1
+    assert table == {7: math.inf}
+    before = router_state(net.routers[7])
+    receive(net, 7, copy_of((0, 2), table), 2)
+    assert router_state(net.routers[7]) == before
 
 
 # trace sha256 of the 30 s baseline at n=40, seed 1, maodv, keyed by

@@ -65,8 +65,9 @@ def test_derived_timings_on_baseline(protocol):
 
 
 # (protocol) -> (RREQ receptions, those that reach on_frame) on the baseline at
-# n = 100, seed 1: RFC 3561 6.5 and MAODV's closed flood records turn the
-# rest away before dispatch
+# n = 100, seed 1: the radio turns the rest away before dispatch, by each
+# copy's route record and its flood's table (RFC 3561 6.5 for AODV, the
+# floods a MAODV node has closed)
 RREQ_DISPATCH = {"aodv": (104_490, 2_772), "maodv": (233_225, 6_528)}
 
 

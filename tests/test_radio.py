@@ -19,13 +19,9 @@ from manetsim.trace import Trace
 from conftest import static_model
 
 
-def stub_routers(node_count, on_frame, discards=lambda n, pkt: False):
-    """Router stand-ins: a reception at node n calls on_frame(n, pkt, sender)
-    unless it is a request copy that discards(n, pkt) turns away."""
-    return [
-        SimpleNamespace(on_frame=partial(on_frame, n), discards_rreq=partial(discards, n))
-        for n in range(node_count)
-    ]
+def stub_routers(node_count, on_frame):
+    """Router stand-ins: a reception at node n calls on_frame(n, pkt, sender)."""
+    return [SimpleNamespace(on_frame=partial(on_frame, n)) for n in range(node_count)]
 
 
 def make_radio(positions, params=None, initial_j=10.0):
@@ -454,27 +450,28 @@ def test_receiver_drained_mid_frame_is_charged_after_earlier_receivers():
 def test_batch_delivery_books_like_a_debit_per_receiver(budgets, amount_pj, rx, data):
     receivers = tuple(data.draw(st.permutations(range(len(budgets)))))
     receivers = receivers[: data.draw(st.integers(0, len(receivers)))]
-    # receivers that discard the request copy: booked alike, never handled
-    discarding = data.draw(st.sets(st.sampled_from(range(len(budgets)))))
-    positions = [(10 * n, 0) for n in range(len(budgets) + 1)]
     sender = len(budgets)
+    # the request copy's route record and its flood's table, at time 0: a
+    # receiver on the record, or one the table holds past now, is booked
+    # alike and never handled; an entry at or before now turns nobody away
+    on_record = data.draw(st.sets(st.sampled_from(range(sender))))
+    until = st.sampled_from([-1.0, 0.0, 1e-9, math.inf])
+    table = data.draw(st.dictionaries(st.sampled_from(range(sender)), until))
+    packet = Rreq(sender, 0, 1, 0, (sender, *sorted(on_record)), flood=dict(table))
+    positions = [(10 * n, 0) for n in range(len(budgets) + 1)]
 
     def ledger(handled, deaths):
         _, radio, energy, _, _ = make_radio(positions)
         energy.remaining_pj[:sender] = budgets
         energy.on_death = deaths.append
-        radio.routers[:] = stub_routers(
-            sender + 1,
-            lambda node, *_: handled.append(node),
-            lambda node, _: asked.append(node) or node in discarding,
-        )
+        radio.routers[:] = stub_routers(sender + 1, lambda node, *_: handled.append(node))
         return radio, energy
 
-    handled, deaths, asked, debited = [], [], [], []
+    handled, deaths, debited = [], [], []
     radio, energy = ledger(handled, deaths)
     debit = energy.debit
     energy.debit = lambda node, *charge: debited.append(node) or debit(node, *charge)
-    radio._deliver_batch(receivers, control_pkt(sender), sender, rx, amount_pj)
+    radio._deliver_batch(receivers, packet, sender, rx, amount_pj)
 
     ref_deaths = []
     _, ref = ledger([], ref_deaths)
@@ -483,10 +480,11 @@ def test_batch_delivery_books_like_a_debit_per_receiver(budgets, amount_pj, rx, 
     assert energy.remaining_pj == ref.remaining_pj
     assert energy.consumed_by == ref.consumed_by
     assert deaths == ref_deaths
-    # only a receiver the charge leaves alive is asked; one it drains goes to debit
-    assert asked == survivors
+    # a charge that drains its receiver goes to debit
     assert debited == [recv for recv in receivers if recv not in survivors]
-    assert handled == [recv for recv in survivors if recv not in discarding]
+    admitted = [r for r in survivors if r not in on_record and table.get(r, -1.0) <= 0.0]
+    assert handled == admitted
+    assert packet.flood == table
 
 
 @given(
