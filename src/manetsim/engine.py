@@ -1,13 +1,16 @@
 """Deterministic discrete-event scheduler with labelled random streams."""
 
 import hashlib
-import heapq
 import random
-from typing import Callable
+from bisect import bisect_left
+from heapq import heappop, heappush
+from operator import itemgetter, length_hint
+from typing import Callable, Iterator
 
 # Scheduling clamps a time at most this far behind the clock (float error in
-# a computed deadline) to the clock, and refuses anything earlier. It never
-# merges events: two events 1e-12 apart still run in time order.
+# a computed deadline) to the clock, and refuses anything earlier or NaN. It
+# never merges events: two events 1e-12 apart are two instants, run in time
+# order.
 TIME_EPSILON = 1e-9
 
 
@@ -25,10 +28,12 @@ class EventKind:
     TRAFFIC_TICK = "traffic"
 
 
-# A pending event is its heap entry [time, seq, fn], which is also the handle
-# schedule() returns: ``fn`` runs when the clock reaches ``time``, and cancel()
-# sets it to None. seq is unique, so two entries never compare their ``fn``.
+# A pending event is its entry [time, seq, fn] in its instant's list, which is
+# also the handle schedule() returns: ``fn`` runs when the clock reaches
+# ``time``, and cancel() sets it to None.
 Handle = list
+
+_SEQ = itemgetter(1)
 
 
 class Engine:
@@ -36,11 +41,21 @@ class Engine:
 
     Events are processed in strictly non-decreasing time order; ties are
     broken FIFO by insertion counter, so a run is fully reproducible.
+
+    Pending events are kept per instant: a heap holds each distinct pending
+    time once, and ``_pending`` maps it to its entries in insertion-number
+    order. Most events share their instant with others (hello ticks on whole
+    seconds, their deliveries one airtime later), so the heap stays small and
+    an instant's events run from a plain list.
     """
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[Handle] = []
+        self._times: list[float] = []
+        self._pending: dict[float, list[Handle]] = {}
+        # the instant being run and the iterator over it: the entries before
+        # the iterator's position have run
+        self._running: tuple[list[Handle], Iterator[Handle]] | tuple[()] = ()
         self._counter = 0
         self.processed = 0
 
@@ -48,10 +63,16 @@ class Engine:
         """Enqueue work at ``time``; returns a handle usable with cancel()."""
         seq = self._counter
         self._counter = seq + 1
-        if time < self.now:
+        if not time >= self.now:  # behind the clock, or NaN
             return self._push(time, seq, fn)
+        # a fresh number is above every pending one, so it goes last
         entry = [time, seq, fn]
-        heapq.heappush(self._heap, entry)
+        entries = self._pending.get(time)
+        if entries is None:
+            self._pending[time] = [entry]
+            heappush(self._times, time)
+        else:
+            entries.append(entry)
         return entry
 
     def reserve(self, count: int) -> int:
@@ -69,7 +90,9 @@ class Engine:
         return self._push(time, seq, fn)
 
     def _push(self, time: float, seq: int, fn: Callable[[], None]) -> Handle:
-        if time < self.now:
+        if not time >= self.now:
+            if time != time:
+                raise SimulationError(f"scheduled event at t={time}: not a number")
             if self.now - time <= TIME_EPSILON:
                 time = self.now
             else:
@@ -77,7 +100,17 @@ class Engine:
                     f"scheduled event at t={time} in the past (clock={self.now})"
                 )
         entry = [time, seq, fn]
-        heapq.heappush(self._heap, entry)
+        entries = self._pending.get(time)
+        if entries is None:
+            self._pending[time] = [entry]
+            heappush(self._times, time)
+            return entry
+        lo = 0
+        if self._running and self._running[0] is entries:
+            # land after the entries that have run: a number below the
+            # running event's then runs next, as a heap would run it
+            lo = len(entries) - length_hint(self._running[1])
+        entries.insert(bisect_left(entries, seq, lo, key=_SEQ), entry)
         return entry
 
     def cancel(self, handle: Handle) -> None:
@@ -85,23 +118,37 @@ class Engine:
         handle[2] = None
 
     def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
+        """Drop every pending event (between runs, not from a callback)."""
+        self._times.clear()
+        self._pending.clear()
+        self._running = ()
 
     def run_until(self, t_end: float) -> int:
         """Process every event with time <= t_end; clock finishes at t_end."""
         if t_end < self.now:
             raise SimulationError(f"run_until({t_end}) behind clock {self.now}")
         processed = 0
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            time, _, fn = heappop(heap)
-            if fn is None:
-                continue
+        times, pending = self._times, self._pending
+        while times and times[0] <= t_end:
+            time = times[0]
             self.now = time
-            fn()
-            processed += 1
+            entries = pending[time]
+            run = iter(entries)
+            self._running = (entries, run)
+            try:
+                # the iterator also reaches entries appended at `now` meanwhile
+                for _, _, fn in run:
+                    if fn is not None:
+                        fn()
+                        processed += 1
+            except BaseException:
+                # the raising event is spent; the rest of its instant stays pending
+                del entries[: len(entries) - length_hint(run)]
+                self._running = ()
+                raise
+            heappop(times)
+            del pending[time]
+        self._running = ()
         self.now = t_end
         self.processed += processed
         return processed

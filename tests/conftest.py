@@ -129,12 +129,17 @@ def bfs_hops(adjacency: dict, src, dst) -> int | None:
     return None
 
 
+def pending_events(engine):
+    """The engine's pending entries [time, seq, fn], in the order they run."""
+    return [entry for time in sorted(engine._pending) for entry in engine._pending[time]]
+
+
 def router_state(router):
     """A copy of what a frame handler could change: the router's own fields
     (its run context and engine aside) and the engine's pending events."""
     fields = {k: v for k, v in vars(router).items() if k not in ("ctx", "engine")}
     engine = router.engine
-    return copy.deepcopy(fields), [entry[:] for entry in engine._heap], engine._counter
+    return copy.deepcopy(fields), [entry[:] for entry in pending_events(engine)], engine._counter
 
 
 def receive(net, recv, packet, sender):

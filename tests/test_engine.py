@@ -1,7 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+import heapq
+import math
 
-from manetsim.engine import Engine, EventKind, RngStream, SimulationError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from manetsim.engine import TIME_EPSILON, Engine, EventKind, RngStream, SimulationError
 
 
 def test_events_processed_in_time_order():
@@ -137,6 +140,148 @@ def test_clock_never_decreases(times):
     eng.run_until(101.0)
     assert stamps == sorted(stamps)
     assert len(stamps) == len(times)
+
+
+@pytest.mark.parametrize("time", [math.nan, -math.nan])
+def test_nan_time_is_hard_fault(time):
+    eng = Engine()
+    base = eng.reserve(1)
+    with pytest.raises(SimulationError, match="nan: not a number"):
+        eng.schedule(time, EventKind.TIMER, lambda: None)
+    with pytest.raises(SimulationError, match="nan: not a number"):
+        eng.schedule_reserved(time, base, EventKind.TIMER, lambda: None)
+    assert eng.run_until(math.inf) == 0
+
+
+class HeapEngine:
+    """The reference order: one heap of [time, seq, fn] entries."""
+
+    def __init__(self):
+        self.now, self.heap, self.counter, self.processed = 0.0, [], 0, 0
+
+    def schedule(self, time, kind, fn):
+        self.counter += 1
+        return self.schedule_reserved(time, self.counter - 1, kind, fn)
+
+    def reserve(self, count):
+        self.counter += count
+        return self.counter - count
+
+    def schedule_reserved(self, time, seq, kind, fn):
+        if time < self.now:
+            if self.now - time > TIME_EPSILON:
+                raise SimulationError("past")
+            time = self.now
+        entry = [time, seq, fn]
+        heapq.heappush(self.heap, entry)
+        return entry
+
+    def cancel(self, handle):
+        handle[2] = None
+
+    def run_until(self, t_end):
+        if t_end < self.now:
+            raise SimulationError("behind")
+        processed = 0
+        while self.heap and self.heap[0][0] <= t_end:
+            time, _, fn = heapq.heappop(self.heap)
+            if fn is not None:
+                self.now = time
+                fn()
+                processed += 1
+        self.now, self.processed = t_end, self.processed + processed
+        return processed
+
+
+class Boom(Exception):
+    pass
+
+
+# Absolute times share instants and include a pair 1e-12 apart; offsets from
+# the clock include one clamped to it and one refused.
+TIMES = [0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 3.0]
+OFFSETS = [-2 * TIME_EPSILON, -TIME_EPSILON / 2, 0.0, 0.0, 1e-12, 0.5, 1.0]
+RUN_ENDS = [0.0, 0.5, 1.0, 1.0 + 5e-13, 2.0, 0.25]
+
+# A push takes a fresh insertion number (slot None) or a reserved one; inside
+# a running event its time is an offset from the clock. A running event may
+# also cancel a handle, pending or already run, or raise.
+def push_op(times):
+    return st.tuples(
+        st.just("push"), st.none() | st.integers(0, 15), st.integers(0, len(times) - 1),
+        st.integers(0, 7),
+    )
+
+
+CANCEL_OP = st.tuples(st.just("cancel"), st.integers(0, 63))
+SUB_OP = push_op(OFFSETS) | CANCEL_OP | st.tuples(st.just("raise"))
+TOP_OP = (
+    push_op(TIMES) | CANCEL_OP
+    | st.tuples(st.just("reserve"), st.integers(0, 4))
+    | st.tuples(st.just("run"), st.integers(0, len(RUN_ENDS) - 1))
+)
+
+
+def replay(eng, actions, ops):
+    """Run one drawn program on `eng`; returns everything it observed."""
+    log, handles, used = [], [], set()
+    base = eng.reserve(4)
+    numbers = list(range(base, base + 4))
+
+    def push(slot, time, action):
+        seq = None if slot is None else numbers[slot % len(numbers)]
+        if seq in used:  # a reserved number is pushed once
+            return
+        if seq is not None:
+            used.add(seq)
+        label = len(handles)
+
+        def fn():
+            log.append(("ran", label, eng.now))
+            for op, *args in actions[action]:
+                if op == "raise":
+                    raise Boom(label)
+                if op == "cancel":
+                    eng.cancel(handles[args[0] % len(handles)])
+                elif len(handles) < 120:
+                    push(args[0], eng.now + OFFSETS[args[1]], args[2])
+
+        try:
+            handles.append(
+                eng.schedule(time, EventKind.TIMER, fn) if seq is None
+                else eng.schedule_reserved(time, seq, EventKind.TIMER, fn)
+            )
+        except SimulationError:
+            log.append(("refused", label))
+
+    def run(t_end):
+        try:
+            log.append(("run", eng.run_until(t_end), eng.now))
+        except (Boom, SimulationError) as exc:
+            log.append(("raised", type(exc).__name__, eng.now))
+
+    for op, *args in ops:
+        if op == "push":
+            push(args[0], TIMES[args[1]], args[2])
+        elif op == "reserve":
+            base = eng.reserve(args[0])
+            numbers.extend(range(base, base + args[0]))
+        elif op == "cancel" and handles:
+            eng.cancel(handles[args[0] % len(handles)])
+        elif op == "run":
+            run(RUN_ENDS[args[0]])
+    for _ in range(len(handles) + 1):  # each raise spends one event
+        run(10.0)
+    return log, eng.processed, eng.now
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(SUB_OP, max_size=4), min_size=8, max_size=8),
+    st.lists(TOP_OP, max_size=30),
+)
+def test_event_order_matches_a_single_heap(actions, ops):
+    assert replay(Engine(), actions, ops) == replay(HeapEngine(), actions, ops)
 
 
 def test_rng_streams_reproducible_and_independent():

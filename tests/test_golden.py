@@ -11,10 +11,11 @@ import hashlib
 import json
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from manetsim import parse_scenario, run_scenario, scenario_text
+from manetsim import parse_scenario, run_scenario, runner, scenario_text
 from manetsim.sweep import report_row
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
@@ -164,6 +165,39 @@ LATE = {
     ),
 }
 
+# Every pin above runs generated flows, which share one interval, so no
+# reserved traffic tick is ever pushed ahead of another one already pending at
+# its instant. These run the baseline at n = 20 with three explicit flows at
+# 0.1, 0.25 and 0.5 s, all starting at 1 s; the shortest interval is declared
+# first, so its ticks hold the lowest reserved numbers and each one lands
+# ahead of the slower flows' ticks pushed earlier for the same instant.
+MIXED_FLOWS = (
+    "flow = 0 5 512 0.1 1 120\n"
+    "flow = 3 9 512 0.25 1 120\n"
+    "flow = 7 14 512 0.5 1 120\n"
+)
+
+# (protocol, seed) -> (sha256 of the trace text, sha256 of the report_row)
+MIXED = {
+    ("aodv", 1): (
+        "3c6faaf32cf44afe4a21f8bff5ac5ec559af9922d98953bd108e82ce0f967f4d",
+        "f5a7c215d731718ae79babf29f124eac08cf4f6d8188d6bca7a13eafc2dba275",
+    ),
+    ("maodv", 1): (
+        "7605f47122c9a899ef3df71e93895053af476282396a49fe84027052adbec522",
+        "27216f32be23e9f8b318ae6ae07173f68ebb26a18f8f236e810cb68b8ad23faa",
+    ),
+}
+
+# (protocol, node_count, seed) -> Engine.processed over the baseline run: the
+# events a run executes, which perfbench's events_per_s divides by
+EVENTS = {
+    ("aodv", 20, 1): 40_262,
+    ("maodv", 20, 1): 48_457,
+    ("aodv", 100, 1): 47_863,
+    ("maodv", 100, 1): 70_419,
+}
+
 # report_row's columns in CSV order; the row digests above sort their keys,
 # so only this list can see a reordered or renamed column
 REPORT_HEADER = [
@@ -185,16 +219,26 @@ REPORT_HEADER = [
 
 @functools.cache
 def baseline_run(
-    protocol: str, node_count: int, seed: int, pause_time: float = 0.0, **overrides
+    protocol: str, node_count: int, seed: int, pause_time: float = 0.0,
+    flow_lines: str = "", **overrides
 ) -> dict:
     """One traced baseline run, reduced to what the checks below compare;
-    `overrides` replaces further scenario keys."""
-    base = parse_scenario(BASELINE.read_text(), "baseline")
+    `flow_lines` is appended to the scenario text and `overrides` replaces
+    further scenario keys."""
+    base = parse_scenario(BASELINE.read_text() + flow_lines, "baseline")
     sc = base.variant(
         protocol=protocol, node_count=node_count, master_seed=seed, pause_time=pause_time,
         **overrides,
     )
-    result = run_scenario(sc, with_trace=True)
+    networks = []
+    build = runner.build_network
+
+    def keep_network(*args, **kwargs):
+        networks.append(build(*args, **kwargs))
+        return networks[-1]
+
+    with mock.patch.object(runner, "build_network", keep_network):
+        result = run_scenario(sc, with_trace=True)
     report, trace = result.report, result.trace
     row = report_row(sc, report)
     # drop lines read `time node drop pkt cause`
@@ -213,6 +257,7 @@ def baseline_run(
         "protocol_events": report.protocol_events,
         "traced_events": {name: trace.count(name) for name in report.protocol_events},
         "rreq_sent": trace.count("tx_rreq"),
+        "events": networks[0].engine.processed,
     }
 
 
@@ -285,6 +330,20 @@ def test_late_flood_copy_digests(protocol, seed):
     assert (run["trace_sha256"], run["row_sha256"]) == LATE[protocol, seed]
     assert run["traced_drops"] == run["drop_breakdown"]
     assert run["traced_events"] == run["protocol_events"]
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(MIXED))
+def test_mixed_interval_flow_digests(protocol, seed):
+    run = baseline_run(protocol, 20, seed, flow_lines=MIXED_FLOWS)
+    assert run["energy_closed"]
+    assert (run["trace_sha256"], run["row_sha256"]) == MIXED[protocol, seed]
+    assert run["traced_drops"] == run["drop_breakdown"]
+    assert run["traced_events"] == run["protocol_events"]
+
+
+@pytest.mark.parametrize("protocol,node_count,seed", sorted(EVENTS))
+def test_baseline_event_count(protocol, node_count, seed):
+    assert baseline_run(protocol, node_count, seed)["events"] == EVENTS[protocol, node_count, seed]
 
 
 def test_late_flood_copies_are_admitted_again_after_the_cache_lifetime():

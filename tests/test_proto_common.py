@@ -11,7 +11,7 @@ from manetsim.proto_common import HELLO, SEQ_SPACE, fresher
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import TrafficSource
 
-from conftest import departing_model, static_model
+from conftest import departing_model, pending_events, static_model
 
 
 def test_fresher_basic():
@@ -274,12 +274,12 @@ def test_losing_a_neighbor_no_route_uses_changes_nothing(protocol):
         assert source.caches[2].primary_route() == (0, 1, 2)
         assert net.routers[1].carried
 
-    lines, pending = len(net.trace.lines), len(net.engine._heap)
+    lines, pending = len(net.trace.lines), len(pending_events(net.engine))
     before = [routing_state(r) for r in net.routers]
     for r in net.routers[:3]:
         r.on_neighbor_lost(3)
     assert net.trace.lines[lines:] == []  # no link_break, no frame sent
-    assert len(net.engine._heap) == pending
+    assert len(pending_events(net.engine)) == pending
     assert [routing_state(r) for r in net.routers] == before
 
     # the neighbor the flow runs through is a break

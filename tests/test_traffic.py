@@ -7,7 +7,7 @@ from manetsim.engine import EventKind, RngStream
 from manetsim.runner import build_network, resolve_flows
 from manetsim.traffic import FlowSpec, TrafficSource, generate_flows
 
-from conftest import static_model
+from conftest import pending_events, static_model
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
@@ -27,9 +27,9 @@ def sends(net, until):
 
 
 def pending_ticks(engine):
-    """Pending heap entries [time, seq, fn] whose callback a TrafficSource armed."""
+    """Pending entries [time, seq, fn] whose callback a TrafficSource armed."""
     return [
-        entry for entry in engine._heap
+        entry for entry in pending_events(engine)
         if entry[2] is not None and entry[2].__qualname__.startswith("TrafficSource.")
     ]
 
