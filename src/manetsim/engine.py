@@ -1,5 +1,6 @@
 """Deterministic discrete-event scheduler with labelled random streams."""
 
+import gc
 import hashlib
 import random
 from bisect import bisect_left
@@ -124,30 +125,45 @@ class Engine:
         self._running = ()
 
     def run_until(self, t_end: float) -> int:
-        """Process every event with time <= t_end; clock finishes at t_end."""
-        if t_end < self.now:
+        """Process every event with time <= t_end; clock finishes at t_end.
+
+        The cyclic collector is paused while the loop runs and restored to
+        the caller's setting afterwards, even when a callback raises. A run
+        makes no reference cycle (the runner drops the few it holds once the
+        run is over), so a collector pass mid-run would only scan the live
+        network and free nothing.
+        """
+        if not t_end >= self.now:
+            if t_end != t_end:
+                raise SimulationError(f"run_until({t_end}): not a number")
             raise SimulationError(f"run_until({t_end}) behind clock {self.now}")
         processed = 0
         times, pending = self._times, self._pending
-        while times and times[0] <= t_end:
-            time = times[0]
-            self.now = time
-            entries = pending[time]
-            run = iter(entries)
-            self._running = (entries, run)
-            try:
-                # the iterator also reaches entries appended at `now` meanwhile
-                for _, _, fn in run:
-                    if fn is not None:
-                        fn()
-                        processed += 1
-            except BaseException:
-                # the raising event is spent; the rest of its instant stays pending
-                del entries[: len(entries) - length_hint(run)]
-                self._running = ()
-                raise
-            heappop(times)
-            del pending[time]
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while times and times[0] <= t_end:
+                time = times[0]
+                self.now = time
+                entries = pending[time]
+                run = iter(entries)
+                self._running = (entries, run)
+                try:
+                    # the iterator also reaches entries appended at `now` meanwhile
+                    for _, _, fn in run:
+                        if fn is not None:
+                            fn()
+                            processed += 1
+                except BaseException:
+                    # the raising event is spent; the rest of its instant stays pending
+                    del entries[: len(entries) - length_hint(run)]
+                    self._running = ()
+                    raise
+                heappop(times)
+                del pending[time]
+        finally:
+            if collecting:
+                gc.enable()
         self._running = ()
         self.now = t_end
         self.processed += processed

@@ -181,7 +181,8 @@ class RouterBase:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # packet type -> handler, resolved once per protocol class; a hello
+        # packet type -> handler, resolved once per protocol class and read
+        # by on_frame for a broadcast and by the radio for a unicast; a hello
         # never gets here, the radio writes its reception into hello_deadline
         cls._frame_handlers = {
             Data: cls._handle_data,

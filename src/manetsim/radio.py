@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA
-from .engine import Engine, EventKind, RngStream
+from .engine import Engine, EventKind, RngStream, SimulationError
 from .mobility import MobilityModel
 from .proto_common import Data, Hello, Rerr, Rrep, Rreq
 
@@ -61,8 +61,9 @@ class Radio:
         self.trace = trace
         # by node id; a hello reception writes the receiver's hello_deadline,
         # a request copy goes no further when the receiver is on its route
-        # record or the flood's table holds it past now, any other reception
-        # calls the receiver's on_frame(packet, sender)
+        # record or the flood's table holds it past now, a unicast calls the
+        # addressee's handler from its `_frame_handlers` table, and any other
+        # reception calls the receiver's on_frame(packet, sender)
         self.routers = routers
         self.loss_rng = loss_rng
         # One whole-network position snapshot, taken at _pos_from, holds for
@@ -243,11 +244,28 @@ class Radio:
                 ox, oy = position(addressee, now)
                 dx, dy = ox - sx, oy - sy
                 duration += delay_per_m * math.sqrt(dx * dx + dy * dy)
-            self.engine.schedule(
-                now + duration,
-                EventKind.FRAME_DELIVERY,
-                lambda r=addressee, p=packet, s=sender: self._deliver_one(r, p, s, rx, rx_pj),
-            )
+            router = self.routers[addressee]
+            try:
+                handler = router._frame_handlers[type(packet)]
+            except KeyError:
+                raise SimulationError(f"unknown packet type {packet!r}") from None
+
+            # the one reception, booked by the rule of the delivery batch
+            # below and handed straight to the addressee's handler
+            def deliver(
+                energy=self.energy, recv=addressee, handler=handler, router=router,
+                packet=packet, sender=sender, rx=rx, amount_pj=rx_pj,
+            ) -> None:
+                remaining = energy.remaining_pj
+                left = remaining[recv] - amount_pj
+                if left > 0:
+                    remaining[recv] = left
+                    energy.consumed_by[recv][rx] += amount_pj
+                    handler(router, packet, sender)
+                else:
+                    energy.debit(recv, rx, amount_pj)
+
+            self.engine.schedule(now + duration, EventKind.FRAME_DELIVERY, deliver)
             return 1
 
         receivers = self.neighbors(sender, now)
@@ -283,28 +301,16 @@ class Radio:
                 )
         return len(receivers)
 
-    # Each reception path below books a charge that leaves the receiver alive
-    # in place and hands any other to debit, receiver by receiver in the order
-    # given: the forwards of the receivers before it read its aliveness, so it
-    # must not be charged any earlier.
-
-    def _deliver_one(self, recv: int, packet, sender: int, rx: int, amount_pj: int) -> None:
-        """One reception of a frame that is neither a hello nor a request:
-        every unicast, and each receiver of any other broadcast."""
-        energy = self.energy
-        remaining = energy.remaining_pj
-        left = remaining[recv] - amount_pj
-        if left > 0:
-            remaining[recv] = left
-            energy.consumed_by[recv][rx] += amount_pj
-            self.routers[recv].on_frame(packet, sender)
-        else:
-            energy.debit(recv, rx, amount_pj)
-
     def _deliver_batch(
         self, receivers: list[int] | tuple[int], packet, sender: int, rx: int, amount_pj: int
     ) -> None:
-        """A broadcast's receptions, one loop per frame kind."""
+        """A broadcast's receptions, one loop per frame kind.
+
+        Each loop books a charge that leaves the receiver alive in place and
+        hands any other to debit, receiver by receiver in the order given:
+        the forwards of the receivers before it read its aliveness, so it
+        must not be charged any earlier.
+        """
         energy = self.energy
         remaining, consumed_by = energy.remaining_pj, energy.consumed_by
         routers = self.routers
@@ -338,6 +344,11 @@ class Radio:
                 else:
                     energy.debit(recv, rx, amount_pj)
         else:
-            deliver = self._deliver_one
             for recv in receivers:
-                deliver(recv, packet, sender, rx, amount_pj)
+                left = remaining[recv] - amount_pj
+                if left > 0:
+                    remaining[recv] = left
+                    consumed_by[recv][rx] += amount_pj
+                    routers[recv].on_frame(packet, sender)
+                else:
+                    energy.debit(recv, rx, amount_pj)

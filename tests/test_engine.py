@@ -1,10 +1,18 @@
+import contextlib
+import gc
 import heapq
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manetsim import parse_scenario
 from manetsim.engine import TIME_EPSILON, Engine, EventKind, RngStream, SimulationError
+from manetsim.runner import run_scenario
+
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
 
 def test_events_processed_in_time_order():
@@ -150,7 +158,59 @@ def test_nan_time_is_hard_fault(time):
         eng.schedule(time, EventKind.TIMER, lambda: None)
     with pytest.raises(SimulationError, match="nan: not a number"):
         eng.schedule_reserved(time, base, EventKind.TIMER, lambda: None)
-    assert eng.run_until(math.inf) == 0
+    # a NaN end is refused with the clock left where it was
+    with pytest.raises(SimulationError, match=r"run_until\(nan\): not a number"):
+        eng.run_until(time)
+    assert eng.now == 0.0
+    eng.schedule(1.0, EventKind.TIMER, lambda: None)
+    assert eng.run_until(math.inf) == 1
+
+
+@pytest.mark.parametrize("raising", [False, True])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_run_until_pauses_the_collector_and_restores_the_callers_setting(collecting, raising):
+    seen = []
+
+    def event():
+        seen.append(gc.isenabled())
+        if raising:
+            raise RuntimeError("callback failed")
+
+    eng = Engine()
+    eng.schedule(1.0, EventKind.TIMER, event)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError) if raising else contextlib.nullcontext():
+            eng.run_until(2.0)
+        assert seen == [False]
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_baseline_run_makes_no_collector_pass_inside_the_loop():
+    # a pass is inside the loop when run_until is on the stack that set it off
+    loop = Engine.run_until.__code__
+    inside = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not loop:
+                frame = frame.f_back
+            if frame is not None:
+                inside.append(info["generation"])
+
+    sc = parse_scenario(BASELINE.read_text()).variant(duration=20.0)
+    assert gc.isenabled()
+    gc.callbacks.append(on_gc)
+    try:
+        result = run_scenario(sc)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert result.report.delivered > 0
+    assert inside == []
 
 
 class HeapEngine:

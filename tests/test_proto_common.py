@@ -114,14 +114,37 @@ def test_explicit_timings_used_as_given():
     assert net.routers[0].start_discovery(1).timer[0] == 2.0
 
 
-@pytest.mark.parametrize("protocol", ["aodv", "maodv"])
-def test_finished_run_is_freed_without_the_cycle_collector(protocol):
-    sc = parse_scenario(BASELINE.read_text()).variant(protocol=protocol, duration=20.0)
+# Baseline keys replaced for the runs that must leave no reference cycle:
+# the plain baseline; the lossy, delayed, 2 J stress shape of the CI run on
+# the baseline, where nodes die, discoveries retry and routes break; and the
+# late-copy shape of tests/test_golden.py, whose request copies arrive after
+# their flood's cache entry has expired.
+RUN_SHAPES = {
+    "baseline": {"duration": 20.0},
+    "stress": {
+        "duration": 60.0, "loss_prob": 0.05, "propagation_delay": 2e-5, "initial_energy": 2,
+    },
+    "late-copy": {"duration": 8.0, "propagation_delay": 0.004, "rreq_id_cache_ttl": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "protocol,shape",
+    [
+        pytest.param(p, shape, id=p if shape == "baseline" else f"{p}-{shape}")
+        for shape in RUN_SHAPES
+        for p in ("aodv", "maodv")
+    ],
+)
+def test_finished_run_is_freed_without_the_cycle_collector(protocol, shape):
+    sc = parse_scenario(BASELINE.read_text()).variant(protocol=protocol, **RUN_SHAPES[shape])
     gc.collect()
     gc.disable()
     try:
         result = run_scenario(sc, with_trace=True)
         assert result.trace.lines
+        if shape == "stress":
+            assert all(result.trace.count(e) for e in ("death", "discovery_retry", "tx_rerr"))
         del result
         assert gc.collect() == 0  # no unreachable cycle was left behind
     finally:
@@ -147,6 +170,9 @@ def test_a_hello_never_reaches_on_frame(protocol):
     net = make_pair_net(protocol)
     with pytest.raises(SimulationError, match="unknown packet type"):
         net.routers[1].on_frame(HELLO, 0)
+    # nor a handler, when one is unicast
+    with pytest.raises(SimulationError, match="unknown packet type"):
+        net.radio.send(0, HELLO, net.scenario.proto.control_bytes, addressee=1)
 
 
 def test_a_stale_deadline_restarts_the_watch():

@@ -10,7 +10,7 @@ from manetsim.energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA, EnergyLedg
 from manetsim.engine import Engine, RngStream
 from manetsim.metrics import PacketLedger
 from manetsim.mobility import MobilityModel, MobilityParams, WaypointLeg
-from manetsim.proto_common import HELLO, Data, Rreq
+from manetsim.proto_common import HELLO, Data, Rerr, Rrep, Rreq
 from manetsim.radio import Radio, RadioParams
 from manetsim.runner import build_network
 from manetsim.scenario import Scenario
@@ -20,8 +20,16 @@ from conftest import static_model
 
 
 def stub_routers(node_count, on_frame):
-    """Router stand-ins: a reception at node n calls on_frame(n, pkt, sender)."""
-    return [SimpleNamespace(on_frame=partial(on_frame, n)) for n in range(node_count)]
+    """Router stand-ins: a reception at node n calls on_frame(n, pkt, sender).
+    A broadcast reaches it through the router's on_frame, a unicast through
+    the handler the radio reads from the router's `_frame_handlers` table."""
+    handlers = dict.fromkeys(
+        (Data, Rreq, Rrep, Rerr), lambda router, pkt, sender: router.on_frame(pkt, sender)
+    )
+    return [
+        SimpleNamespace(on_frame=partial(on_frame, n), _frame_handlers=handlers)
+        for n in range(node_count)
+    ]
 
 
 def make_radio(positions, params=None, initial_j=10.0):
@@ -485,6 +493,67 @@ def test_batch_delivery_books_like_a_debit_per_receiver(budgets, amount_pj, rx, 
     admitted = [r for r in survivors if r not in on_record and table.get(r, -1.0) <= 0.0]
     assert handled == admitted
     assert packet.flood == table
+
+
+# a unicast frame kind: (packet for an addressee, frame size, rx counter)
+UNICASTS = {
+    "data": (lambda recv, i: data_pkt(0, recv, pkt_id=i), 512, RX_DATA),
+    "rrep": (lambda recv, i: Rrep(0, recv), 64, RX_CONTROL),
+    "rerr": (lambda recv, i: Rerr((recv,)), 64, RX_CONTROL),
+}
+
+
+@given(
+    st.lists(st.sampled_from(["above", "at", "below", "dead"]), min_size=1, max_size=6),
+    st.sampled_from(sorted(UNICASTS)),
+    st.data(),
+)
+def test_unicast_delivery_books_like_a_debit_and_handles_only_a_survivor(levels, kind, data):
+    # each addressee's budget lies above, at or below one rx charge, or is
+    # spent; unicasts go out at time 0 and arrive in send order, so a second
+    # frame to an addressee the first one drained reaches a dead node
+    make_packet, size, rx = UNICASTS[kind]
+    sender = len(levels)
+    frames = data.draw(st.lists(st.sampled_from(range(sender)), max_size=12))
+    offsets = data.draw(st.lists(st.integers(1, 10**6), min_size=sender, max_size=sender))
+    positions = [(10 * n, 0) for n in range(sender + 1)]
+
+    def ledger(handled, deaths):
+        engine, radio, energy, metrics, _ = make_radio(positions)
+        radio.routers[:] = stub_routers(sender + 1, lambda node, *_: handled.append(node))
+        charge = energy.cost_pj(rx, radio.tx_duration(size))
+        for node, (level, k) in enumerate(zip(levels, offsets)):
+            budget = {"above": charge + k, "at": charge, "below": charge - k, "dead": 0}[level]
+            energy.debit(node, TX_CONTROL, energy.initial_pj - budget)  # the books stay closed
+        energy.on_death = deaths.append
+        for i, recv in enumerate(frames):
+            packet = make_packet(recv, i)
+            if kind == "data":
+                metrics.on_sent(packet)
+            radio.send(sender, packet, size, addressee=recv)
+        return engine, energy, charge
+
+    handled, deaths, debited = [], [], []
+    engine, energy, charge = ledger(handled, deaths)
+    assert all(0 < k < charge for k in offsets)  # "below" leaves a live budget
+    debit = energy.debit
+    energy.debit = lambda node, *charge: debited.append(node) or debit(node, *charge)
+    engine.run_until(1.0)
+
+    # the reference: an addressee alive at send time is charged by debit
+    ref_deaths = []
+    _, ref, _ = ledger([], ref_deaths)
+    sent = [recv for recv in frames if levels[recv] != "dead"]
+    survivors = [ref.debit(recv, rx, charge) for recv in sent]
+
+    assert energy.remaining_pj == ref.remaining_pj
+    assert energy.consumed_by == ref.consumed_by
+    assert deaths == ref_deaths
+    assert energy.closed()
+    # booked in place and handled while the charge leaves the addressee
+    # alive; otherwise booked by debit and never handled
+    assert handled == [recv for recv, alive in zip(sent, survivors) if alive]
+    assert debited == [recv for recv, alive in zip(sent, survivors) if not alive]
 
 
 @given(
