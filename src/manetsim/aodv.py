@@ -16,9 +16,6 @@ class RoutingTableEntry:
     expires_at: float = 0.0
     last_used: float = -math.inf
 
-    def valid(self, now: float) -> bool:
-        return now < self.expires_at
-
 
 class AodvRouter(RouterBase):
     def __init__(self, node, ctx):
@@ -30,8 +27,10 @@ class AodvRouter(RouterBase):
     # -- helpers -------------------------------------------------------------
 
     def _valid_entry(self, dest: int) -> RoutingTableEntry | None:
+        """dest's entry while it is valid, else None: the one validity test,
+        an entry being valid until its expiry time."""
         e = self.table.get(dest)
-        if e is not None and e.valid(self.engine.now):
+        if e is not None and self.engine.now < e.expires_at:
             return e
         return None
 
@@ -45,7 +44,7 @@ class AodvRouter(RouterBase):
             self.table[dest] = e
             return e
         if (
-            not e.valid(now)
+            self._valid_entry(dest) is None
             or fresher(seq, e.dest_seq)
             or (seq == e.dest_seq and hops < e.hop_count)
         ):
@@ -86,22 +85,21 @@ class AodvRouter(RouterBase):
 
     # -- hello scoping and liveness -------------------------------------------
 
-    def hello_active(self) -> bool:
+    def _active_routes(self):
+        """Walk the entries of active routes: valid, and used within a route
+        lifetime."""
         now = self.engine.now
         life = self.params.route_lifetime
-        for e in self.table.values():
-            if e.valid(now) and e.last_used + life > now:
-                return True
-        return False
+        for dest, e in self.table.items():
+            if e.last_used + life > now and self._valid_entry(dest) is not None:
+                yield e
+
+    def hello_active(self) -> bool:
+        return next(self._active_routes(), None) is not None
 
     def on_neighbor_lost(self, neighbor: int) -> None:
         now = self.engine.now
-        life = self.params.route_lifetime
-        affected = [
-            e
-            for e in self.table.values()
-            if e.next_hop == neighbor and e.valid(now) and e.last_used + life > now
-        ]
+        affected = [e for e in self._active_routes() if e.next_hop == neighbor]
         if not affected:
             return
         self._note("link_break", f"neighbor={neighbor}")
@@ -210,8 +208,8 @@ class AodvRouter(RouterBase):
         now = self.engine.now
         affected = []
         for dest in rerr.unreachable_dests:
-            e = self.table.get(dest)
-            if e is not None and e.valid(now) and e.next_hop == sender:
+            e = self._valid_entry(dest)
+            if e is not None and e.next_hop == sender:
                 e.expires_at = now
                 affected.append(dest)
         if not affected:
@@ -229,19 +227,20 @@ class AodvRouter(RouterBase):
     def _handle_data(self, pkt: Data, sender: int) -> None:
         if not self._admit_data(pkt):
             return
-        if pkt.dest == self.node:
-            self._touch_reverse(pkt, sender, install=True)
+        dest = pkt.dest
+        if dest == self.node:
+            self._touch_reverse(pkt, sender, True)
             self._deliver(pkt)
             return
-        self._touch_reverse(pkt, sender, install=False)
-        discovery = self.discoveries.get(pkt.dest)
+        self._touch_reverse(pkt, sender, False)
+        discovery = self.discoveries.get(dest)
         if discovery is not None and discovery.repair:
             self._enqueue(discovery, pkt)
             return
-        e = self._valid_entry(pkt.dest)
+        e = self._valid_entry(dest)
         if e is None:
             self._drop(pkt, "no_route")
-            self._emit_rerr((pkt.dest,))
+            self._emit_rerr((dest,))
             return
         self._transmit(pkt, e)
 
@@ -254,9 +253,11 @@ class AodvRouter(RouterBase):
         """
         now = self.engine.now
         life = self.params.route_lifetime
-        e = self.table.get(pkt.origin)
-        if e is not None and e.valid(now):
-            e.expires_at = max(e.expires_at, now + life)
+        e = self._valid_entry(pkt.origin)
+        if e is not None:
+            until = now + life
+            if until > e.expires_at:
+                e.expires_at = until
         elif install:
             e = self._update_route(pkt.origin, sender, len(pkt.traversed) - 1, 0, life)
         else:

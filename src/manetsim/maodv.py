@@ -319,9 +319,11 @@ class MaodvRouter(RouterBase):
             self._deliver(pkt)
             return
         route = pkt.source_route
-        if self.node not in route:
+        try:
+            here = route.index(self.node)
+        except ValueError:
             raise SimulationError(
                 f"node {self.node} forwarding packet {pkt.pkt_id} absent from its "
                 f"source route {route}"
-            )
-        self._forward_data(pkt, route[route.index(self.node) + 1])
+            ) from None
+        self._forward_data(pkt, route[here + 1])

@@ -160,9 +160,14 @@ class RouterBase:
         self.ctx.radio.send(self.node, packet, self.params.control_bytes, addressee)
 
     def _forward_data(self, pkt: Data, next_hop: int) -> None:
-        """Unicast data to next_hop, then watch that hop."""
+        """Unicast data to next_hop, then watch that hop.
+
+        An armed watch always has a deadline, and while that deadline lies
+        after now, watch(next_hop) would change nothing, so it is called
+        only otherwise."""
         self.ctx.radio.send(self.node, pkt, pkt.payload_size, next_hop)
-        self.watch(next_hop)
+        if next_hop not in self._watch_armed or self.hello_deadline[next_hop] <= self.engine.now:
+            self.watch(next_hop)
 
     def _deliver(self, pkt: Data) -> None:
         self.ctx.metrics.on_delivered(pkt, self.engine.now)

@@ -91,20 +91,20 @@ class Radio:
         self._links: list[dict[int, tuple[float, float]]] = [
             {} for _ in range(mobility.node_count)
         ]
-        # a run sends only a few (data?, size) frame kinds, so each is priced
-        # once: (airtime, tx counter, tx pJ, rx counter, rx pJ)
-        self._prices: dict[tuple[bool, int], tuple[float, int, int, int, int]] = {}
+        # a run sends only a few frame sizes per traffic class, so each is
+        # priced once: size -> (airtime, tx counter, tx pJ, rx counter, rx pJ),
+        # control frames at [False] and data at [True]
+        self._prices: tuple[dict[int, tuple[float, int, int, int, int]], ...] = ({}, {})
 
     def tx_duration(self, size_bytes: int) -> float:
         return size_bytes * 8 / self.params.bandwidth
 
-    def _price(self, key: tuple[bool, int]) -> tuple[float, int, int, int, int]:
-        is_data, size_bytes = key
+    def _price(self, is_data: bool, size_bytes: int) -> tuple[float, int, int, int, int]:
         duration = self.tx_duration(size_bytes)
         tx, rx = (TX_DATA, RX_DATA) if is_data else (TX_CONTROL, RX_CONTROL)
         cost_pj = self.energy.cost_pj
         price = (duration, tx, cost_pj(tx, duration), rx, cost_pj(rx, duration))
-        self._prices[key] = price
+        self._prices[is_data][size_bytes] = price
         return price
 
     def positions(self, t: float) -> list[tuple[float, float]]:
@@ -209,12 +209,23 @@ class Radio:
     def send(self, sender: int, packet, size_bytes: int, addressee: int | None = None) -> int:
         """Transmit a frame; returns the number of deliveries scheduled."""
         now = self.engine.now
-        is_data = type(packet) is Data
-        key = (is_data, size_bytes)
-        duration, tx, tx_pj, rx, rx_pj = self._prices.get(key) or self._price(key)
-        if not self.energy.debit(sender, tx, tx_pj):
+        kind = type(packet)
+        is_data = kind is Data
+        duration, tx, tx_pj, rx, rx_pj = (
+            self._prices[is_data].get(size_bytes) or self._price(is_data, size_bytes)
+        )
+        # the sender's charge, booked by the rule of the reception paths: in
+        # place while it leaves the sender alive, else by debit
+        energy = self.energy
+        remaining = energy.remaining_pj
+        left = remaining[sender] - tx_pj
+        if left > 0:
+            remaining[sender] = left
+            energy.consumed_by[sender][tx] += tx_pj
+        else:
             # A dead node transmits nothing, and a battery drained
             # mid-transmission never completes the frame; data is lost.
+            energy.debit(sender, tx, tx_pj)
             if is_data:
                 self.metrics.on_dropped(packet, "dead_node", now, sender)
             return 0
@@ -225,15 +236,18 @@ class Radio:
         if self.trace.enabled:
             tgt = "*" if addressee is None else addressee
             pid = packet.pkt_id if is_data else "-"
-            self.trace.emit(now, sender, TX_EVENT[type(packet)], pid, f"to={tgt}")
+            self.trace.emit(now, sender, TX_EVENT[kind], pid, f"to={tgt}")
 
         loss_p = self.params.per_frame_loss_prob
         delay_per_m = self.params.propagation_delay
         if addressee is not None:
-            # a unicast needs only two positions and one loss draw
-            if not self.reaches(sender, addressee, now) or (
-                loss_p > 0.0 and self.loss_rng.random() < loss_p
-            ):
+            # a unicast needs only two positions and one loss draw, and none
+            # while the sender holds its link to a live addressee
+            held = self._links[sender].get(addressee)
+            reached = (
+                held is not None and held[0] <= now <= held[1] and remaining[addressee] > 0
+            ) or self.reaches(sender, addressee, now)
+            if not reached or (loss_p > 0.0 and self.loss_rng.random() < loss_p):
                 if is_data:
                     # Unicast into the void: the frame reaches nobody.
                     self.metrics.on_dropped(packet, "link_break", now, sender)
@@ -246,14 +260,14 @@ class Radio:
                 duration += delay_per_m * math.sqrt(dx * dx + dy * dy)
             router = self.routers[addressee]
             try:
-                handler = router._frame_handlers[type(packet)]
+                handler = router._frame_handlers[kind]
             except KeyError:
                 raise SimulationError(f"unknown packet type {packet!r}") from None
 
             # the one reception, booked by the rule of the delivery batch
             # below and handed straight to the addressee's handler
             def deliver(
-                energy=self.energy, recv=addressee, handler=handler, router=router,
+                energy=energy, recv=addressee, handler=handler, router=router,
                 packet=packet, sender=sender, rx=rx, amount_pj=rx_pj,
             ) -> None:
                 remaining = energy.remaining_pj

@@ -93,20 +93,17 @@ class TrafficSource:
     def _emit(self, flow: FlowSpec, base: int, count: int, seq: int) -> None:
         if seq + 1 < count:
             self._arm(flow, base, count, seq + 1)
-        now = self.net.engine.now
+        net = self.net
+        now = net.engine.now
+        # positional, in Data's field order: origin, dest, payload_size,
+        # data_seq, sent_at, flow_id, pkt_id, source_route, traversed
         pkt = Data(
-            origin=flow.src,
-            dest=flow.dest,
-            payload_size=flow.payload,
-            data_seq=seq,
-            sent_at=now,
-            flow_id=flow.flow_id,
-            pkt_id=self._next_pkt_id,
-            traversed=[flow.src],
+            flow.src, flow.dest, flow.payload, seq, now, flow.flow_id,
+            self._next_pkt_id, (), [flow.src],
         )
         self._next_pkt_id += 1
-        self.net.metrics.on_sent(pkt)
-        if not self.net.energy.alive(flow.src):
-            self.net.metrics.on_dropped(pkt, "dead_node", now, flow.src)
+        net.metrics.on_sent(pkt)
+        if not net.energy.alive(flow.src):
+            net.metrics.on_dropped(pkt, "dead_node", now, flow.src)
             return
-        self.net.routers[flow.src].send_data(pkt)
+        net.routers[flow.src].send_data(pkt)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from manetsim import Scenario, parse_scenario
-from manetsim.engine import SimulationError
-from manetsim.proto_common import HELLO, SEQ_SPACE, fresher
+from manetsim.engine import EventKind, SimulationError
+from manetsim.proto_common import HELLO, SEQ_SPACE, Data, RouterBase, fresher
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import TrafficSource
 
@@ -192,6 +192,81 @@ def test_a_stale_deadline_restarts_the_watch():
     net.engine.run_until(7.0)
     assert lost == [(2.0, 1), (7.0, 1)]
     assert net.trace.count("tx_hello") == 0
+
+
+def forward(net, router, next_hop):
+    """Forward one fresh data packet from `router` to `next_hop` now."""
+    pkt = Data(router.node, next_hop, 512, 0, net.engine.now, 0, len(net.metrics.records))
+    pkt.traversed.append(router.node)
+    net.metrics.on_sent(pkt)
+    router._forward_data(pkt, next_hop)
+
+
+def watch_timers(engine):
+    """Times of the pending hello-watch timers, in the order they run."""
+    owners = ("RouterBase.watch.", "RouterBase._watch_fired.")
+    return [
+        time for time, _, fn in pending_events(engine)
+        if fn is not None and fn.__qualname__.startswith(owners)
+    ]
+
+
+def spy_watch(router):
+    """Record each call of the router's watch(), which still runs."""
+    calls = []
+    router.watch = lambda neighbor: calls.append(neighbor) or RouterBase.watch(router, neighbor)
+    return calls
+
+
+def test_forwarding_to_a_watched_hop_with_a_fresh_deadline_changes_nothing():
+    net = make_pair_net()
+    router = net.routers[0]
+    router.watch(1)
+    net.engine.run_until(1.0)
+    deadlines = dict(router.hello_deadline)
+    before = [entry[:] for entry in pending_events(net.engine)]
+    calls = spy_watch(router)
+    forward(net, router, 1)
+    assert router.hello_deadline == deadlines == {1: 2.0}
+    # the frame's delivery is the one new entry
+    after = [entry[:] for entry in pending_events(net.engine)]
+    new = [entry[2].__qualname__ for entry in after if entry not in before]
+    assert new == ["Radio.send.<locals>.deliver"]
+    assert [entry for entry in after if entry in before] == before
+    assert calls == []
+
+
+def test_forwarding_at_a_watched_hops_deadline_refreshes_it():
+    net = make_pair_net()
+    router = net.routers[0]
+    lost = []
+    router.on_neighbor_lost = lost.append
+    # scheduled before the watch, the forward runs at t = 2.0 ahead of the
+    # watch's timer: the watch is armed and its deadline is now
+    net.engine.schedule(2.0, EventKind.TIMER, lambda: forward(net, router, 1))
+    router.watch(1)
+    net.engine.run_until(2.0)
+    assert router.hello_deadline == {1: 2.0 + router.hello_allowance}
+    # the timer found the refreshed deadline and waits for it
+    assert lost == []
+    assert watch_timers(net.engine) == [4.0]
+
+
+@pytest.mark.parametrize("heard", [False, True])
+def test_forwarding_to_an_unwatched_hop_arms_one_timer(heard):
+    net = make_pair_net()
+    router = net.routers[0]
+    net.engine.run_until(1.0)
+    if heard:
+        # a hello from the next hop sets a deadline, but arms no watch
+        net.radio.send(1, HELLO, net.scenario.proto.control_bytes)
+    net.engine.run_until(1.5)
+    deadline = router.hello_deadline[1] if heard else 1.5 + router.hello_allowance
+    assert watch_timers(net.engine) == []
+    forward(net, router, 1)
+    forward(net, router, 1)
+    assert router.hello_deadline == {1: deadline}
+    assert watch_timers(net.engine) == [deadline]
 
 
 def test_no_hello_without_active_route():

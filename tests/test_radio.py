@@ -16,7 +16,7 @@ from manetsim.runner import build_network
 from manetsim.scenario import Scenario
 from manetsim.trace import Trace
 
-from conftest import static_model
+from conftest import pending_events, static_model
 
 
 def stub_routers(node_count, on_frame):
@@ -554,6 +554,110 @@ def test_unicast_delivery_books_like_a_debit_and_handles_only_a_survivor(levels,
     # alive; otherwise booked by debit and never handled
     assert handled == [recv for recv, alive in zip(sent, survivors) if alive]
     assert debited == [recv for recv, alive in zip(sent, survivors) if not alive]
+
+
+# a frame a sender transmits to the addressee: (packet from sender with id
+# i, frame size, tx counter, whether it is unicast)
+SENDS = {
+    "data": (lambda sender, addressee, i: data_pkt(sender, addressee, i), 512, TX_DATA, True),
+    "rrep": (lambda sender, addressee, i: Rrep(sender, addressee), 64, TX_CONTROL, True),
+    "broadcast": (lambda sender, addressee, i: control_pkt(sender, i), 64, TX_CONTROL, False),
+}
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["above", "at", "below", "dead"]), st.sampled_from(sorted(SENDS))),
+        min_size=1,
+        max_size=6,
+    ),
+    st.data(),
+)
+def test_a_send_books_its_sender_like_a_debit_and_schedules_only_for_a_survivor(senders, data):
+    # each sender sends one kind of frame, and its budget lies above, at or
+    # below one tx charge of that kind, or is spent; a sender sends twice or
+    # more in some draws, so a later frame can find it drained by an earlier
+    addressee = len(senders)
+    frames = data.draw(st.lists(st.sampled_from(range(addressee)), min_size=1, max_size=12))
+    offsets = data.draw(st.lists(st.integers(1, 10**6), min_size=addressee, max_size=addressee))
+    positions = [(10 * n, 0) for n in range(addressee + 1)]
+
+    def ledger(deaths):
+        engine, radio, energy, metrics, _ = make_radio(positions)
+        charges = []
+        for node, ((level, kind), k) in enumerate(zip(senders, offsets)):
+            _, size, tx, _ = SENDS[kind]
+            charge = energy.cost_pj(tx, radio.tx_duration(size))
+            budget = {"above": charge + k, "at": charge, "below": charge - k, "dead": 0}[level]
+            energy.debit(node, TX_CONTROL, energy.initial_pj - budget)  # the books stay closed
+            charges.append(charge)
+        energy.on_death = deaths.append
+        return engine, radio, energy, metrics, charges
+
+    deaths = []
+    engine, radio, energy, metrics, charges = ledger(deaths)
+    assert all(0 < k < charge for k, charge in zip(offsets, charges))
+    scheduled, packets = [], []
+    for i, sender in enumerate(frames):
+        make_packet, size, _, unicast = SENDS[senders[sender][1]]
+        packet = make_packet(sender, addressee, i)
+        if type(packet) is Data:
+            metrics.on_sent(packet)
+            packets.append(packet)
+        pending = len(pending_events(engine))
+        count = radio.send(sender, packet, size, addressee=addressee if unicast else None)
+        scheduled.append((count, len(pending_events(engine)) - pending))
+
+    # the reference: every frame's tx charge is booked by debit, and a
+    # broadcast reaches the other nodes alive when it is sent
+    ref_deaths = []
+    _, _, ref, _, _ = ledger(ref_deaths)
+    survived, in_range = [], []
+    for sender in frames:
+        in_range.append(sum(ref.alive(n) for n in range(addressee + 1) if n != sender))
+        survived.append(ref.debit(sender, SENDS[senders[sender][1]][2], charges[sender]))
+
+    assert energy.remaining_pj == ref.remaining_pj
+    assert energy.consumed_by == ref.consumed_by
+    assert deaths == ref_deaths
+    assert energy.deaths == ref.deaths
+    assert energy.closed()
+    # a sender the charge leaves alive reaches the addressee (a unicast) or
+    # every live node in range (a broadcast) in one delivery event; any
+    # other schedules nothing
+    for (count, events), sender, alive, others in zip(scheduled, frames, survived, in_range):
+        receivers = 1 if SENDS[senders[sender][1]][3] else others
+        assert (count, events) == ((receivers, 1) if alive else (0, 0))
+    # data is lost at a sender the charge empties or finds spent
+    data_alive = [alive for sender, alive in zip(frames, survived) if senders[sender][1] == "data"]
+    assert [metrics.records[p.pkt_id].drop_cause for p in packets] == [
+        None if alive else "dead_node" for alive in data_alive
+    ]
+    assert metrics.data_transmissions == sum(data_alive)
+    assert metrics.control_transmissions == sum(
+        alive for sender, alive in zip(frames, survived) if senders[sender][1] != "data"
+    )
+
+
+@pytest.mark.parametrize("kind", ["data", "rrep"])
+def test_a_held_link_to_an_addressee_dead_since_schedules_nothing(kind):
+    make_packet, size, _, _ = SENDS[kind]
+    engine, radio, energy, metrics, inbox = make_radio([(0, 0), (50, 0)])
+    first, second = make_packet(0, 1, 0), make_packet(0, 1, 1)
+    if kind == "data":
+        metrics.on_sent(first)
+        metrics.on_sent(second)
+    assert radio.send(0, first, size, addressee=1) == 1
+    # the first unicast measured the pair and holds the link for the run
+    assert radio._links[0] == {1: (-math.inf, math.inf)}
+    energy.debit(1, RX_CONTROL, energy.remaining_pj[1])
+    pending = pending_events(engine)
+    assert radio.send(0, second, size, addressee=1) == 0
+    assert pending_events(engine) == pending
+    engine.run_until(1.0)
+    assert inbox == []
+    if kind == "data":
+        assert metrics.records[1].drop_cause == "link_break"
 
 
 @given(

@@ -103,6 +103,39 @@ def test_equal_flows_emit_in_flow_order():
         assert first[2] == second[2]
 
 
+def test_a_packet_carries_its_flows_values_field_by_field():
+    # any two fields differ in some packet, so a packet built with its
+    # values in another order than Data's fields fails here
+    flows = [
+        FlowSpec(2, 1, 300, 0.75, 1.5, 3.0, flow_id=5),
+        FlowSpec(0, 2, 200, 1.0, 1.25, 3.0, flow_id=9),
+    ]
+    net = build_network(
+        Scenario(node_count=3, duration=10.0, flows=flows),
+        mobility=static_model([(0, 0), (100, 0), (200, 0)]),
+    )
+    built = []
+    for router in net.routers:
+        router.send_data = built.append
+    TrafficSource(flows, net).start()
+    net.engine.run_until(10.0)
+    fields = [
+        (p.origin, p.dest, p.payload_size, p.data_seq, p.sent_at, p.flow_id, p.pkt_id)
+        for p in built
+    ]
+    assert fields == [
+        (0, 2, 200, 0, 1.25, 9, 0),
+        (2, 1, 300, 0, 1.5, 5, 1),
+        (2, 1, 300, 1, 2.25, 5, 2),
+        (0, 2, 200, 1, 2.25, 9, 3),
+        (2, 1, 300, 2, 3.0, 5, 4),
+    ]
+    for p in built:
+        assert p.source_route == ()
+        assert p.traversed == [p.origin]
+    assert len({id(p.traversed) for p in built}) == len(built)
+
+
 def test_generate_flows_distinct_pairs():
     rng = RngStream(4, "traffic")
     flows = generate_flows(20, 10, 512, 0.25, 1.0, 120.0, rng)
