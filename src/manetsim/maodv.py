@@ -101,15 +101,15 @@ class PathCache:
 
 @dataclass(slots=True)
 class RreqFlood:
-    """What a node remembers of one request flood (origin, rreq_id): the
-    fewest hops any copy arrived with and the route records it admitted, one
-    per copy in arrival order. A relay forwards each admitted copy; the
-    destination collects them until it replies. Once the node can admit
-    nothing more, when the admitted records reach the cap (`mpath_max_copies`
-    at a relay, `mpath_max_paths` at the destination; 0 never fills) or the
-    destination replies, it closes the flood for itself: its entry in the
-    copies' shared `Rreq.flood` table becomes math.inf, so the radio turns
-    every later copy away unread."""
+    """What a node remembers of one request flood, as its entry in the copies'
+    shared `Rreq.records` table: the fewest hops any copy arrived with and the
+    route records it admitted, one per copy in arrival order. A relay forwards
+    each admitted copy; the destination collects them until it replies. Once
+    the node can admit nothing more, when the admitted records reach the cap
+    (`mpath_max_copies` at a relay, `mpath_max_paths` at the destination; 0
+    never fills) or the destination replies, it closes the flood for itself:
+    its entry in the copies' `Rreq.flood` table becomes math.inf, so the radio
+    turns every later copy away unread."""
 
     best_hops: int
     paths: dict = field(default_factory=dict)
@@ -119,8 +119,6 @@ class MaodvRouter(RouterBase):
     def __init__(self, node, ctx):
         super().__init__(node, ctx)
         self.caches: dict[int, PathCache] = {}
-        self.floods: dict[tuple[int, int], RreqFlood] = {}
-        self.rrep_seen: set[tuple[int, int]] = set()
         # (source, dest) -> {path through this node: still valid}. Every
         # carried path is maintained with hellos for the flow's lifetime,
         # spares included, so a break anywhere is reported to the source
@@ -192,19 +190,19 @@ class MaodvRouter(RouterBase):
     def _handle_rreq(self, rreq: Rreq, sender: int) -> None:
         # the radio turns away a copy whose route record holds this node (the
         # origin included) or whose flood this node has closed
-        key = (rreq.origin, rreq.rreq_id)
-        flood = self.floods.get(key)
+        records = rreq.records
+        flood = records.get(self.node)
         hops = rreq.hop_count + 1
         params = self.params
         at_dest = self.node == rreq.dest
         # one admission rule for relay and destination: best hops so far,
         # slack, one copy per route record, closing at the copy or path cap
         if flood is None:
-            flood = self.floods[key] = RreqFlood(hops)
+            flood = records[self.node] = RreqFlood(hops)
             if at_dest:
                 reply_at = self.engine.now + self.ctx.rrep_wait
-                table = rreq.flood
-                self._at(reply_at, lambda: self._emit_multipath_rrep(key, table))
+                origin, table = rreq.origin, rreq.flood
+                self._at(reply_at, lambda: self._emit_multipath_rrep(origin, flood, table))
         elif hops < flood.best_hops:
             flood.best_hops = hops
         if hops > flood.best_hops + params.mpath_slack:
@@ -222,27 +220,25 @@ class MaodvRouter(RouterBase):
 
     # -- reply flood -----------------------------------------------------------------
 
-    def _emit_multipath_rrep(self, key: tuple[int, int], table: dict[int, float]) -> None:
-        """Reply to flood `key` with the route records collected, and close
-        the flood here through the copies' shared `table`."""
+    def _emit_multipath_rrep(self, origin: int, flood: RreqFlood, table: dict) -> None:
+        """Reply to origin's flood with the route records this node's `flood`
+        collected, and close the flood here through the copies' `table`; the
+        one reply every node rebroadcasts carries who handled it, here first."""
         if not self.alive:
             return
         # the copy that opened the flood was admitted, so paths is not empty
-        flood = self.floods[key]
         table[self.node] = math.inf
-        origin, rreq_id = key
-        rrep = Rrep(origin, self.node, path_set=tuple(flood.paths), rreq_id=rreq_id)
+        rrep = Rrep(origin, self.node, path_set=tuple(flood.paths), handled={self.node})
         self._note("paths_collected", f"origin={origin} n={len(flood.paths)}")
-        self.rrep_seen.add(key)
         # the destination ends every path
         self._install_carried(rrep, rrep.path_set)
         self._control(rrep)
 
     def _handle_rrep(self, rrep: Rrep, sender: int) -> None:
-        key = (rrep.origin, rrep.rreq_id)
-        if key in self.rrep_seen:
+        handled = rrep.handled
+        if self.node in handled:
             return
-        self.rrep_seen.add(key)
+        handled.add(self.node)
         # the origin heads every path, so it always finds its own
         my_paths = [p for p in rrep.path_set if self.node in p]
         if not my_paths:

@@ -32,6 +32,7 @@ class Rreq:
     # table shared by all of the flood's copies, written by the handlers and
     # read by the radio, and freed with the flood's last copy
     flood: dict[int, float] = field(default_factory=dict)
+    records: dict = field(default_factory=dict)  # node -> its RreqFlood, shared like flood
 
 
 @dataclass(slots=True)
@@ -42,7 +43,7 @@ class Rrep:
     hop_count: int = 0
     lifetime: float = 0.0
     path_set: tuple[tuple[int, ...], ...] = ()  # multipath reply fields
-    rreq_id: int = -1
+    handled: set[int] | None = None  # nodes that have handled this reply wave
 
 
 @dataclass(slots=True)
@@ -307,10 +308,11 @@ class RouterBase:
         """Rebroadcast a request one hop on: `hops` is its hop count here and
         `record` the route record it carries on. MAODV appends this node;
         AODV passes the request's on unchanged, so it holds just the origin.
-        The copy shares the flood's table."""
-        self._control(
-            Rreq(rreq.origin, rreq.dest, rreq.rreq_id, hops, record, rreq.seqs, rreq.flood)
-        )
+        The copy shares the flood's tables."""
+        self._control(Rreq(
+            rreq.origin, rreq.dest, rreq.rreq_id, hops, record, rreq.seqs, rreq.flood,
+            rreq.records,
+        ))
 
     def _discovery_timeout(self, dest: int) -> None:
         if not self.alive:

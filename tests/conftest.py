@@ -5,8 +5,12 @@ import math
 
 import pytest
 
+from manetsim import Scenario
 from manetsim.energy import RX_CONTROL
 from manetsim.mobility import MobilityModel, WaypointLeg
+from manetsim.proto_common import Rrep
+from manetsim.runner import build_network
+from manetsim.traffic import FlowSpec, TrafficSource
 
 # Nine-node benchmark topology (S=0, N1..N7=1..7, D=8). The coordinates
 # realize exactly the intended adjacency as a unit-disk graph at 250 m,
@@ -147,6 +151,41 @@ def receive(net, recv, packet, sender):
     a broadcast, charged one picojoule: a request copy its receiver's route
     record or flood table turns away never reaches the handler."""
     net.radio._deliver_batch((recv,), packet, sender, RX_CONTROL, 1)
+
+
+def sent_frames(net) -> list:
+    """Record every (sender, packet) the radio is asked to send from now
+    on, in order; the frames are still sent."""
+    sent = []
+    send = net.radio.send
+
+    def spy(sender, packet, *rest):
+        sent.append((sender, packet))
+        return send(sender, packet, *rest)
+
+    net.radio.send = spy
+    return sent
+
+
+def run_bench_discovery(max_copies=0, max_paths=0, slack=2) -> list[tuple]:
+    """One multipath discovery from 0 to 8 on the nine-node benchmark
+    topology; returns the route records the destination collected, read from
+    the path set of its one reply (it closes its flood when it replies, so
+    the set holds every record it admitted)."""
+    flow = FlowSpec(0, 8, 512, 1.0, 1.0, 5.0)
+    sc = Scenario(node_count=9, duration=6.0, protocol="maodv", flows=[flow])
+    sc.proto.mpath_max_copies = max_copies
+    sc.proto.mpath_max_paths = max_paths
+    sc.proto.mpath_slack = slack
+    net = build_network(sc, mobility=static_model(BENCH_POSITIONS))
+    sent = sent_frames(net)
+    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net).start()
+    for r in net.routers:
+        r.start_maintenance()
+    net.engine.run_until(6.0)
+    replies = [packet for sender, packet in sent if sender == 8 and type(packet) is Rrep]
+    assert len(replies) == 1
+    return list(replies[0].path_set)
 
 
 @pytest.fixture

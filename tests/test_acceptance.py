@@ -18,9 +18,8 @@ import pytest
 
 from manetsim import Scenario, parse_scenario, run_scenario
 from manetsim.maodv import select_disjoint
-from manetsim.runner import build_network
 from manetsim.sweep import summarize, sweep
-from manetsim.traffic import FlowSpec, TrafficSource
+from manetsim.traffic import FlowSpec
 
 from conftest import (
     BENCH_LISTED_PATHS,
@@ -28,7 +27,7 @@ from conftest import (
     adjacency_from_positions,
     all_simple_paths,
     departing_model,
-    static_model,
+    run_bench_discovery,
 )
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
@@ -77,27 +76,6 @@ def density_sweep():
     t0 = time.time()
     rows = sweep(base, "node_count", DENSITY_GRID, SEEDS)
     return rows, time.time() - t0
-
-
-def run_bench_discovery(max_copies=0, max_paths=0, slack=2):
-    """One multipath discovery on the nine-node benchmark topology."""
-    sc = Scenario(
-        node_count=9,
-        duration=6.0,
-        protocol="maodv",
-        flows=[FlowSpec(0, 8, 512, 1.0, 1.0, 5.0)],
-    )
-    sc.proto.mpath_max_copies = max_copies
-    sc.proto.mpath_max_paths = max_paths
-    sc.proto.mpath_slack = slack
-    net = build_network(sc, mobility=static_model(BENCH_POSITIONS))
-    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net).start()
-    for r in net.routers:
-        r.start_maintenance()
-    net.engine.run_until(6.0)
-    floods = list(net.routers[8].floods.values())
-    assert len(floods) == 1
-    return [tuple(p) for p in floods[0].paths]
 
 
 # -- criteria -------------------------------------------------------------------

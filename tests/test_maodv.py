@@ -1,3 +1,4 @@
+import copy
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from manetsim import Scenario, parse_scenario
 from manetsim.engine import SimulationError
 from manetsim.maodv import PathCache, select_disjoint
-from manetsim.proto_common import Rreq
+from manetsim.proto_common import Rrep, Rreq
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import FlowSpec
 
@@ -19,6 +20,8 @@ from conftest import (
     departing_model,
     receive,
     router_state,
+    run_bench_discovery,
+    sent_frames,
     static_model,
 )
 
@@ -141,7 +144,7 @@ def test_forward_drops_when_already_on_record():
     rreq = Rreq(origin=0, dest=2, rreq_id=1, hop_count=1, route_record=(0, 1))
     receive(net, 1, rreq, 0)
     assert net.trace.count("tx_rreq") == 0
-    assert not net.routers[1].floods
+    assert rreq.records == {}
 
 
 def test_requests_carry_no_sequence_numbers():
@@ -177,11 +180,11 @@ def flood_net(**proto_kw):
     return build_network(sc, with_trace=True, mobility=static_model(APART))
 
 
-def copy_of(record, table):
+def copy_of(record, table, records):
     """A copy of flood (0, 1) toward node 7 that travelled `record`; all
-    copies of the flood share its `table`."""
+    copies of the flood share its `table` and its `records`."""
     return Rreq(origin=0, dest=7, rreq_id=1, hop_count=len(record) - 1, route_record=record,
-                flood=table)
+                flood=table, records=records)
 
 
 # four distinct route records from 0, hop counts 1, 1, 1 and 2
@@ -190,56 +193,58 @@ COPIES = [(0, 1), (0, 2), (0, 3), (0, 1, 2)]
 
 def test_relay_forwards_up_to_its_copy_cap_then_closes():
     net = flood_net(mpath_max_copies=2)
-    table = {}
+    table, records = {}, {}
     for record in COPIES:
-        receive(net, 5, copy_of(record, table), record[-1])
+        receive(net, 5, copy_of(record, table, records), record[-1])
     assert net.trace.count("tx_rreq") == 2
     assert table == {5: math.inf}
-    assert list(net.routers[5].floods[(0, 1)].paths) == [(0, 1, 5), (0, 2, 5)]
+    assert list(records[5].paths) == [(0, 1, 5), (0, 2, 5)]
 
 
 def test_closed_flood_rejects_a_copy_before_building_its_record():
     net = flood_net(mpath_max_copies=1)
-    table = {}
-    receive(net, 5, copy_of((0, 1), table), 1)
-    receive(net, 5, copy_of(NoConcat((0, 2)), table), 2)
+    table, records = {}, {}
+    receive(net, 5, copy_of((0, 1), table, records), 1)
+    receive(net, 5, copy_of(NoConcat((0, 2)), table, records), 2)
     assert net.trace.count("tx_rreq") == 1
-    assert list(net.routers[5].floods[(0, 1)].paths) == [(0, 1, 5)]
+    assert list(records[5].paths) == [(0, 1, 5)]
 
 
 def test_a_discarded_request_copy_changes_nothing():
     net = flood_net(mpath_max_copies=1)
-    table = {}
-    receive(net, 5, copy_of((0, 1), table), 1)
+    table, records = {}, {}
+    receive(net, 5, copy_of((0, 1), table, records), 1)
     assert table == {5: math.inf}
     # a copy of a flood the relay has closed, a copy of a new flood whose
-    # record already holds the relay, and the origin's own request
+    # record already holds the relay, and the origin's own request; a node's
+    # flood state lives in the copy's tables, so neither may change either
     on_record = Rreq(origin=0, dest=7, rreq_id=2, hop_count=2, route_record=(0, 5, 6))
-    for node, rreq in ((5, copy_of((0, 2), table)), (5, on_record), (0, copy_of((0, 3), table))):
+    for node, rreq in ((5, copy_of((0, 2), table, records)), (5, on_record),
+                       (0, copy_of((0, 3), table, records))):
         router = net.routers[node]
-        before = router_state(router)
+        before = router_state(router), copy.deepcopy((rreq.flood, rreq.records))
         receive(net, node, rreq, rreq.route_record[-1])
-        assert router_state(router) == before
+        assert (router_state(router), (rreq.flood, rreq.records)) == before
 
 
 def test_unbounded_copy_cap_admits_every_in_slack_copy_and_never_closes():
     net = flood_net(mpath_max_copies=0, mpath_slack=1)
-    table = {}
+    table, records = {}, {}
     # (0, 1, 2, 3) is 3 hops against a best of 1 and a slack of 1
     for record in COPIES + [(0, 1, 2, 3), (0, 4)]:
-        receive(net, 5, copy_of(record, table), record[-1])
+        receive(net, 5, copy_of(record, table, records), record[-1])
     assert net.trace.count("tx_rreq") == 5
     assert table == {}
-    assert list(net.routers[5].floods[(0, 1)].paths) == [r + (5,) for r in COPIES + [(0, 4)]]
+    assert list(records[5].paths) == [r + (5,) for r in COPIES + [(0, 4)]]
 
 
 def test_destination_collects_up_to_its_path_cap_and_replies_once():
     net = flood_net(mpath_max_paths=2)
-    table = {}
+    table, records = {}, {}
     for record in COPIES[:3]:
-        receive(net, 7, copy_of(record, table), record[-1])
+        receive(net, 7, copy_of(record, table, records), record[-1])
     assert table == {7: math.inf}
-    assert list(net.routers[7].floods[(0, 1)].paths) == [(0, 1, 7), (0, 2, 7)]
+    assert list(records[7].paths) == [(0, 1, 7), (0, 2, 7)]
     net.engine.run_until(5.0)
     replies = [l for l in net.trace.lines if " paths_collected " in l]
     assert len(replies) == 1
@@ -249,15 +254,36 @@ def test_destination_collects_up_to_its_path_cap_and_replies_once():
 
 def test_destination_closes_its_flood_when_it_replies():
     net = flood_net(mpath_max_paths=0)
-    table = {}
-    receive(net, 7, copy_of((0, 1), table), 1)
+    table, records = {}, {}
+    receive(net, 7, copy_of((0, 1), table, records), 1)
     assert table == {}
     net.engine.run_until(5.0)
     assert net.trace.count("tx_rrep") == 1
     assert table == {7: math.inf}
     before = router_state(net.routers[7])
-    receive(net, 7, copy_of((0, 2), table), 2)
+    receive(net, 7, copy_of((0, 2), table, records), 2)
     assert router_state(net.routers[7]) == before
+
+
+def test_a_relay_handles_a_reply_once_and_its_destination_ignores_the_echo():
+    net = flood_net()
+    sent = sent_frames(net)
+    receive(net, 7, copy_of((0, 5), {}, {}), 5)
+    net.engine.run_until(5.0)
+    [rrep] = [packet for _, packet in sent if type(packet) is Rrep]
+    assert rrep.path_set == ((0, 5, 7),)
+    # the relay rebroadcasts the reply once, however often it hears it
+    receive(net, 5, rrep, 7)
+    assert net.trace.count("tx_rrep") == 2
+    assert net.routers[5].carried == {(0, 7): {(0, 5, 7): True}}
+    before = router_state(net.routers[5])
+    receive(net, 5, rrep, 7)
+    assert router_state(net.routers[5]) == before
+    # the destination hears its own reply echoed back and ignores it
+    before = router_state(net.routers[7])
+    receive(net, 7, rrep, 5)
+    assert router_state(net.routers[7]) == before
+    assert net.trace.count("tx_rrep") == 2
 
 
 # trace sha256 of the 30 s baseline at n=40, seed 1, maodv, keyed by
@@ -283,20 +309,7 @@ def test_trace_digest_under_flood_caps(caps):
 
 
 def test_benchmark_collection_matches_dfs_oracle():
-    sc = Scenario(node_count=9, duration=6.0, protocol="maodv",
-                  flows=[FlowSpec(0, 8, 512, 1.0, 1.0, 5.0)])
-    sc.proto.mpath_max_copies = 0  # unbounded
-    sc.proto.mpath_max_paths = 0
-    net = build_network(sc, mobility=static_model(BENCH_POSITIONS))
-    from manetsim.traffic import TrafficSource
-
-    TrafficSource([FlowSpec(0, 8, 512, 1.0, 1.0, 5.0, flow_id=0)], net).start()
-    for r in net.routers:
-        r.start_maintenance()
-    net.engine.run_until(6.0)
-    floods = list(net.routers[8].floods.values())
-    assert len(floods) == 1
-    collected = list(floods[0].paths)
+    collected = run_bench_discovery()
     adjacency = adjacency_from_positions(BENCH_POSITIONS, 250.0)
     oracle = all_simple_paths(adjacency, 0, 8, max_hops=4 + 2)
     assert set(collected) == set(oracle)
