@@ -103,9 +103,11 @@ class PathCache:
 class RreqFlood:
     """What a node remembers of one request flood, as its entry in the copies'
     shared `Rreq.records` table: the fewest hops any copy arrived with and the
-    route records it admitted, one per copy in arrival order. A relay forwards
-    each admitted copy; the destination collects them until it replies. Once
-    the node can admit nothing more, when the admitted records reach the cap
+    route records it admitted, in arrival order. No record arrives twice: a
+    node relays each record it admits once, with itself appended, and a
+    broadcast reaches each receiver once. A relay forwards each admitted copy;
+    the destination collects them until it replies. Once the node can admit
+    nothing more, when the admitted records reach the cap
     (`mpath_max_copies` at a relay, `mpath_max_paths` at the destination; 0
     never fills) or the destination replies, it closes the flood for itself:
     its entry in the copies' `Rreq.flood` table becomes math.inf, so the radio
@@ -123,7 +125,8 @@ class MaodvRouter(RouterBase):
         # carried path is maintained with hellos for the flow's lifetime,
         # spares included, so a break anywhere is reported to the source
         # before the route is needed. A path goes quiet only once marked
-        # broken here.
+        # broken here. A flow's source and destination store no paths: the
+        # source's routes live in its cache.
         self.carried: dict[tuple[int, int], dict[tuple[int, ...], bool]] = {}
 
     # -- hello scoping and liveness -------------------------------------------
@@ -142,8 +145,7 @@ class MaodvRouter(RouterBase):
         for flow, paths in self.carried.items():
             origin, dest = flow
             if origin == self.node:
-                cache = self.caches.get(dest)
-                if cache is not None and any(r[1:2] == (neighbor,) for r in cache.routes):
+                if any(r[1:2] == (neighbor,) for r in self.caches[dest].routes):
                     yield flow, None
                 continue
             for path, ok in paths.items():
@@ -195,8 +197,8 @@ class MaodvRouter(RouterBase):
         hops = rreq.hop_count + 1
         params = self.params
         at_dest = self.node == rreq.dest
-        # one admission rule for relay and destination: best hops so far,
-        # slack, one copy per route record, closing at the copy or path cap
+        # one admission rule for relay and destination: best hops so far and
+        # slack, closing at the copy or path cap; each copy's record is new
         if flood is None:
             flood = records[self.node] = RreqFlood(hops)
             if at_dest:
@@ -208,8 +210,6 @@ class MaodvRouter(RouterBase):
         if hops > flood.best_hops + params.mpath_slack:
             return
         record = rreq.route_record + (self.node,)
-        if record in flood.paths:
-            return
         flood.paths[record] = None
         cap = params.mpath_max_paths if at_dest else params.mpath_max_copies
         if len(flood.paths) == cap:
@@ -230,8 +230,8 @@ class MaodvRouter(RouterBase):
         table[self.node] = math.inf
         rrep = Rrep(origin, self.node, path_set=tuple(flood.paths), handled={self.node})
         self._note("paths_collected", f"origin={origin} n={len(flood.paths)}")
-        # the destination ends every path
-        self._install_carried(rrep, rrep.path_set)
+        # an endpoint keeps the flow, not its paths, and so sends hellos
+        self.carried[origin, self.node] = {}
         self._control(rrep)
 
     def _handle_rrep(self, rrep: Rrep, sender: int) -> None:
@@ -239,24 +239,22 @@ class MaodvRouter(RouterBase):
         if self.node in handled:
             return
         handled.add(self.node)
-        # the origin heads every path, so it always finds its own
+        flow = rrep.origin, rrep.dest
+        # maintain every path from the start: watch each successor here
+        if self.node == rrep.origin:
+            self.carried[flow] = {}
+            for path in rrep.path_set:
+                self.watch(path[1])
+            self._discovery_complete(rrep)
+            return
         my_paths = [p for p in rrep.path_set if self.node in p]
         if not my_paths:
             return
-        self._install_carried(rrep, my_paths)
-        if self.node == rrep.origin:
-            self._discovery_complete(rrep)
-            return
-        self._control(rrep)
-
-    def _install_carried(self, rrep: Rrep, my_paths) -> None:
-        carried = self.carried.setdefault((rrep.origin, rrep.dest), {})
+        carried = self.carried.setdefault(flow, {})
         for path in my_paths:
             carried.setdefault(path, True)
-        # maintain every carried path from the start: watch each successor
-        if self.node != rrep.dest:
-            for path in my_paths:
-                self.watch(path[path.index(self.node) + 1])
+            self.watch(path[path.index(self.node) + 1])
+        self._control(rrep)
 
     def _discovery_complete(self, rrep: Rrep) -> None:
         dest = rrep.dest

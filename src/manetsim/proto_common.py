@@ -24,7 +24,6 @@ def fresher(a: int, b: int) -> bool:
 class Rreq:
     origin: int
     dest: int
-    rreq_id: int  # (origin, rreq_id) identifies one flood
     hop_count: int
     route_record: tuple[int, ...]
     seqs: tuple[int, int] | None = None  # AODV's (origin_seq, dest_seq_known)
@@ -137,7 +136,6 @@ class RouterBase:
         self.ctx = ctx
         self.engine = ctx.engine  # handlers read the clock as self.engine.now
         self.params = ctx.scenario.proto
-        self.rreq_counter = 0
         self.sourced: set[int] = set()  # destinations this node has sent data to
         self.discoveries: dict[int, Discovery] = {}
         self.hello_allowance = self.params.allowed_hello_loss * self.params.hello_interval
@@ -299,9 +297,8 @@ class RouterBase:
     def _flood_rreq(self, dest: int, requested_seq: int, wait: float):
         """Broadcast a fresh request for dest; returns the timer that runs
         dest's discovery timeout after `wait` unless it is cancelled first."""
-        self.rreq_counter += 1
         seqs = self._flood_seqs(requested_seq)
-        self._control(Rreq(self.node, dest, self.rreq_counter, 0, (self.node,), seqs))
+        self._control(Rreq(self.node, dest, 0, (self.node,), seqs))
         return self._at(self.engine.now + wait, lambda: self._discovery_timeout(dest))
 
     def _relay_rreq(self, rreq: Rreq, hops: int, record: tuple[int, ...]) -> None:
@@ -310,8 +307,7 @@ class RouterBase:
         AODV passes the request's on unchanged, so it holds just the origin.
         The copy shares the flood's tables."""
         self._control(Rreq(
-            rreq.origin, rreq.dest, rreq.rreq_id, hops, record, rreq.seqs, rreq.flood,
-            rreq.records,
+            rreq.origin, rreq.dest, hops, record, rreq.seqs, rreq.flood, rreq.records
         ))
 
     def _discovery_timeout(self, dest: int) -> None:

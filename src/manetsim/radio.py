@@ -40,6 +40,10 @@ class Radio:
     exact test gives. A schedule that jumps has v = math.inf, and then
     nothing is reused across instants. A network that never moves has v = 0,
     and then the positions and every in-range answer hold for the whole run.
+
+    A broadcast's receivers come from `neighbors`, on a position snapshot; a
+    unicast goes on the sender's held link to a live addressee, else on
+    `reaches`, the exact test on the model's positions, which writes the hold.
     """
 
     def __init__(
@@ -87,7 +91,8 @@ class Radio:
         self._ring_hold = (ring - self._eps) * self._per_metre
         # sender -> (deaths, from, until, near, ring)
         self._splits: dict[int, tuple[int, float, float, list[int], list[int]]] = {}
-        # by sender: addressee -> (from, until) in which it is surely in range
+        # by sender: addressee -> (from, until) in which it is surely in range,
+        # written by reaches and read by send
         self._links: list[dict[int, tuple[float, float]]] = [
             {} for _ in range(mobility.node_count)
         ]
@@ -175,35 +180,25 @@ class Radio:
         return out
 
     def reaches(self, sender: int, recv: int, t: float) -> bool:
-        """Whether `recv` is among neighbors(sender, t).
+        """Whether `recv` is among neighbors(sender, t): the exact test on the
+        mobility model's two positions, with the addressee's battery read.
 
         An in-range answer holds the pair for |t - t0| <= (range - d0 -
-        eps) / (2v) (see the class notes), for the whole run when v = 0;
-        outside a hold it is worked out from two positions: the snapshot's if
-        t lies in its span, else the mobility model's. The addressee's
-        battery is read on every call.
+        eps) / (2v) (see the class notes), for the whole run when v = 0, and
+        is written to `_links`, which `send` reads before calling this.
         """
         if recv == sender or self.energy.remaining_pj[recv] <= 0:
             return False
-        links = self._links[sender]
-        held = links.get(recv)
-        if held is not None and held[0] <= t <= held[1]:
-            return True
-        if self._pos_from <= t <= self._pos_until:
-            pos = self._pos_cache
-            sx, sy = pos[sender]
-            ox, oy = pos[recv]
-        else:
-            position = self.mobility.position
-            sx, sy = position(sender, t)
-            ox, oy = position(recv, t)
+        position = self.mobility.position
+        sx, sy = position(sender, t)
+        ox, oy = position(recv, t)
         dx, dy = ox - sx, oy - sy
         d2 = dx * dx + dy * dy
         if d2 > self._range2:
             return False
         hold = (self.params.range - math.sqrt(d2) - self._eps) * self._per_metre
         if hold > 0.0:
-            links[recv] = (t - hold, t + hold)
+            self._links[sender][recv] = (t - hold, t + hold)
         return True
 
     def send(self, sender: int, packet, size_bytes: int, addressee: int | None = None) -> int:

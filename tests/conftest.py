@@ -167,11 +167,9 @@ def sent_frames(net) -> list:
     return sent
 
 
-def run_bench_discovery(max_copies=0, max_paths=0, slack=2) -> list[tuple]:
+def bench_discovery_frames(max_copies=0, max_paths=0, slack=2) -> list:
     """One multipath discovery from 0 to 8 on the nine-node benchmark
-    topology; returns the route records the destination collected, read from
-    the path set of its one reply (it closes its flood when it replies, so
-    the set holds every record it admitted)."""
+    topology, started by a flow; returns every (sender, packet) sent."""
     flow = FlowSpec(0, 8, 512, 1.0, 1.0, 5.0)
     sc = Scenario(node_count=9, duration=6.0, protocol="maodv", flows=[flow])
     sc.proto.mpath_max_copies = max_copies
@@ -183,6 +181,14 @@ def run_bench_discovery(max_copies=0, max_paths=0, slack=2) -> list[tuple]:
     for r in net.routers:
         r.start_maintenance()
     net.engine.run_until(6.0)
+    return sent
+
+
+def run_bench_discovery(max_copies=0, max_paths=0, slack=2) -> list[tuple]:
+    """The route records the destination of bench_discovery_frames collected,
+    read from the path set of its one reply (it closes its flood when it
+    replies, so the set holds every record it admitted)."""
+    sent = bench_discovery_frames(max_copies, max_paths, slack)
     replies = [packet for sender, packet in sent if sender == 8 and type(packet) is Rrep]
     assert len(replies) == 1
     return list(replies[0].path_set)

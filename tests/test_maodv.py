@@ -17,6 +17,7 @@ from conftest import (
     BENCH_POSITIONS,
     adjacency_from_positions,
     all_simple_paths,
+    bench_discovery_frames,
     departing_model,
     receive,
     router_state,
@@ -141,7 +142,7 @@ def test_cache_disjointness_enforced():
 def test_forward_drops_when_already_on_record():
     sc = Scenario(node_count=3, duration=1.0, protocol="maodv")
     net = build_network(sc, with_trace=True, mobility=static_model([(0, 0), (100, 0), (200, 0)]))
-    rreq = Rreq(origin=0, dest=2, rreq_id=1, hop_count=1, route_record=(0, 1))
+    rreq = Rreq(origin=0, dest=2, hop_count=1, route_record=(0, 1))
     receive(net, 1, rreq, 0)
     assert net.trace.count("tx_rreq") == 0
     assert rreq.records == {}
@@ -181,9 +182,9 @@ def flood_net(**proto_kw):
 
 
 def copy_of(record, table, records):
-    """A copy of flood (0, 1) toward node 7 that travelled `record`; all
+    """A copy of node 0's flood toward node 7 that travelled `record`; all
     copies of the flood share its `table` and its `records`."""
-    return Rreq(origin=0, dest=7, rreq_id=1, hop_count=len(record) - 1, route_record=record,
+    return Rreq(origin=0, dest=7, hop_count=len(record) - 1, route_record=record,
                 flood=table, records=records)
 
 
@@ -218,7 +219,7 @@ def test_a_discarded_request_copy_changes_nothing():
     # a copy of a flood the relay has closed, a copy of a new flood whose
     # record already holds the relay, and the origin's own request; a node's
     # flood state lives in the copy's tables, so neither may change either
-    on_record = Rreq(origin=0, dest=7, rreq_id=2, hop_count=2, route_record=(0, 5, 6))
+    on_record = Rreq(origin=0, dest=7, hop_count=2, route_record=(0, 5, 6))
     for node, rreq in ((5, copy_of((0, 2), table, records)), (5, on_record),
                        (0, copy_of((0, 3), table, records))):
         router = net.routers[node]
@@ -318,6 +319,17 @@ def test_benchmark_collection_matches_dfs_oracle():
     assert set(BENCH_LISTED_PATHS) <= set(collected)
 
 
+def test_no_two_request_copies_of_a_flood_share_a_route_record():
+    # with neither cap every node relays each copy it admits once, and a
+    # broadcast reaches each receiver once, so no node is handed one route
+    # record twice within a flood
+    copies = [p for _, p in bench_discovery_frames() if type(p) is Rreq]
+    assert len({id(p.flood) for p in copies}) == 1
+    records = [p.route_record for p in copies]
+    assert len(records) > len(BENCH_POSITIONS)
+    assert len(set(records)) == len(records)
+
+
 def test_benchmark_selection_is_fig4_pair():
     flows = [FlowSpec(0, 8, 512, 1.0, 1.0, 5.0)]
     result = run_maodv(
@@ -357,6 +369,8 @@ def test_rrep_installs_entries_at_intermediates():
     paths = list(carried[0, 8])
     assert paths
     assert all(p[0] == 0 and p[-1] == 8 and 1 in p for p in paths)
+    # the flow's endpoints keep the flow, not its paths
+    assert net.routers[0].carried == net.routers[8].carried == {(0, 8): {}}
 
 
 def test_single_path_degenerate_reply():
