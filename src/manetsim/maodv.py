@@ -114,7 +114,7 @@ class RreqFlood:
     turns every later copy away unread."""
 
     best_hops: int
-    paths: dict = field(default_factory=dict)
+    paths: list = field(default_factory=list)
 
 
 class MaodvRouter(RouterBase):
@@ -135,8 +135,9 @@ class MaodvRouter(RouterBase):
         # Stay discoverable for as long as any flow ever routed through
         # here: a node that went quiet the moment its own path view broke
         # would trip its predecessors' liveness watches and cascade false
-        # break reports through perfectly healthy links.
-        return bool(self.carried) or bool(self.caches)
+        # break reports through perfectly healthy links. A source writes its
+        # flow's entry just before its cache, and no entry is ever deleted.
+        return bool(self.carried)
 
     def _paths_via(self, neighbor: int):
         """Walk, in carried order, the valid paths whose next hop from here
@@ -210,7 +211,7 @@ class MaodvRouter(RouterBase):
         if hops > flood.best_hops + params.mpath_slack:
             return
         record = rreq.route_record + (self.node,)
-        flood.paths[record] = None
+        flood.paths.append(record)
         cap = params.mpath_max_paths if at_dest else params.mpath_max_copies
         if len(flood.paths) == cap:
             rreq.flood[self.node] = math.inf

@@ -29,21 +29,23 @@ class Radio:
     data packets is recorded as a link-break loss.
 
     Membership is the exact test `dx*dx + dy*dy <= range*range` on the
-    mobility model's positions, but an answer may be reused while it cannot
-    have changed. No node moves faster than the model's `speed_bound` v, so
-    two nodes' distance changes by at most 2·v·|t - t0| between t0 and t.
-    A pair found d0 <= range apart at t0 therefore stays in range for
-    |t - t0| <= (range - d0 - eps) / (2v), and a node more than w metres
-    inside or outside the range stays so for |t - t0| <= (w - eps) / (2v).
-    eps = 1e-6 * range absorbs float rounding in the positions, which is
-    many orders of magnitude smaller, so each reused answer is the one the
-    exact test gives. A schedule that jumps has v = math.inf, and then
-    nothing is reused across instants. A network that never moves has v = 0,
-    and then the positions and every in-range answer hold for the whole run.
+    mobility model's positions at the engine's clock, which never runs
+    backwards, so an answer reused until it could have changed needs only
+    that deadline. No node moves faster than the model's `speed_bound` v, so
+    two nodes' distance changes by at most 2·v·(t - t0) from t0 to t. A pair
+    found d0 <= range apart at t0 therefore stays in range until
+    t0 + (range - d0 - eps) / (2v), and a node more than w metres inside or
+    outside the range stays so until t0 + (w - eps) / (2v). eps = 1e-6 *
+    range absorbs float rounding in the positions, which is many orders of
+    magnitude smaller, so each reused answer is the one the exact test
+    gives. A schedule that jumps has v = math.inf, and then a deadline is
+    its own instant. A network that never moves has v = 0, and then the
+    positions and every in-range answer hold for the whole run.
 
-    A broadcast's receivers come from `neighbors`, on a position snapshot; a
-    unicast goes on the sender's held link to a live addressee, else on
-    `reaches`, the exact test on the model's positions, which writes the hold.
+    A broadcast's receivers come from `neighbors`, through the sender's one
+    view on a position snapshot; a unicast goes on the sender's held link to
+    a live addressee, else on `reaches`, the exact test on the model's
+    positions, which writes the hold.
     """
 
     def __init__(
@@ -70,32 +72,30 @@ class Radio:
         # reception calls the receiver's on_frame(packet, sender)
         self.routers = routers
         self.loss_rng = loss_rng
-        # One whole-network position snapshot, taken at _pos_from, holds for
-        # [_pos_from, _pos_until]: that one instant, or the whole run if the
-        # speed bound is 0. Broadcasts cluster at shared instants (flood
-        # waves, hello ticks), and each sender's neighbor row, computed from
-        # the snapshot, holds as long as the snapshot does while the death
-        # count it was taken at stays the same.
-        self._pos_from = self._pos_until = math.nan
+        # One whole-network position snapshot holds until _pos_until: the
+        # instant it is taken at, or the whole run if the speed bound is 0.
+        self._pos_until = -math.inf
         self._pos_cache: list[tuple[float, float]] = []
-        self._rows: dict[int, tuple[int, list[int]]] = {}  # sender -> (deaths, row)
         # The holds of the class notes: a metre between a pair's distance and
         # the range edge lasts `_per_metre` = 1 / (2v) seconds, and a scan's
         # split into sure-in `near` and unsure `ring` lasts `_ring_hold`.
         r, v = params.range, mobility.speed_bound
-        ring = r / 10
         self._range2 = r * r
         self._eps = 1e-6 * r
-        self._near2, self._far2 = (r - ring) ** 2, (r + ring) ** 2
-        self._per_metre = 0.5 / v if v > 0.0 else math.inf
-        self._ring_hold = (ring - self._eps) * self._per_metre
-        # sender -> (deaths, from, until, near, ring)
-        self._splits: dict[int, tuple[int, float, float, list[int], list[int]]] = {}
-        # by sender: addressee -> (from, until) in which it is surely in range,
-        # written by reaches and read by send
-        self._links: list[dict[int, tuple[float, float]]] = [
-            {} for _ in range(mobility.node_count)
-        ]
+        if v > 0.0:
+            ring = r / 10
+            self._near2, self._far2 = (r - ring) ** 2, (r + ring) ** 2
+            self._per_metre = 0.5 / v
+            self._ring_hold = (ring - self._eps) * self._per_metre
+        else:  # no node moves, so no ring: `near` is the row
+            self._near2 = self._far2 = self._range2
+            self._per_metre = self._ring_hold = math.inf
+        # sender -> its view [deaths, until, near, ring, row_time, row]: its
+        # last full scan's split, held until `until`, and its last row
+        self._views: dict[int, list] = {}
+        # by sender: addressee -> until when it is surely in range, written
+        # by reaches and read by send
+        self._links: list[dict[int, float]] = [{} for _ in range(mobility.node_count)]
         # a run sends only a few frame sizes per traffic class, so each is
         # priced once: size -> (airtime, tx counter, tx pJ, rx counter, rx pJ),
         # control frames at [False] and data at [True]
@@ -112,93 +112,95 @@ class Radio:
         self._prices[is_data][size_bytes] = price
         return price
 
-    def positions(self, t: float) -> list[tuple[float, float]]:
-        """Every node's position at t, by node id, from the snapshot.
-
-        A snapshot lasts the instant it is taken at, or the whole run when
-        the speed bound is 0: no node then leaves the point it starts at.
+    def positions(self) -> list[tuple[float, float]]:
+        """Every node's position at the engine's clock, by node id, from the
+        snapshot, which lasts the instant it is taken at, or the whole run
+        when the speed bound is 0: no node then leaves the point it starts at.
         """
-        if not self._pos_from <= t <= self._pos_until:
+        now = self.engine.now
+        if now > self._pos_until:
             mobility = self.mobility
             position = mobility.position
-            self._pos_cache = [position(n, t) for n in range(mobility.node_count)]
-            self._pos_from = t
-            self._pos_until = math.inf if self._per_metre == math.inf else t
-            self._rows = {}
+            self._pos_cache = [position(n, now) for n in range(mobility.node_count)]
+            self._pos_until = math.inf if self._per_metre == math.inf else now
         return self._pos_cache
 
-    def neighbors(self, node: int, t: float) -> list[int]:
-        """Alive nodes within range of `node` at time t, ascending id.
+    def neighbors(self, node: int) -> list[int]:
+        """Alive nodes within range of `node` at the engine's clock, ascending id.
 
-        The row is kept as long as the snapshot lasts (one instant, or the
-        whole run when the speed bound is 0) while the death count is the one
-        it was computed at. A full scan also keeps the node's split: the alive
-        nodes within range - w (`near`, in range for the split's hold) and
-        those within range ± w (`ring`), w = range / 10. While t lies in the
-        hold and the death count is the one it was taken at, the row is
+        The node's one view keeps the row it last gave, for the rest of that
+        instant, and the split of its last full scan: the alive nodes within
+        range - w (`near`, in range until the view's deadline) and within
+        range ± w (`ring`), w = range / 10. Until the deadline the row is
         `near` plus the ring members the exact test admits on the snapshot.
+        Both hold only while the death count is the one they were taken at.
+        A network that never moves has an empty ring and no deadline, so its
+        `near` is the row for the whole run.
 
-        The list is shared with later calls while the row or split holds, so
-        a caller must not change it.
+        The list is shared with later calls while the view holds, so a
+        caller must not change it.
         """
-        pos = self.positions(t)
+        now = self.engine.now
         deaths = self.energy.deaths
-        row = self._rows.get(node)
-        if row is not None and row[0] == deaths:
-            return row[1]
+        view = self._views.get(node)
+        if view is not None and view[0] == deaths:
+            if view[4] == now:
+                return view[5]
+            if now <= view[1]:
+                pos = self.positions()
+                px, py = pos[node]
+                rng2 = self._range2
+                near, admitted = view[2], []
+                for other in view[3]:
+                    ox, oy = pos[other]
+                    dx, dy = ox - px, oy - py
+                    if dx * dx + dy * dy <= rng2:
+                        admitted.append(other)
+                view[4] = now
+                view[5] = out = sorted(near + admitted) if admitted else near
+                return out
+        pos = self.positions()
         px, py = pos[node]
-        rng2 = self._range2
-        split = self._splits.get(node)
-        if split is not None and split[0] == deaths and split[1] <= t <= split[2]:
-            near = split[3]
-            admitted = []
-            for other in split[4]:
-                ox, oy = pos[other]
-                dx, dy = ox - px, oy - py
-                if dx * dx + dy * dy <= rng2:
-                    admitted.append(other)
-            out = sorted(near + admitted) if admitted else near
-        else:
-            near2, far2 = self._near2, self._far2
-            remaining = self.energy.remaining_pj
-            out, near, ring = [], [], []
-            for other, (ox, oy) in enumerate(pos):
-                dx, dy = ox - px, oy - py
-                d2 = dx * dx + dy * dy
-                if d2 <= far2 and other != node and remaining[other] > 0:
-                    if d2 <= near2:
-                        near.append(other)
+        rng2, near2, far2 = self._range2, self._near2, self._far2
+        remaining = self.energy.remaining_pj
+        out, near, ring = [], [], []
+        for other, (ox, oy) in enumerate(pos):
+            dx, dy = ox - px, oy - py
+            d2 = dx * dx + dy * dy
+            if d2 <= far2 and other != node and remaining[other] > 0:
+                if d2 <= near2:
+                    near.append(other)
+                    out.append(other)
+                else:
+                    ring.append(other)
+                    if d2 <= rng2:
                         out.append(other)
-                    else:
-                        ring.append(other)
-                        if d2 <= rng2:
-                            out.append(other)
-            hold = self._ring_hold
-            if hold > 0.0:
-                self._splits[node] = (deaths, t - hold, t + hold, near, ring)
-        self._rows[node] = (deaths, out)
+        self._views[node] = [deaths, now + self._ring_hold, near, ring, now, out]
         return out
 
-    def reaches(self, sender: int, recv: int, t: float) -> bool:
-        """Whether `recv` is among neighbors(sender, t): the exact test on the
-        mobility model's two positions, with the addressee's battery read.
+    def reaches(self, sender: int, recv: int) -> bool:
+        """Whether `recv` is among neighbors(sender): the exact test on the
+        mobility model's two positions at the engine's clock, with the
+        addressee's battery read.
 
-        An in-range answer holds the pair for |t - t0| <= (range - d0 -
+        A pair found d0 <= range apart at t0 holds until t0 + (range - d0 -
         eps) / (2v) (see the class notes), for the whole run when v = 0, and
-        is written to `_links`, which `send` reads before calling this.
+        the deadline is written to `_links`, which `send` reads before
+        calling this.
         """
         if recv == sender or self.energy.remaining_pj[recv] <= 0:
             return False
+        now = self.engine.now
         position = self.mobility.position
-        sx, sy = position(sender, t)
-        ox, oy = position(recv, t)
+        sx, sy = position(sender, now)
+        ox, oy = position(recv, now)
         dx, dy = ox - sx, oy - sy
         d2 = dx * dx + dy * dy
         if d2 > self._range2:
             return False
         hold = (self.params.range - math.sqrt(d2) - self._eps) * self._per_metre
         if hold > 0.0:
-            self._links[sender][recv] = (t - hold, t + hold)
+            self._links[sender][recv] = now + hold
         return True
 
     def send(self, sender: int, packet, size_bytes: int, addressee: int | None = None) -> int:
@@ -238,10 +240,9 @@ class Radio:
         if addressee is not None:
             # a unicast needs only two positions and one loss draw, and none
             # while the sender holds its link to a live addressee
-            held = self._links[sender].get(addressee)
             reached = (
-                held is not None and held[0] <= now <= held[1] and remaining[addressee] > 0
-            ) or self.reaches(sender, addressee, now)
+                now <= self._links[sender].get(addressee, -math.inf) and remaining[addressee] > 0
+            ) or self.reaches(sender, addressee)
             if not reached or (loss_p > 0.0 and self.loss_rng.random() < loss_p):
                 if is_data:
                     # Unicast into the void: the frame reaches nobody.
@@ -277,7 +278,7 @@ class Radio:
             self.engine.schedule(now + duration, EventKind.FRAME_DELIVERY, deliver)
             return 1
 
-        receivers = self.neighbors(sender, now)
+        receivers = self.neighbors(sender)
         if receivers and loss_p > 0.0:
             # one draw per in-range receiver, in ascending id order
             receivers = [r for r in receivers if not self.loss_rng.random() < loss_p]
@@ -295,10 +296,11 @@ class Radio:
                 ),
             )
         else:
-            position = self.mobility.position
-            sx, sy = position(sender, now)
+            # from the snapshot the receivers were just found on
+            pos = self.positions()
+            sx, sy = pos[sender]
             for recv in receivers:
-                ox, oy = position(recv, now)
+                ox, oy = pos[recv]
                 dx, dy = ox - sx, oy - sy
                 delay = duration + delay_per_m * math.sqrt(dx * dx + dy * dy)
                 self.engine.schedule(
@@ -313,7 +315,8 @@ class Radio:
     def _deliver_batch(
         self, receivers: list[int] | tuple[int], packet, sender: int, rx: int, amount_pj: int
     ) -> None:
-        """A broadcast's receptions, one loop per frame kind.
+        """A broadcast's receptions: one loop for a hello and one for every
+        other frame.
 
         Each loop books a charge that leaves the receiver alive in place and
         hands any other to debit, receiver by receiver in the order given:
@@ -336,13 +339,15 @@ class Radio:
                     routers[recv].hello_deadline[sender] = expiry
                 else:
                     energy.debit(recv, rx, amount_pj)
-        elif kind is Rreq:
+        else:
             # A request copy is booked, then turned away unread by a receiver
             # on its route record or one its flood's table holds past now
             # (the rules are the protocols', see RouterBase). A handler writes
             # only its own node's entry, so each receiver's is read in turn.
+            # Any other frame reads an empty record and table: it reaches
+            # every receiver's on_frame.
             now = self.engine.now
-            record, flood = packet.route_record, packet.flood
+            record, flood = (packet.route_record, packet.flood) if kind is Rreq else ((), {})
             for recv in receivers:
                 left = remaining[recv] - amount_pj
                 if left > 0:
@@ -350,14 +355,5 @@ class Radio:
                     consumed_by[recv][rx] += amount_pj
                     if recv not in record and flood.get(recv, -1.0) <= now:
                         routers[recv].on_frame(packet, sender)
-                else:
-                    energy.debit(recv, rx, amount_pj)
-        else:
-            for recv in receivers:
-                left = remaining[recv] - amount_pj
-                if left > 0:
-                    remaining[recv] = left
-                    consumed_by[recv][rx] += amount_pj
-                    routers[recv].on_frame(packet, sender)
                 else:
                     energy.debit(recv, rx, amount_pj)

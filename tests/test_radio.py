@@ -124,6 +124,38 @@ def test_propagation_delay_delivers_by_distance():
         [tx_pj, 0, 0, 0], [0, 0, rx_pj, 0], [0, 0, rx_pj, 0], [0, 0, rx_pj, 0], [0, 0, 0, 0]
     ]
 
+    # On a moving network each arrival follows the distance at send time,
+    # not at an earlier query: node 0 stands still, node 1 walks away along
+    # x (110 m out at 1 s, 120 m at 2 s), node 2 leaves the range (245 m,
+    # then 255 m) and node 3 comes closer (230 m, then 220 m); node 4 is out.
+    model = MobilityModel([
+        [WaypointLeg(start, end, 0.0, 10.0 if start != end else 0.0, 1e12)]
+        for start, end in (
+            ((0.0, 0.0), (0.0, 0.0)), ((100.0, 0.0), (300.0, 0.0)),
+            ((0.0, 235.0), (0.0, 535.0)), ((0.0, -240.0), (0.0, -40.0)),
+            ((-400.0, 0.0), (-400.0, 0.0)),
+        )
+    ])
+    engine, radio, _ = mobile_radio(model, RadioParams(propagation_delay=delay))
+    arrivals = []
+    radio.routers[:] = stub_routers(
+        len(model.schedules), lambda n, pkt, sender: arrivals.append((engine.now, n))
+    )
+    engine.run_until(1.0)
+    assert radio.neighbors(0) == [1, 2, 3]
+    engine.run_until(2.0)
+    assert radio.send(0, control_pkt(0), 64) == 2
+    assert radio.send(0, data_pkt(0, 3), 512, addressee=3) == 1
+    engine.run_until(3.0)
+
+    def arrival(recv, size):
+        (sx, sy), (ox, oy) = model.position(0, 2.0), model.position(recv, 2.0)
+        dx, dy = ox - sx, oy - sy
+        return 2.0 + (radio.tx_duration(size) + delay * math.sqrt(dx * dx + dy * dy))
+
+    assert arrivals == [(arrival(1, 64), 1), (arrival(3, 64), 3), (arrival(3, 512), 3)]
+    assert [model.position(n, 2.0) for n in (1, 3)] == [(120.0, 0.0), (0.0, -220.0)]
+
 
 def test_empty_neighborhood_still_debits_tx():
     engine, radio, energy, _, inbox = make_radio([(0, 0), (9000, 0)])
@@ -136,13 +168,13 @@ def test_empty_neighborhood_still_debits_tx():
 
 def test_single_node_has_no_neighbors():
     radio = make_radio([(0, 0)])[1]
-    assert radio.neighbors(0, 0.0) == []
+    assert radio.neighbors(0) == []
 
 
 def test_two_nodes_list_each_other():
     radio = make_radio([(0, 0), (100, 0)])[1]
-    assert radio.neighbors(0, 0.0) == [1]
-    assert radio.neighbors(1, 0.0) == [0]
+    assert radio.neighbors(0) == [1]
+    assert radio.neighbors(1) == [0]
 
 
 def test_neighbors_match_brute_force_oracle():
@@ -156,16 +188,16 @@ def test_neighbors_match_brute_force_oracle():
         engine, radio, energy, _, inbox = make_radio([tuple(p) for p in pts])
         if rows_first:
             for node in range(20):
-                radio.neighbors(node, 0.0)
+                radio.neighbors(node)
         for node in dead:
             energy.debit(node, TX_DATA, energy.remaining_pj[node])
         for node in sorted(set(range(20)) - dead):
             expected = sorted(
                 j for j in range(20) if j != node and j not in dead and d[node, j] <= 250.0
             )
-            assert radio.neighbors(node, 0.0) == expected
+            assert radio.neighbors(node) == expected
             # broadcast and unicast sends reach exactly the oracle's receivers
-            assert [j for j in range(20) if radio.reaches(node, j, 0.0)] == expected
+            assert [j for j in range(20) if radio.reaches(node, j)] == expected
             inbox.clear()
             assert radio.send(node, control_pkt(node), 64) == len(expected)
             for j in range(20):
@@ -178,7 +210,7 @@ def test_link_symmetry():
     rng = np.random.default_rng(11)
     pts = [tuple(p) for p in rng.uniform((0, 0), (800, 600), size=(15, 2))]
     radio = make_radio(pts)[1]
-    nbrs = {n: set(radio.neighbors(n, 0.0)) for n in range(15)}
+    nbrs = {n: set(radio.neighbors(n)) for n in range(15)}
     for a in range(15):
         for b in nbrs[a]:
             assert a in nbrs[b]
@@ -260,13 +292,16 @@ def test_membership_decided_at_send_time():
     assert inbox == [1]
 
 
-def mobile_radio(model, initial_j=10.0):
-    energy = EnergyLedger(model.node_count, EnergyParams(initial=initial_j))
+def mobile_radio(model, params=None):
+    """A radio over `model`; its queries answer at the engine's clock, which
+    a test moves with `engine.run_until`."""
+    engine = Engine()
+    energy = EnergyLedger(model.node_count, EnergyParams())
     radio = Radio(
-        RadioParams(), Engine(), model, energy, PacketLedger(Trace(False)), Trace(False),
+        params or RadioParams(), engine, model, energy, PacketLedger(Trace(False)), Trace(False),
         stub_routers(model.node_count, lambda *_: None), RngStream(1, "radio/loss"),
     )
-    return radio, energy
+    return engine, radio, energy
 
 
 def test_a_snapshot_lasts_one_instant_or_the_whole_static_run():
@@ -280,14 +315,20 @@ def test_a_snapshot_lasts_one_instant_or_the_whole_static_run():
     # every later instant, before and after a death; reaches reads the model
     model, calls = counted(static_model([(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)]))
     assert model.speed_bound == 0.0
-    radio, energy = mobile_radio(model)
-    assert radio.neighbors(1, 1.0) == [0, 2]
-    assert radio.neighbors(0, 50.0) == [1]
-    assert radio.reaches(2, 1, 1e6)
+    engine, radio, energy = mobile_radio(model)
+    engine.run_until(1.0)
+    assert radio.neighbors(1) == [0, 2]
+    engine.run_until(50.0)
+    assert radio.neighbors(0) == [1]
+    engine.run_until(1e6)
+    assert radio.reaches(2, 1)
     energy.debit(1, TX_DATA, energy.remaining_pj[1])
-    assert radio.neighbors(0, 2e6) == []
-    assert not radio.reaches(2, 1, 3e6)
-    assert radio.neighbors(1, 4e6) == [0, 2]
+    engine.run_until(2e6)
+    assert radio.neighbors(0) == []
+    engine.run_until(3e6)
+    assert not radio.reaches(2, 1)
+    engine.run_until(4e6)
+    assert radio.neighbors(1) == [0, 2]
     assert calls == [1.0] * 3 + [1e6] * 2
     # node 1 stands 200 m from node 0 until it departs at 5 s, then walks off:
     # every node is paused before 5 s, yet each instant takes its own snapshot
@@ -298,13 +339,16 @@ def test_a_snapshot_lasts_one_instant_or_the_whole_static_run():
             WaypointLeg((200.0, 0.0), (600.0, 0.0), 5.0, 100.0, 1e12),
         ],
     ]))
-    radio, _ = mobile_radio(model)
-    assert radio.neighbors(0, 1.0) == [1]
-    assert radio.neighbors(1, 1.0) == [0]
+    engine, radio, _ = mobile_radio(model)
+    engine.run_until(1.0)
+    assert radio.neighbors(0) == [1]
+    assert radio.neighbors(1) == [0]
     assert calls == [1.0, 1.0]
-    assert radio.neighbors(0, 4.5) == [1]
+    engine.run_until(4.5)
+    assert radio.neighbors(0) == [1]
     # one second after its departure node 1 is 300 m out
-    assert radio.neighbors(0, 6.0) == []
+    engine.run_until(6.0)
+    assert radio.neighbors(0) == []
     assert calls == [1.0, 1.0, 4.5, 4.5, 6.0, 6.0]
 
 
@@ -321,11 +365,13 @@ def test_a_schedule_that_jumps_holds_nothing():
         [WaypointLeg((0.0, 5000.0), (10.0, 5000.0), 0.0, 0.1, 1e12)],
     ])
     assert model.speed_bound == math.inf
-    radio, _ = mobile_radio(model)
-    assert radio.neighbors(0, 1.0) == [1]
-    assert radio.reaches(0, 1, 1.0)
-    assert radio.neighbors(0, 5.0) == []
-    assert not radio.reaches(0, 1, 5.0)
+    engine, radio, _ = mobile_radio(model)
+    engine.run_until(1.0)
+    assert radio.neighbors(0) == [1]
+    assert radio.reaches(0, 1)
+    engine.run_until(5.0)
+    assert radio.neighbors(0) == []
+    assert not radio.reaches(0, 1)
 
 
 def test_holds_end_in_time_for_nodes_at_the_speed_bound():
@@ -344,15 +390,16 @@ def test_holds_end_in_time_for_nodes_at_the_speed_bound():
         for x in starts
     ])
     assert model.speed_bound == speed
-    radio, _ = mobile_radio(model)
+    engine, radio, _ = mobile_radio(model)
     nodes = range(len(starts))
     for step in range(61):
         t = step / 20
+        engine.run_until(t)
         pos = [model.position(n, t) for n in nodes]
         expected = [n for n in nodes[1:] if abs(pos[n][0] - pos[0][0]) <= 250.0]
-        assert radio.neighbors(0, t) == expected, t
-        assert [n for n in nodes if radio.reaches(0, n, t)] == expected, t
-        assert [n for n in nodes if radio.reaches(n, 0, t)] == expected, t
+        assert radio.neighbors(0) == expected, t
+        assert [n for n in nodes if radio.reaches(0, n)] == expected, t
+        assert [n for n in nodes if radio.reaches(n, 0)] == expected, t
 
 
 # a query step: how far the clock moves, then what is asked at the new time
@@ -389,11 +436,12 @@ def test_answers_match_a_brute_force_check_at_every_query(
     model = MobilityModel.generate(
         node_count, params, 200.0, lambda label: RngStream(seed, label)
     )
-    radio, energy = mobile_radio(model)
+    engine, radio, energy = mobile_radio(model)
     nodes = range(node_count)
     t = 0.0
     for gap, (ask, node) in steps:
         t = min(t + gap, 200.0)
+        engine.run_until(t)
         node %= node_count
         if ask == "kill":
             energy.debit(node, TX_DATA, energy.remaining_pj[node])
@@ -408,9 +456,9 @@ def test_answers_match_a_brute_force_check_at_every_query(
             for n in nodes
         ]
         if ask == "neighbors":
-            assert [radio.neighbors(n, t) for n in nodes] == expected
+            assert [radio.neighbors(n) for n in nodes] == expected
         else:
-            assert [o for o in nodes if radio.reaches(node, o, t)] == expected[node]
+            assert [o for o in nodes if radio.reaches(node, o)] == expected[node]
 
 
 def test_per_frame_loss_prob_drops_some():
@@ -432,7 +480,7 @@ def test_receiver_drained_mid_frame_is_charged_after_earlier_receivers():
     def relay(node, pkt, sender):
         log.append(("rx", node, sender))
         if node == 1 and sender == 0:
-            log.append(("neighbors", radio.neighbors(1, engine.now)))
+            log.append(("neighbors", radio.neighbors(1)))
             log.append(("tx", radio.send(1, control_pkt(1), 64)))
 
     radio.routers[:] = stub_routers(3, relay)
@@ -649,7 +697,7 @@ def test_a_held_link_to_an_addressee_dead_since_schedules_nothing(kind):
         metrics.on_sent(second)
     assert radio.send(0, first, size, addressee=1) == 1
     # the first unicast measured the pair and holds the link for the run
-    assert radio._links[0] == {1: (-math.inf, math.inf)}
+    assert radio._links[0] == {1: math.inf}
     energy.debit(1, RX_CONTROL, energy.remaining_pj[1])
     pending = pending_events(engine)
     assert radio.send(0, second, size, addressee=1) == 0
