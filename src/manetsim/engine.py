@@ -65,7 +65,7 @@ class Engine:
         seq = self._counter
         self._counter = seq + 1
         if not time >= self.now:  # behind the clock, or NaN
-            return self._push(time, seq, fn)
+            return self.schedule_reserved(time, seq, kind, fn)
         # a fresh number is above every pending one, so it goes last
         entry = [time, seq, fn]
         entries = self._pending.get(time)
@@ -88,9 +88,6 @@ class Engine:
         self, time: float, seq: int, kind: str, fn: Callable[[], None]
     ) -> Handle:
         """Enqueue work at ``time`` under a number taken with reserve()."""
-        return self._push(time, seq, fn)
-
-    def _push(self, time: float, seq: int, fn: Callable[[], None]) -> Handle:
         if not time >= self.now:
             if time != time:
                 raise SimulationError(f"scheduled event at t={time}: not a number")

@@ -12,24 +12,6 @@ from .trace import Trace
 
 
 @dataclass(slots=True)
-class PacketRecord:
-    pkt_id: int
-    flow_id: int
-    data_seq: int
-    size: int
-    sent_at: float
-    delivered_at: float | None = None
-    drop_cause: str | None = None
-    hops: int = 0
-    traversed: tuple[int, ...] = ()
-    source_route: tuple[int, ...] = ()
-
-    @property
-    def terminal(self) -> bool:
-        return self.delivered_at is not None or self.drop_cause is not None
-
-
-@dataclass(slots=True)
 class MetricsReport:
     sent: int
     delivered: int
@@ -46,7 +28,7 @@ class MetricsReport:
     routing_energy_j: float
     energy_series: list[tuple[float, float, float]]
     protocol_events: dict[str, int]
-    records: list[PacketRecord]
+    records: list[Data]  # every sent packet, indexed by pkt_id
 
     @property
     def dropped(self) -> int:
@@ -93,7 +75,8 @@ REPORT_EVENTS = (
 
 
 class PacketLedger:
-    """Records every data packet's lifecycle exactly once per stage.
+    """Records every data packet's lifecycle exactly once per stage, on the
+    packet itself: `records[pkt_id]` is the sent packet.
 
     It is also the run's one event sink: each record below writes its own
     trace line, so a fact and its line cannot drift apart.
@@ -101,7 +84,7 @@ class PacketLedger:
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self.records: dict[int, PacketRecord] = {}
+        self.records: list[Data] = []  # the sent packets, indexed by pkt_id
         self.control_transmissions = 0
         self.data_transmissions = 0
         self.energy_series: list[tuple[float, float, float]] = []
@@ -110,11 +93,10 @@ class PacketLedger:
     # -- lifecycle ----------------------------------------------------------
 
     def on_sent(self, pkt: Data) -> None:
-        if pkt.pkt_id in self.records:
-            raise SimulationError(f"packet {pkt.pkt_id} sent twice")
-        self.records[pkt.pkt_id] = PacketRecord(
-            pkt.pkt_id, pkt.flow_id, pkt.data_seq, pkt.payload_size, pkt.sent_at
-        )
+        records = self.records
+        if pkt.pkt_id != len(records):
+            raise SimulationError(f"packet {pkt.pkt_id} sent out of turn: {len(records)} is next")
+        records.append(pkt)
         if self.trace.enabled:
             self.trace.emit(
                 pkt.sent_at, pkt.origin, "cbr_send", pkt.pkt_id,
@@ -123,25 +105,21 @@ class PacketLedger:
 
     def on_delivered(self, pkt: Data, t: float) -> None:
         """pkt reached its destination at t."""
-        rec = self.records[pkt.pkt_id]
-        if rec.terminal:
+        if pkt.terminal:
             raise SimulationError(
                 f"duplicate terminal state for packet {pkt.pkt_id} "
                 f"(routing loop or duplication bug)"
             )
-        rec.delivered_at = t
-        rec.hops = max(len(pkt.traversed) - 1, 0)
-        rec.traversed = tuple(pkt.traversed)
-        rec.source_route = tuple(pkt.source_route)
+        pkt.end = t
+        pkt.traversed = traversed = tuple(pkt.traversed)
         if self.trace.enabled:
-            self.trace.emit(t, pkt.dest, "deliver", pkt.pkt_id, f"hops={len(pkt.traversed) - 1}")
+            self.trace.emit(t, pkt.dest, "deliver", pkt.pkt_id, f"hops={len(traversed) - 1}")
 
     def on_dropped(self, pkt: Data, cause: str, t: float, node: int) -> None:
-        rec = self.records[pkt.pkt_id]
-        if rec.terminal:
+        if pkt.terminal:
             raise SimulationError(f"duplicate terminal state for packet {pkt.pkt_id}")
-        rec.drop_cause = cause
-        rec.traversed = tuple(pkt.traversed)
+        pkt.end = cause
+        pkt.traversed = tuple(pkt.traversed)
         self.trace.emit(t, node, "drop", pkt.pkt_id, cause)
 
     def on_control_tx(self) -> None:
@@ -160,19 +138,23 @@ class PacketLedger:
     # -- derivation ---------------------------------------------------------
 
     def finalize(self, duration: float, energy_ledger) -> MetricsReport:
-        recs = list(self.records.values())
+        recs = self.records
         sent = len(recs)
-        delivered = [r for r in recs if r.delivered_at is not None]
-        drops = Counter(r.drop_cause for r in recs if r.drop_cause is not None)
+        # each packet's `end` stamp, read directly: Data's properties cost a call per record
+        delivered = [r for r in recs if r.end is not None and not isinstance(r.end, str)]
+        drops = Counter(r.end for r in recs if isinstance(r.end, str))
         unknown = drops.keys() - DROP_CAUSES
         if unknown:
             raise SimulationError(f"drop causes with no report column: {sorted(unknown)}")
         in_flight = sent - len(delivered) - sum(drops.values())
 
-        delivered_bytes = sum(r.size for r in delivered)
+        delivered_bytes = sum(r.payload_size for r in delivered)
         throughput = delivered_bytes * 8 / duration / 1000 if duration > 0 else 0.0
         if delivered:
-            delay = sum(r.delivered_at - r.sent_at for r in delivered) / len(delivered)
+            delay = 0.0  # a plain loop: sum() compensates float rounding from Python 3.12 on
+            for r in delivered:
+                delay += r.end - r.sent_at
+            delay /= len(delivered)
             nrl = self.control_transmissions / len(delivered)
         else:
             delay = math.nan

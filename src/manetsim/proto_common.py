@@ -63,6 +63,8 @@ HELLO = Hello()
 
 @dataclass(slots=True)
 class Data:
+    """A CBR packet; once sent, it is also its own ledger record (PacketLedger)."""
+
     origin: int
     dest: int
     payload_size: int
@@ -71,7 +73,21 @@ class Data:
     flow_id: int
     pkt_id: int
     source_route: tuple[int, ...] = ()
-    traversed: list[int] = field(default_factory=list)
+    traversed: list[int] | tuple[int, ...] = field(default_factory=list)
+    # delivery time or drop cause: one slot, as an eleventh moves Data up a size class
+    end: float | str | None = None
+
+    @property
+    def terminal(self) -> bool:
+        return self.end is not None
+
+    @property
+    def delivered_at(self) -> float | None:
+        return None if isinstance(self.end, str) else self.end
+
+    @property
+    def drop_cause(self) -> str | None:
+        return self.end if isinstance(self.end, str) else None
 
 
 Packet = Rreq | Rrep | Rerr | Hello | Data

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from .engine import EventKind, RngStream
 from .proto_common import Data
@@ -61,49 +62,56 @@ def generate_flows(
 class TrafficSource:
     """Open-loop CBR sources: the timing never depends on routing outcomes.
 
-    Each flow keeps one pending tick. start() reserves an insertion number
-    for every send of the flow and schedules the first; each tick arms the
-    next before it emits, so ties break exactly as if every send had been
-    scheduled at start.
+    start() reserves an insertion number for every send of a flow and
+    schedules its FlowClock's one pending tick, so ties break exactly as if
+    every send had been scheduled at start.
     """
 
     def __init__(self, flows: list[FlowSpec], net):
         self.flows = flows
         self.net = net
-        self._next_pkt_id = 0
 
     def start(self) -> None:
+        net, pkt_ids = self.net, count()  # one pkt_id numbering across flows, in send order
         for flow in self.flows:
-            self.net.trace.emit(
+            net.trace.emit(
                 0.0, flow.src, "flow", "-",
                 f"id={flow.flow_id} dest={flow.dest} payload={flow.payload} "
                 f"interval={flow.interval} start={flow.start} stop={flow.stop}",
             )
-            count = send_count(flow)
-            self._arm(flow, self.net.engine.reserve(count), count, 0)
+            clock = FlowClock(flow, net, pkt_ids)
+            net.engine.schedule_reserved(flow.start, clock.base, EventKind.TRAFFIC_TICK, clock.tick)
 
-    def _arm(self, flow: FlowSpec, base: int, count: int, seq: int) -> None:
-        self.net.engine.schedule_reserved(
-            flow.start + seq * flow.interval,
-            base + seq,
-            EventKind.TRAFFIC_TICK,
-            lambda: self._emit(flow, base, count, seq),
-        )
 
-    def _emit(self, flow: FlowSpec, base: int, count: int, seq: int) -> None:
-        if seq + 1 < count:
-            self._arm(flow, base, count, seq + 1)
-        net = self.net
-        now = net.engine.now
+class FlowClock:
+    """One flow's sends. Send k runs under the reserved number base + k and
+    first re-arms the bound `tick` for send k + 1; only the engine holds it."""
+
+    __slots__ = ("flow", "engine", "ledger", "energy", "router", "pkt_ids", "sends", "base", "seq")
+
+    def __init__(self, flow: FlowSpec, net, pkt_ids: count):
+        self.flow, self.pkt_ids, self.seq = flow, pkt_ids, 0  # seq: the next send
+        self.engine, self.ledger, self.energy = net.engine, net.metrics, net.energy
+        self.router, self.sends = net.routers[flow.src], send_count(flow)
+        self.base = net.engine.reserve(self.sends)
+
+    def tick(self) -> None:
+        flow, seq, engine = self.flow, self.seq, self.engine
+        if seq + 1 < self.sends:
+            self.seq = following = seq + 1
+            engine.schedule_reserved(
+                flow.start + following * flow.interval, self.base + following,
+                EventKind.TRAFFIC_TICK, self.tick,
+            )
+        now = engine.now
         # positional, in Data's field order: origin, dest, payload_size,
         # data_seq, sent_at, flow_id, pkt_id, source_route, traversed
         pkt = Data(
             flow.src, flow.dest, flow.payload, seq, now, flow.flow_id,
-            self._next_pkt_id, (), [flow.src],
+            next(self.pkt_ids), (), [flow.src],
         )
-        self._next_pkt_id += 1
-        net.metrics.on_sent(pkt)
-        if not net.energy.alive(flow.src):
-            net.metrics.on_dropped(pkt, "dead_node", now, flow.src)
+        self.ledger.on_sent(pkt)
+        if not self.energy.alive(flow.src):
+            self.ledger.on_dropped(pkt, "dead_node", now, flow.src)
             return
-        net.routers[flow.src].send_data(pkt)
+        self.router.send_data(pkt)

@@ -213,7 +213,7 @@ def test_criterion_4_conservation(randomized_suite):
         for rec in report.records:
             if rec.delivered_at is None:
                 continue
-            floor = rec.hops * rec.size * 8 / bandwidth
+            floor = (len(rec.traversed) - 1) * rec.payload_size * 8 / bandwidth
             if rec.delivered_at - rec.sent_at + 1e-12 < floor:
                 bad.append(("delay<min", result.scenario.protocol, rec.pkt_id))
     verdict("4 (conservation)", not bad, f"runs={len(randomized_suite)} violations={bad[:3]}")

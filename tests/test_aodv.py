@@ -52,7 +52,7 @@ def test_bench_route_matches_bfs_oracle():
     # every steady-state delivery runs along a shortest path
     steady = [r for r in report.records if r.delivered_at and r.data_seq >= 2]
     assert steady
-    assert all(r.hops == expected_hops for r in steady)
+    assert all(len(r.traversed) - 1 == expected_hops for r in steady)
 
 
 def test_partitioned_fails_after_all_retries():

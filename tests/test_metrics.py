@@ -130,3 +130,50 @@ def test_control_counts_per_hop_transmission():
     for _ in range(5):
         ledger.on_control_tx()
     assert ledger.control_transmissions == 5
+
+
+def test_the_records_are_the_sent_packets_in_pkt_id_order():
+    ledger = PacketLedger(Trace(enabled=False))
+    packets = [pkt(i) for i in range(4)]
+    for p in packets:
+        ledger.on_sent(p)
+    ledger.on_dropped(packets[1], "no_route", 1.0, 0)
+    packets[2].traversed.append(1)
+    ledger.on_delivered(packets[2], 1.0)
+    report = ledger.finalize(5.0, IDLE)
+    assert report.records is ledger.records  # no copy
+    assert len(report.records) == len(packets)
+    for i, p in enumerate(packets):
+        assert report.records[i] is p
+    assert [p.terminal for p in report.records] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("end", ["delivered", "dropped"])
+def test_a_terminal_stamp_freezes_the_path_and_a_second_is_a_hard_fault(end):
+    ledger = PacketLedger(Trace(enabled=False))
+    p = pkt(0)
+    ledger.on_sent(p)
+    p.traversed += [3, 1]
+    if end == "delivered":
+        ledger.on_delivered(p, 1.0)
+        assert (p.delivered_at, p.drop_cause) == (1.0, None)
+    else:
+        ledger.on_dropped(p, "link_break", 1.0, 3)
+        assert (p.delivered_at, p.drop_cause) == (None, "link_break")
+    assert p.traversed == (0, 3, 1)
+    with pytest.raises(SimulationError, match="duplicate terminal state"):
+        ledger.on_dropped(p, "loop", 2.0, 1)
+    with pytest.raises(SimulationError, match="duplicate terminal state"):
+        ledger.on_delivered(p, 2.0)
+    assert p.traversed == (0, 3, 1)
+
+
+@pytest.mark.parametrize("ids", [[0, 0], [1], [0, 2], [0, 1, 1]])
+def test_a_packet_sent_out_of_pkt_id_order_is_a_hard_fault(ids):
+    ledger = PacketLedger(Trace(enabled=False))
+    *first, last = ids
+    for i in first:
+        ledger.on_sent(pkt(i))
+    with pytest.raises(SimulationError, match=f"packet {last} sent out of turn"):
+        ledger.on_sent(pkt(last))
+    assert [p.pkt_id for p in ledger.records] == first

@@ -646,9 +646,9 @@ def test_a_send_books_its_sender_like_a_debit_and_schedules_only_for_a_survivor(
     engine, radio, energy, metrics, charges = ledger(deaths)
     assert all(0 < k < charge for k, charge in zip(offsets, charges))
     scheduled, packets = [], []
-    for i, sender in enumerate(frames):
+    for sender in frames:
         make_packet, size, _, unicast = SENDS[senders[sender][1]]
-        packet = make_packet(sender, addressee, i)
+        packet = make_packet(sender, addressee, len(packets))
         if type(packet) is Data:
             metrics.on_sent(packet)
             packets.append(packet)

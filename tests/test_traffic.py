@@ -5,7 +5,7 @@ import pytest
 from manetsim import Scenario, parse_scenario
 from manetsim.engine import EventKind, RngStream
 from manetsim.runner import build_network, resolve_flows
-from manetsim.traffic import FlowSpec, TrafficSource, generate_flows
+from manetsim.traffic import FlowClock, FlowSpec, TrafficSource, generate_flows
 
 from conftest import pending_events, static_model
 
@@ -23,14 +23,14 @@ def started(flows, duration=120.0):
 def sends(net, until):
     """(flow, data_seq, sent_at) of every send up to `until`, in send order."""
     net.engine.run_until(until)
-    return [(r.flow_id, r.data_seq, r.sent_at) for r in net.metrics.records.values()]
+    return [(r.flow_id, r.data_seq, r.sent_at) for r in net.metrics.records]
 
 
 def pending_ticks(engine):
-    """Pending entries [time, seq, fn] whose callback a TrafficSource armed."""
+    """Pending entries [time, seq, fn] whose callback is a flow's tick."""
     return [
         entry for entry in pending_events(engine)
-        if entry[2] is not None and entry[2].__qualname__.startswith("TrafficSource.")
+        if isinstance(getattr(entry[2], "__self__", None), FlowClock)
     ]
 
 
@@ -72,6 +72,13 @@ def test_one_pending_tick_per_flow():
     # every send's insertion number is taken at start, as if each were
     # scheduled up front: 8 flows x 1191 sends over [1, 120] at 0.1 s
     assert net.engine.reserve(0) == 9528
+    # send k runs under base + k and re-arms its flow for send k + 1
+    clocks = [fn.__self__ for _, _, fn in ticks]
+    assert [seq for _, seq, _ in ticks] == [clock.base for clock in clocks]
+    net.engine.run_until(max(f.start for f in flows))
+    assert [(fn.__self__, time, seq) for time, seq, fn in pending_ticks(net.engine)] == [
+        (clock, clock.flow.start + clock.flow.interval, clock.base + 1) for clock in clocks
+    ]
 
 
 def test_tiny_interval_starts_at_once():
