@@ -3,7 +3,7 @@
 import gc
 import hashlib
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 from heapq import heappop, heappush
 from operator import itemgetter, length_hint
 from typing import Callable, Iterator
@@ -30,8 +30,8 @@ class EventKind:
 
 
 # A pending event is its entry [time, seq, fn] in its instant's list, which is
-# also the handle schedule() returns: ``fn`` runs when the clock reaches
-# ``time``, and cancel() sets it to None.
+# also the handle the schedule methods return: ``fn`` runs when the clock
+# reaches ``time``, and cancel() sets it to None.
 Handle = list
 
 _SEQ = itemgetter(1)
@@ -41,13 +41,14 @@ class Engine:
     """Virtual-clock event loop.
 
     Events are processed in strictly non-decreasing time order; ties are
-    broken FIFO by insertion counter, so a run is fully reproducible.
+    broken by number (an insertion counter from 0, or a caller's rank), and
+    equal numbers FIFO, so a run is fully reproducible.
 
     Pending events are kept per instant: a heap holds each distinct pending
-    time once, and ``_pending`` maps it to its entries in insertion-number
-    order. Most events share their instant with others (hello ticks on whole
-    seconds, their deliveries one airtime later), so the heap stays small and
-    an instant's events run from a plain list.
+    time once, and ``_pending`` maps it to its entries in number order. Most
+    events share their instant with others (hello ticks on whole seconds,
+    their deliveries one airtime later), so the heap stays small and an
+    instant's events run from a plain list.
     """
 
     def __init__(self) -> None:
@@ -65,7 +66,7 @@ class Engine:
         seq = self._counter
         self._counter = seq + 1
         if not time >= self.now:  # behind the clock, or NaN
-            return self.schedule_reserved(time, seq, kind, fn)
+            return self.schedule_ranked(time, seq, kind, fn)
         # a fresh number is above every pending one, so it goes last
         entry = [time, seq, fn]
         entries = self._pending.get(time)
@@ -76,18 +77,13 @@ class Engine:
             entries.append(entry)
         return entry
 
-    def reserve(self, count: int) -> int:
-        """Take ``count`` insertion numbers now for events pushed later with
-        schedule_reserved(); returns the first. A reserved event breaks
-        time ties as if it had been scheduled at the reservation."""
-        base = self._counter
-        self._counter = base + count
-        return base
-
-    def schedule_reserved(
-        self, time: float, seq: int, kind: str, fn: Callable[[], None]
+    def schedule_ranked(
+        self, time: float, rank: int, kind: str, fn: Callable[[], None]
     ) -> Handle:
-        """Enqueue work at ``time`` under a number taken with reserve()."""
+        """Enqueue work at ``time`` under ``rank`` in place of a fresh
+        number: it runs after the lower numbers at its instant and the equal
+        ranks pushed before it. schedule() appends a fresh number last, so a
+        caller's rank is negative, below every number schedule() hands out."""
         if not time >= self.now:
             if time != time:
                 raise SimulationError(f"scheduled event at t={time}: not a number")
@@ -97,7 +93,7 @@ class Engine:
                 raise SimulationError(
                     f"scheduled event at t={time} in the past (clock={self.now})"
                 )
-        entry = [time, seq, fn]
+        entry = [time, rank, fn]
         entries = self._pending.get(time)
         if entries is None:
             self._pending[time] = [entry]
@@ -105,10 +101,10 @@ class Engine:
             return entry
         lo = 0
         if self._running and self._running[0] is entries:
-            # land after the entries that have run: a number below the
-            # running event's then runs next, as a heap would run it
+            # land after the entries that have run: a rank below the running
+            # event's then runs next, as a heap would run it
             lo = len(entries) - length_hint(self._running[1])
-        entries.insert(bisect_left(entries, seq, lo, key=_SEQ), entry)
+        entries.insert(bisect_right(entries, rank, lo, key=_SEQ), entry)
         return entry
 
     def cancel(self, handle: Handle) -> None:

@@ -271,8 +271,6 @@ class MaodvRouter(RouterBase):
         self._note("routes_selected", f"dest={dest} routes={routes_text}")
         # cleared even when the reply outlived its discovery
         self.discovery_backoff.pop(dest, None)
-        for route in cache.routes:
-            self.watch(route[1])
         if discovery is not None:
             for pkt in discovery.buffered:
                 self.send_data(pkt)

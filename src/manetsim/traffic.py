@@ -62,9 +62,9 @@ def generate_flows(
 class TrafficSource:
     """Open-loop CBR sources: the timing never depends on routing outcomes.
 
-    start() reserves an insertion number for every send of a flow and
-    schedules its FlowClock's one pending tick, so ties break exactly as if
-    every send had been scheduled at start.
+    Flow i of F ticks under the rank i - F, below every number the engine
+    hands out, so at any instant its sends run ahead of every other event,
+    flows in declaration order.
     """
 
     def __init__(self, flows: list[FlowSpec], net):
@@ -73,34 +73,33 @@ class TrafficSource:
 
     def start(self) -> None:
         net, pkt_ids = self.net, count()  # one pkt_id numbering across flows, in send order
-        for flow in self.flows:
+        for rank, flow in enumerate(self.flows, -len(self.flows)):
             net.trace.emit(
                 0.0, flow.src, "flow", "-",
                 f"id={flow.flow_id} dest={flow.dest} payload={flow.payload} "
                 f"interval={flow.interval} start={flow.start} stop={flow.stop}",
             )
-            clock = FlowClock(flow, net, pkt_ids)
-            net.engine.schedule_reserved(flow.start, clock.base, EventKind.TRAFFIC_TICK, clock.tick)
+            clock = FlowClock(flow, net, pkt_ids, rank)
+            net.engine.schedule_ranked(flow.start, rank, EventKind.TRAFFIC_TICK, clock.tick)
 
 
 class FlowClock:
-    """One flow's sends. Send k runs under the reserved number base + k and
-    first re-arms the bound `tick` for send k + 1; only the engine holds it."""
+    """One flow's sends. Every send runs under the flow's rank and first
+    re-arms the bound `tick` for the next one; only the engine holds it."""
 
-    __slots__ = ("flow", "engine", "ledger", "energy", "router", "pkt_ids", "sends", "base", "seq")
+    __slots__ = ("flow", "engine", "ledger", "energy", "router", "pkt_ids", "sends", "rank", "seq")
 
-    def __init__(self, flow: FlowSpec, net, pkt_ids: count):
-        self.flow, self.pkt_ids, self.seq = flow, pkt_ids, 0  # seq: the next send
+    def __init__(self, flow: FlowSpec, net, pkt_ids: count, rank: int):
+        self.flow, self.pkt_ids, self.seq, self.rank = flow, pkt_ids, 0, rank  # seq: the next send
         self.engine, self.ledger, self.energy = net.engine, net.metrics, net.energy
         self.router, self.sends = net.routers[flow.src], send_count(flow)
-        self.base = net.engine.reserve(self.sends)
 
     def tick(self) -> None:
         flow, seq, engine = self.flow, self.seq, self.engine
         if seq + 1 < self.sends:
             self.seq = following = seq + 1
-            engine.schedule_reserved(
-                flow.start + following * flow.interval, self.base + following,
+            engine.schedule_ranked(
+                flow.start + following * flow.interval, self.rank,
                 EventKind.TRAFFIC_TICK, self.tick,
             )
         now = engine.now

@@ -1,16 +1,23 @@
 """Shared fixtures: scripted topologies and independent oracles."""
 
 import copy
+import heapq
 import math
+from itertools import count
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from manetsim import Scenario
 from manetsim.energy import RX_CONTROL
+from manetsim.engine import TIME_EPSILON, SimulationError
 from manetsim.mobility import MobilityModel, WaypointLeg
 from manetsim.proto_common import Rrep
-from manetsim.runner import build_network
+from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import FlowSpec, TrafficSource
+
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
 # Nine-node benchmark topology (S=0, N1..N7=1..7, D=8). The coordinates
 # realize exactly the intended adjacency as a unit-disk graph at 250 m,
@@ -72,6 +79,80 @@ def departing_model(positions, movers: dict) -> MobilityModel:
         else:
             schedules.append([WaypointLeg(p, p, 0.0, 0.0, 1e12)])
     return MobilityModel(schedules)
+
+
+def run_static(positions, flows, duration=30.0, protocol="aodv", mobility=None, **proto_kw):
+    """Run `flows` traced over nodes standing at `positions` (or moving by
+    `mobility`), with protocol keys set from `proto_kw`."""
+    sc = Scenario(node_count=len(positions), duration=duration, protocol=protocol, flows=flows)
+    for key, value in proto_kw.items():
+        setattr(sc.proto, key, value)
+    return run_scenario(sc, with_trace=True, mobility=mobility or static_model(positions))
+
+
+@st.composite
+def small_scenarios(draw):
+    """Short runs of a few nodes over the inputs that steer the protocols into
+    their rare paths: lost frames, in-flight delays, batteries that die."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    duration = draw(st.floats(min_value=5.0, max_value=20.0))
+    return Scenario().variant(
+        protocol=draw(st.sampled_from(["aodv", "maodv"])),
+        master_seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        node_count=n,
+        duration=duration,
+        area=(
+            draw(st.floats(min_value=50.0, max_value=800.0)),
+            draw(st.floats(min_value=50.0, max_value=800.0)),
+        ),
+        pause_time=draw(st.floats(min_value=0.0, max_value=30.0)),
+        loss_prob=draw(st.floats(min_value=0.0, max_value=0.3)),
+        propagation_delay=draw(st.sampled_from([0.0, 3.3e-9, 1e-6, 1e-4])),
+        initial_energy=draw(st.floats(min_value=0.05, max_value=10.0)),
+        flow_count=draw(st.integers(min_value=1, max_value=min(4, n * (n - 1)))),
+        traffic_start=draw(st.floats(min_value=0.0, max_value=duration, exclude_max=True)),
+    )
+
+
+class HeapEngine:
+    """The reference order for Engine: one heap of [time, number, push, fn]
+    entries, so ties break by (time, number, push order). schedule() numbers
+    from 0 up, schedule_ranked() takes the caller's rank as the number."""
+
+    def __init__(self):
+        self.now, self.heap, self.processed = 0.0, [], 0
+        self.numbers, self.pushes = count(), count()
+
+    def schedule(self, time, kind, fn):
+        return self.schedule_ranked(time, next(self.numbers), kind, fn)
+
+    def schedule_ranked(self, time, rank, kind, fn):
+        if not time >= self.now:
+            if not self.now - time <= TIME_EPSILON:  # far behind, or NaN
+                raise SimulationError("past")
+            time = self.now
+        entry = [time, rank, next(self.pushes), fn]
+        heapq.heappush(self.heap, entry)
+        return entry
+
+    def cancel(self, handle):
+        handle[3] = None
+
+    def clear(self):
+        self.heap.clear()
+
+    def run_until(self, t_end):
+        if not t_end >= self.now:
+            raise SimulationError("behind")
+        processed = 0
+        while self.heap and self.heap[0][0] <= t_end:
+            time, _, _, fn = heapq.heappop(self.heap)
+            if fn is not None:
+                self.now = time
+                fn()
+                processed += 1
+        self.now, self.processed = t_end, self.processed + processed
+        return processed
 
 
 def all_simple_paths(adjacency: dict, src, dst, max_hops: int) -> list[tuple]:

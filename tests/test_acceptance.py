@@ -11,7 +11,6 @@ analysis lives in the project notes.
 import math
 import statistics
 import time
-from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -22,6 +21,7 @@ from manetsim.sweep import summarize, sweep
 from manetsim.traffic import FlowSpec
 
 from conftest import (
+    BASELINE,
     BENCH_LISTED_PATHS,
     BENCH_POSITIONS,
     adjacency_from_positions,
@@ -30,7 +30,6 @@ from conftest import (
     run_bench_discovery,
 )
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
 PAUSE_GRID = [0, 40, 80, 120, 160, 200]
 DENSITY_GRID = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
@@ -44,7 +43,7 @@ def verdict(criterion: str, ok: bool, detail: str = "") -> bool:
 
 
 def baseline_scenario() -> Scenario:
-    return parse_scenario(BASELINE_PATH.read_text(), name="baseline")
+    return parse_scenario(BASELINE.read_text(), name="baseline")
 
 
 # -- shared expensive fixtures ---------------------------------------------------

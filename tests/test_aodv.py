@@ -1,4 +1,3 @@
-from pathlib import Path
 
 import pytest
 
@@ -9,16 +8,17 @@ from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import FlowSpec
 
 from conftest import (
+    BASELINE,
     BENCH_POSITIONS,
     adjacency_from_positions,
     bfs_hops,
     departing_model,
     receive,
     router_state,
+    run_static,
     static_model,
 )
 
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
 # diamond: source - relay - (mover|backup) - dest, backup reachable only via relay
 DIAMOND = {
@@ -30,15 +30,6 @@ DIAMOND = {
 }
 
 CHAIN = {0: (0.0, 0.0), 1: (240.0, 0.0), 2: (480.0, 0.0), 3: (720.0, 0.0)}
-
-
-def run_static(positions, flows, duration=30.0, protocol="aodv", mobility=None, **proto_kw):
-    sc = Scenario(node_count=len(positions), duration=duration, protocol=protocol, flows=flows)
-    for key, value in proto_kw.items():
-        setattr(sc.proto, key, value)
-    return run_scenario(
-        sc, with_trace=True, mobility=mobility or static_model(positions)
-    )
 
 
 def test_bench_route_matches_bfs_oracle():

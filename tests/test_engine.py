@@ -1,18 +1,20 @@
 import contextlib
 import gc
-import heapq
+import json
 import math
 import sys
-from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manetsim import parse_scenario
+from manetsim import parse_scenario, runner
 from manetsim.engine import TIME_EPSILON, Engine, EventKind, RngStream, SimulationError
 from manetsim.runner import run_scenario
+from manetsim.sweep import report_row
+from manetsim.traffic import FlowSpec
 
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
+from conftest import BASELINE, HeapEngine, small_scenarios
 
 
 def test_events_processed_in_time_order():
@@ -65,34 +67,32 @@ def test_schedule_in_past_is_hard_fault():
     assert fired == [3.0, 3.0]
 
 
-def test_reserved_number_breaks_ties_from_its_reservation():
+def test_ranked_pushes_run_by_rank_then_push_order():
     eng = Engine()
     order = []
-    base = eng.reserve(2)
-    eng.schedule(5.0, EventKind.TIMER, lambda: order.append("scheduled"))
-    # pushed after the plain event, but numbered before it
-    eng.schedule_reserved(5.0, base + 1, EventKind.TIMER, lambda: order.append("second"))
-    eng.schedule_reserved(5.0, base, EventKind.TIMER, lambda: order.append("first"))
-    assert eng.reserve(0) == base + 3
+    eng.schedule(5.0, EventKind.TIMER, lambda: order.append("plain"))
+    # pushed after the plain event, but ranked below every fresh number
+    eng.schedule_ranked(5.0, -1, EventKind.TIMER, lambda: order.append("-1 first"))
+    eng.schedule_ranked(5.0, -2, EventKind.TIMER, lambda: order.append("-2"))
+    eng.schedule_ranked(5.0, -1, EventKind.TIMER, lambda: order.append("-1 second"))
+    # a ranked push takes no number from schedule()
+    assert eng.schedule(6.0, EventKind.TIMER, lambda: None)[1] == 1
     eng.run_until(5.0)
-    assert order == ["first", "second", "scheduled"]
+    assert order == ["-2", "-1 first", "-1 second", "plain"]
 
 
-def test_reserved_push_in_past_is_hard_fault():
+def test_ranked_push_in_past_is_hard_fault():
     eng = Engine()
-    base = eng.reserve(3)
     eng.schedule(3.0, EventKind.TIMER, lambda: None)
     eng.run_until(3.0)
     with pytest.raises(SimulationError):
-        eng.schedule_reserved(2.0, base, EventKind.TIMER, lambda: None)
+        eng.schedule_ranked(2.0, -1, EventKind.TIMER, lambda: None)
     with pytest.raises(SimulationError):
-        eng.schedule_reserved(3.0 - 2e-9, base, EventKind.TIMER, lambda: None)
+        eng.schedule_ranked(3.0 - 2e-9, -1, EventKind.TIMER, lambda: None)
     # just behind the clock is clamped to it, as schedule() does
     fired = []
-    handle = eng.schedule_reserved(
-        3.0 - 5e-10, base + 1, EventKind.TIMER, lambda: fired.append(eng.now)
-    )
-    assert handle[:2] == [3.0, base + 1]
+    handle = eng.schedule_ranked(3.0 - 5e-10, -1, EventKind.TIMER, lambda: fired.append(eng.now))
+    assert handle[:2] == [3.0, -1]
     eng.run_until(3.0)
     assert fired == [3.0]
 
@@ -153,11 +153,10 @@ def test_clock_never_decreases(times):
 @pytest.mark.parametrize("time", [math.nan, -math.nan])
 def test_nan_time_is_hard_fault(time):
     eng = Engine()
-    base = eng.reserve(1)
     with pytest.raises(SimulationError, match="nan: not a number"):
         eng.schedule(time, EventKind.TIMER, lambda: None)
     with pytest.raises(SimulationError, match="nan: not a number"):
-        eng.schedule_reserved(time, base, EventKind.TIMER, lambda: None)
+        eng.schedule_ranked(time, -1, EventKind.TIMER, lambda: None)
     # a NaN end is refused with the clock left where it was
     with pytest.raises(SimulationError, match=r"run_until\(nan\): not a number"):
         eng.run_until(time)
@@ -213,46 +212,6 @@ def test_a_baseline_run_makes_no_collector_pass_inside_the_loop():
     assert inside == []
 
 
-class HeapEngine:
-    """The reference order: one heap of [time, seq, fn] entries."""
-
-    def __init__(self):
-        self.now, self.heap, self.counter, self.processed = 0.0, [], 0, 0
-
-    def schedule(self, time, kind, fn):
-        self.counter += 1
-        return self.schedule_reserved(time, self.counter - 1, kind, fn)
-
-    def reserve(self, count):
-        self.counter += count
-        return self.counter - count
-
-    def schedule_reserved(self, time, seq, kind, fn):
-        if time < self.now:
-            if self.now - time > TIME_EPSILON:
-                raise SimulationError("past")
-            time = self.now
-        entry = [time, seq, fn]
-        heapq.heappush(self.heap, entry)
-        return entry
-
-    def cancel(self, handle):
-        handle[2] = None
-
-    def run_until(self, t_end):
-        if t_end < self.now:
-            raise SimulationError("behind")
-        processed = 0
-        while self.heap and self.heap[0][0] <= t_end:
-            time, _, fn = heapq.heappop(self.heap)
-            if fn is not None:
-                self.now = time
-                fn()
-                processed += 1
-        self.now, self.processed = t_end, self.processed + processed
-        return processed
-
-
 class Boom(Exception):
     pass
 
@@ -263,12 +222,13 @@ TIMES = [0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 3.0]
 OFFSETS = [-2 * TIME_EPSILON, -TIME_EPSILON / 2, 0.0, 0.0, 1e-12, 0.5, 1.0]
 RUN_ENDS = [0.0, 0.5, 1.0, 1.0 + 5e-13, 2.0, 0.25]
 
-# A push takes a fresh insertion number (slot None) or a reserved one; inside
-# a running event its time is an offset from the clock. A running event may
-# also cancel a handle, pending or already run, or raise.
+# A push takes a fresh insertion number (rank None) or one of a few negative
+# ranks, which pushes may share; inside a running event its time is an offset
+# from the clock. A running event may also cancel a handle, pending or
+# already run, or raise.
 def push_op(times):
     return st.tuples(
-        st.just("push"), st.none() | st.integers(0, 15), st.integers(0, len(times) - 1),
+        st.just("push"), st.none() | st.integers(-3, -1), st.integers(0, len(times) - 1),
         st.integers(0, 7),
     )
 
@@ -277,23 +237,15 @@ CANCEL_OP = st.tuples(st.just("cancel"), st.integers(0, 63))
 SUB_OP = push_op(OFFSETS) | CANCEL_OP | st.tuples(st.just("raise"))
 TOP_OP = (
     push_op(TIMES) | CANCEL_OP
-    | st.tuples(st.just("reserve"), st.integers(0, 4))
     | st.tuples(st.just("run"), st.integers(0, len(RUN_ENDS) - 1))
 )
 
 
 def replay(eng, actions, ops):
     """Run one drawn program on `eng`; returns everything it observed."""
-    log, handles, used = [], [], set()
-    base = eng.reserve(4)
-    numbers = list(range(base, base + 4))
+    log, handles = [], []
 
-    def push(slot, time, action):
-        seq = None if slot is None else numbers[slot % len(numbers)]
-        if seq in used:  # a reserved number is pushed once
-            return
-        if seq is not None:
-            used.add(seq)
+    def push(rank, time, action):
         label = len(handles)
 
         def fn():
@@ -308,8 +260,8 @@ def replay(eng, actions, ops):
 
         try:
             handles.append(
-                eng.schedule(time, EventKind.TIMER, fn) if seq is None
-                else eng.schedule_reserved(time, seq, EventKind.TIMER, fn)
+                eng.schedule(time, EventKind.TIMER, fn) if rank is None
+                else eng.schedule_ranked(time, rank, EventKind.TIMER, fn)
             )
         except SimulationError:
             log.append(("refused", label))
@@ -323,9 +275,6 @@ def replay(eng, actions, ops):
     for op, *args in ops:
         if op == "push":
             push(args[0], TIMES[args[1]], args[2])
-        elif op == "reserve":
-            base = eng.reserve(args[0])
-            numbers.extend(range(base, base + args[0]))
         elif op == "cancel" and handles:
             eng.cancel(handles[args[0] % len(handles)])
         elif op == "run":
@@ -342,6 +291,48 @@ def replay(eng, actions, ops):
 )
 def test_event_order_matches_a_single_heap(actions, ops):
     assert replay(Engine(), actions, ops) == replay(HeapEngine(), actions, ops)
+
+
+@st.composite
+def twin_scenarios(draw):
+    """small_scenarios, half of them with 1-4 explicit flows at mixed
+    intervals and shared starts, so the ticks of several flows and the hello
+    ticks fall on the same instants."""
+    sc = draw(small_scenarios())
+    if draw(st.booleans()):
+        n = sc.node_count
+        starts = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=1, max_size=2))
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), min_size=1, max_size=4
+        ))
+        flows = []
+        for src, step in pairs:  # the destination is `step` ids on, never the source
+            interval = draw(st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]))
+            start = draw(st.sampled_from(starts))
+            flows.append(FlowSpec(src, (src + step) % n, sc.payload, interval, start, sc.duration))
+        sc.flows = flows
+    return sc
+
+
+def run_on(engine_cls, sc):
+    """One traced run of `sc` on a fresh `engine_cls`: its trace digest,
+    report row and event count."""
+    engines = []
+
+    def make():
+        engines.append(engine_cls())
+        return engines[-1]
+
+    with mock.patch.object(runner, "Engine", make):
+        result = run_scenario(sc, with_trace=True)
+    row = json.dumps(report_row(sc, result.report), sort_keys=True, default=repr)
+    return result.trace.digest(), row, engines[0].processed
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_scenarios())
+def test_whole_runs_match_on_the_heap_twin(sc):
+    assert run_on(Engine, sc) == run_on(HeapEngine, sc)
 
 
 def test_rng_streams_reproducible_and_independent():

@@ -10,7 +10,6 @@ import functools
 import hashlib
 import json
 from collections import Counter
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,7 +17,8 @@ import pytest
 from manetsim import parse_scenario, run_scenario, runner, scenario_text
 from manetsim.sweep import report_row
 
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
+from conftest import BASELINE
+
 
 # (protocol, node_count, seed) -> sha256 of the run's trace text
 GOLDEN = {
@@ -166,11 +166,11 @@ LATE = {
 }
 
 # Every pin above runs generated flows, which share one interval, so no
-# reserved traffic tick is ever pushed ahead of another one already pending at
+# traffic tick is ever pushed ahead of another flow's tick already pending at
 # its instant. These run the baseline at n = 20 with three explicit flows at
 # 0.1, 0.25 and 0.5 s, all starting at 1 s; the shortest interval is declared
-# first, so its ticks hold the lowest reserved numbers and each one lands
-# ahead of the slower flows' ticks pushed earlier for the same instant.
+# first, so its ticks run under the lowest rank (-3) and each one lands ahead
+# of the slower flows' ticks pushed earlier for the same instant.
 MIXED_FLOWS = (
     "flow = 0 5 512 0.1 1 120\n"
     "flow = 3 9 512 0.25 1 120\n"

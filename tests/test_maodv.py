@@ -1,6 +1,5 @@
 import copy
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +12,7 @@ from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import FlowSpec
 
 from conftest import (
+    BASELINE,
     BENCH_LISTED_PATHS,
     BENCH_POSITIONS,
     adjacency_from_positions,
@@ -22,11 +22,11 @@ from conftest import (
     receive,
     router_state,
     run_bench_discovery,
+    run_static,
     sent_frames,
     static_model,
 )
 
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
 # star of three node-disjoint two-hop routes between 0 and 4
 STAR3 = {
@@ -36,15 +36,6 @@ STAR3 = {
     3: (300.0, 440.0),
     4: (500.0, 300.0),
 }
-
-
-def run_maodv(positions, flows, duration=30.0, mobility=None, **proto_kw):
-    sc = Scenario(
-        node_count=len(positions), duration=duration, protocol="maodv", flows=flows
-    )
-    for key, value in proto_kw.items():
-        setattr(sc.proto, key, value)
-    return run_scenario(sc, with_trace=True, mobility=mobility or static_model(positions))
 
 
 # -- disjoint route selection ---------------------------------------------------
@@ -332,8 +323,9 @@ def test_no_two_request_copies_of_a_flood_share_a_route_record():
 
 def test_benchmark_selection_is_fig4_pair():
     flows = [FlowSpec(0, 8, 512, 1.0, 1.0, 5.0)]
-    result = run_maodv(
-        BENCH_POSITIONS, flows, duration=6.0, mpath_max_copies=0, mpath_max_paths=0
+    result = run_static(
+        BENCH_POSITIONS, flows, duration=6.0, protocol="maodv",
+        mpath_max_copies=0, mpath_max_paths=0,
     )
     lines = [l for l in result.trace.lines if " routes_selected " in l]
     assert lines
@@ -342,8 +334,9 @@ def test_benchmark_selection_is_fig4_pair():
 
 def test_reply_reaches_source_within_longest_path_hops():
     flows = [FlowSpec(0, 8, 512, 1.0, 1.0, 5.0)]
-    result = run_maodv(
-        BENCH_POSITIONS, flows, duration=6.0, mpath_max_copies=0, mpath_max_paths=0
+    result = run_static(
+        BENCH_POSITIONS, flows, duration=6.0, protocol="maodv",
+        mpath_max_copies=0, mpath_max_paths=0,
     )
     emitted = [l for l in result.trace.lines if " paths_collected " in l]
     selected = [l for l in result.trace.lines if " routes_selected " in l]
@@ -376,7 +369,7 @@ def test_rrep_installs_entries_at_intermediates():
 def test_single_path_degenerate_reply():
     positions = [(0.0, 0.0), (200.0, 0.0)]
     flows = [FlowSpec(0, 1, 512, 0.5, 1.0, 9.0)]
-    result = run_maodv(positions, flows, duration=10.0)
+    result = run_static(positions, flows, protocol="maodv", duration=10.0)
     assert result.report.delivered > 10
     assert result.report.protocol_events.get("routes_selected") == 1
 
@@ -393,7 +386,7 @@ def test_failover_without_new_discovery_then_replenish_at_threshold():
         },
     )
     flows = [FlowSpec(0, 4, 512, 0.25, 1.0, 29.0)]
-    result = run_maodv(STAR3, flows, mobility=mobility, n0=3, s0=1)
+    result = run_static(STAR3, flows, protocol="maodv", mobility=mobility, n0=3, s0=1)
     events = result.report.protocol_events
     assert events.get("failover", 0) == 2
     assert events.get("replenish_start", 0) == 1
@@ -424,7 +417,7 @@ def test_failover_without_new_discovery_then_replenish_at_threshold():
 
 def test_delivered_hops_equal_source_route():
     flows = [FlowSpec(0, 4, 512, 0.25, 1.0, 29.0)]
-    result = run_maodv(STAR3, flows)
+    result = run_static(STAR3, flows, protocol="maodv")
     delivered = [r for r in result.report.records if r.delivered_at is not None]
     assert delivered
     for rec in delivered:
@@ -436,7 +429,7 @@ def test_mid_route_departure_reports_to_source():
     chain = {0: (0.0, 0.0), 1: (240.0, 0.0), 2: (480.0, 0.0), 3: (720.0, 0.0)}
     mobility = departing_model(chain, movers={2: (10.0, (480.0, 1500.0), 50.0)})
     flows = [FlowSpec(0, 3, 512, 0.25, 1.0, 29.0)]
-    result = run_maodv(chain, flows, mobility=mobility)
+    result = run_static(chain, flows, protocol="maodv", mobility=mobility)
     events = result.report.protocol_events
     assert result.trace.count("tx_rerr") >= 1
     assert events.get("link_break", 0) >= 1
@@ -452,7 +445,7 @@ def test_no_repair_events_ever():
          departing_model(STAR3, movers={1: (5.0, (300.0, -1500.0), 100.0)})),
         (BENCH_POSITIONS, [FlowSpec(0, 8, 512, 0.5, 1.0, 29.0)], None),
     ):
-        result = run_maodv(positions, flows, mobility=mobility)
+        result = run_static(positions, flows, protocol="maodv", mobility=mobility)
         events = result.report.protocol_events
         assert "repair_start" not in events
         assert "repair_ok" not in events
@@ -466,7 +459,7 @@ def test_cache_state_after_benchmark_break():
         BENCH_POSITIONS, movers={3: (8.0, (10.0, 3000.0), 100.0)}
     )
     flows = [FlowSpec(0, 8, 512, 0.25, 1.0, 29.0)]
-    result = run_maodv(BENCH_POSITIONS, flows, mobility=mobility, n0=3, s0=1)
+    result = run_static(BENCH_POSITIONS, flows, protocol="maodv", mobility=mobility, n0=3, s0=1)
     events = result.report.protocol_events
     assert events.get("failover", 0) >= 1
     # replenishment fires because only one spare remains

@@ -1,6 +1,5 @@
 import gc
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +10,7 @@ from manetsim.proto_common import HELLO, SEQ_SPACE, Data, RouterBase, fresher
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import TrafficSource
 
-from conftest import departing_model, pending_events, static_model
+from conftest import BASELINE, departing_model, pending_events, static_model
 
 
 def test_fresher_basic():
@@ -41,9 +40,6 @@ def make_pair_net(protocol="aodv", mobility=None, duration=30.0, **proto_kw):
     for r in net.routers:
         r.start_maintenance()
     return net
-
-
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
 
 
 @pytest.mark.parametrize("protocol", ["aodv", "maodv"])

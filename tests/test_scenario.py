@@ -9,7 +9,7 @@ from manetsim.radio import RadioParams
 from manetsim.scenario import FIELD_BY_KEY, ScenarioError
 from manetsim.traffic import FlowSpec
 
-from conftest import static_model
+from conftest import small_scenarios, static_model
 
 
 def test_parse_round_trip():
@@ -327,30 +327,6 @@ def test_same_seed_identical_trace_digest():
     a = run_scenario(sc, with_trace=True)
     b = run_scenario(sc.variant(), with_trace=True)
     assert a.trace.digest() == b.trace.digest()
-
-
-@st.composite
-def small_scenarios(draw):
-    """Short runs of a few nodes over the inputs that steer the protocols into
-    their rare paths: lost frames, in-flight delays, batteries that die."""
-    n = draw(st.integers(min_value=2, max_value=12))
-    duration = draw(st.floats(min_value=5.0, max_value=20.0))
-    return Scenario().variant(
-        protocol=draw(st.sampled_from(["aodv", "maodv"])),
-        master_seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
-        node_count=n,
-        duration=duration,
-        area=(
-            draw(st.floats(min_value=50.0, max_value=800.0)),
-            draw(st.floats(min_value=50.0, max_value=800.0)),
-        ),
-        pause_time=draw(st.floats(min_value=0.0, max_value=30.0)),
-        loss_prob=draw(st.floats(min_value=0.0, max_value=0.3)),
-        propagation_delay=draw(st.sampled_from([0.0, 3.3e-9, 1e-6, 1e-4])),
-        initial_energy=draw(st.floats(min_value=0.05, max_value=10.0)),
-        flow_count=draw(st.integers(min_value=1, max_value=min(4, n * (n - 1)))),
-        traffic_start=draw(st.floats(min_value=0.0, max_value=duration, exclude_max=True)),
-    )
 
 
 @settings(max_examples=40, deadline=None)

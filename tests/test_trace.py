@@ -1,12 +1,11 @@
 import hashlib
-from pathlib import Path
 
 import pytest
 
 from manetsim import parse_scenario, run_scenario
 from manetsim.trace import DIGEST_BLOCK, Trace
 
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
+from conftest import BASELINE
 
 
 def reference_line(t, node, event, pkt="-", detail=""):

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from manetsim import Scenario, parse_scenario
@@ -7,9 +5,7 @@ from manetsim.engine import EventKind, RngStream
 from manetsim.runner import build_network, resolve_flows
 from manetsim.traffic import FlowClock, FlowSpec, TrafficSource, generate_flows
 
-from conftest import pending_events, static_model
-
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
+from conftest import BASELINE, pending_events, static_model
 
 
 def started(flows, duration=120.0):
@@ -68,16 +64,20 @@ def test_one_pending_tick_per_flow():
     net, flows = baseline_started()
     ticks = pending_ticks(net.engine)
     assert len(ticks) == len(flows) == 8
-    assert sorted(time for time, _, _ in ticks) == [f.start for f in flows]
-    # every send's insertion number is taken at start, as if each were
-    # scheduled up front: 8 flows x 1191 sends over [1, 120] at 0.1 s
-    assert net.engine.reserve(0) == 9528
-    # send k runs under base + k and re-arms its flow for send k + 1
+    # flow i of 8 ticks under the rank i - 8, below every number schedule()
+    # hands out, so its ticks run first at their instant, in flow order
     clocks = [fn.__self__ for _, _, fn in ticks]
-    assert [seq for _, seq, _ in ticks] == [clock.base for clock in clocks]
+    assert [clock.flow for clock in clocks] == flows
+    assert [(time, rank) for time, rank, _ in ticks] == [
+        (f.start, rank) for rank, f in enumerate(flows, -8)
+    ]
+    # the ticks took no insertion number
+    assert net.engine.schedule(200.0, EventKind.TIMER, lambda: None)[1] == 0
+    # each send re-arms its flow for the next under the same rank
     net.engine.run_until(max(f.start for f in flows))
-    assert [(fn.__self__, time, seq) for time, seq, fn in pending_ticks(net.engine)] == [
-        (clock, clock.flow.start + clock.flow.interval, clock.base + 1) for clock in clocks
+    assert [(fn.__self__, time, rank) for time, rank, fn in pending_ticks(net.engine)] == [
+        (clock, clock.flow.start + clock.flow.interval, rank)
+        for rank, clock in enumerate(clocks, -8)
     ]
 
 
