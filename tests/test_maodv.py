@@ -4,15 +4,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from manetsim import Scenario, parse_scenario
+from manetsim import Scenario
 from manetsim.engine import SimulationError
 from manetsim.maodv import PathCache, select_disjoint
 from manetsim.proto_common import Rrep, Rreq
-from manetsim.runner import build_network, run_scenario
+from manetsim.runner import build_network
 from manetsim.traffic import FlowSpec
 
 from conftest import (
-    BASELINE,
     BENCH_LISTED_PATHS,
     BENCH_POSITIONS,
     adjacency_from_positions,
@@ -26,6 +25,7 @@ from conftest import (
     sent_frames,
     static_model,
 )
+from test_golden import assert_pin
 
 
 # star of three node-disjoint two-hop routes between 0 and 4
@@ -278,26 +278,11 @@ def test_a_relay_handles_a_reply_once_and_its_destination_ignores_the_echo():
     assert net.trace.count("tx_rrep") == 2
 
 
-# trace sha256 of the 30 s baseline at n=40, seed 1, maodv, keyed by
-# (mpath_max_copies, mpath_max_paths): closing a full flood record early must
-# not move a single line, whichever cap fills first
-CAP_DIGESTS = {
-    (0, 1): "ea1eb311d1b22cab5dc1c13ee6b26c8ca0b246b6b044982b17d0d35c4b8cabde",
-    (0, 3): "3d95e53a837f5dd19a71b380518706f8ae5f833d9d2ad8d6a355611fc9df9666",
-    (1, 1): "f839d855e232758f94639d3b2b62d35fd7a5f2df9a7bfb657dc86cef8b9dc43a",
-    (1, 3): "133403c9a4ef8e4dea3ffd18eff7f56379be38b576337c51fac407c35d82c430",
-    (3, 1): "c2fdb1a99020ee0614df4b13bfd232665915769bfdfa31efba3f18168df76e74",
-    (3, 3): "291acb231ca5811693ced3dcbd4604876c09e16edeef6e1d87e2c5f9a61c17c9",
-}
-
-
-@pytest.mark.parametrize("caps", sorted(CAP_DIGESTS))
+# the trace pins of the `caps/maodv/<copies>/<paths>` runs of tests/golden.json
+# (the "caps" family of tests/test_golden.py)
+@pytest.mark.parametrize("caps", [(0, 1), (0, 3), (1, 1), (1, 3), (3, 1), (3, 3)])
 def test_trace_digest_under_flood_caps(caps):
-    copies, paths = caps
-    base = parse_scenario(BASELINE.read_text(), "baseline")
-    sc = base.variant(protocol="maodv", node_count=40, master_seed=1, duration=30.0,
-                      mpath_max_copies=copies, mpath_max_paths=paths)
-    assert run_scenario(sc, with_trace=True).trace.digest() == CAP_DIGESTS[caps]
+    assert_pin("caps/maodv/%d/%d" % caps, "trace")
 
 
 def test_benchmark_collection_matches_dfs_oracle():

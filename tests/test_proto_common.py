@@ -11,6 +11,7 @@ from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import TrafficSource
 
 from conftest import BASELINE, departing_model, pending_events, static_model
+from test_golden import assert_pin
 
 
 def test_fresher_basic():
@@ -60,38 +61,13 @@ def test_derived_timings_on_baseline(protocol):
     assert all(r.ctx is net for r in net.routers)
 
 
-# (protocol) -> (RREQ receptions, those that reach on_frame) on the baseline at
-# n = 100, seed 1: the radio turns the rest away before dispatch, by each
-# copy's route record and its flood's table (RFC 3561 6.5 for AODV, the
-# floods a MAODV node has closed)
-RREQ_DISPATCH = {"aodv": (104_490, 2_772), "maodv": (233_225, 6_528)}
-
-
-@pytest.mark.parametrize("protocol", sorted(RREQ_DISPATCH))
-def test_discarded_request_copies_never_reach_dispatch(protocol, monkeypatch):
-    from manetsim.proto_common import RouterBase, Rreq
-    from manetsim.radio import Radio
-
-    seen = {"received": 0, "dispatched": 0}
-    deliver_batch, on_frame = Radio._deliver_batch, RouterBase.on_frame
-
-    def counted_batch(radio, receivers, packet, *rest):
-        if type(packet) is Rreq:
-            seen["received"] += len(receivers)
-        deliver_batch(radio, receivers, packet, *rest)
-
-    def counted_frame(router, packet, sender):
-        if type(packet) is Rreq:
-            seen["dispatched"] += 1
-        on_frame(router, packet, sender)
-
-    monkeypatch.setattr(Radio, "_deliver_batch", counted_batch)
-    monkeypatch.setattr(RouterBase, "on_frame", counted_frame)
-    sc = parse_scenario(BASELINE.read_text()).variant(
-        protocol=protocol, node_count=100, master_seed=1
-    )
-    run_scenario(sc)
-    assert (seen["received"], seen["dispatched"]) == RREQ_DISPATCH[protocol]
+# the `rreq_dispatch` pins of tests/golden.json's baseline runs at n = 100,
+# seed 1: the RREQ receptions, and those that reach on_frame; the radio turns
+# the rest away before dispatch, by each copy's route record and its flood's
+# table (RFC 3561 6.5 for AODV, the floods a MAODV node has closed)
+@pytest.mark.parametrize("protocol", ["aodv", "maodv"])
+def test_discarded_request_copies_never_reach_dispatch(protocol):
+    assert_pin(f"baseline/{protocol}/100/1", "rreq_dispatch")
 
 
 def test_explicit_timings_used_as_given():

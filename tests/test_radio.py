@@ -259,6 +259,25 @@ def test_dead_sender_sends_nothing():
     assert metrics.finalize(1.0, energy).drop_breakdown == {"dead_node": 1}
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND in CHANGES.md, ROADMAP item 20: a data reception that empties or finds "
+    "dead its addressee goes to debit, and the packet is never delivered or dropped",
+)
+def test_data_frame_to_a_dying_addressee_ends_terminal():
+    engine, radio, energy, metrics, inbox = make_radio([(0, 0), (50, 0)])
+    # the addressee can pay for exactly one data reception, which empties it
+    energy.remaining_pj[1] = energy.cost_pj(RX_DATA, radio.tx_duration(512))
+    pkt = data_pkt(0, 1)
+    metrics.on_sent(pkt)
+    radio.send(0, pkt, 512, addressee=1)
+    engine.run_until(1.0)
+    assert inbox == []
+    assert not energy.alive(1)
+    assert pkt.terminal
+    assert metrics.finalize(1.0, energy).in_flight == 0
+
+
 def test_delivery_delayed_by_tx_duration():
     engine, radio, _, _, inbox = make_radio([(0, 0), (50, 0)])
     times = []
