@@ -202,8 +202,8 @@ class RouterBase:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # packet type -> handler, resolved once per protocol class and read
-        # by on_frame for a broadcast and by the radio for a unicast; a hello
-        # never gets here, the radio writes its reception into hello_deadline
+        # only by on_frame, where every frame but a hello arrives; the radio
+        # writes a hello's reception into hello_deadline
         cls._frame_handlers = {
             Data: cls._handle_data,
             Rreq: cls._handle_rreq,

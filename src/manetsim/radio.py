@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA
-from .engine import Engine, EventKind, RngStream, SimulationError
+from .engine import Engine, EventKind, RngStream
 from .mobility import MobilityModel
 from .proto_common import Data, Hello, Rerr, Rrep, Rreq
 
@@ -67,9 +67,8 @@ class Radio:
         self.trace = trace
         # by node id; a hello reception writes the receiver's hello_deadline,
         # a request copy goes no further when the receiver is on its route
-        # record or the flood's table holds it past now, a unicast calls the
-        # addressee's handler from its `_frame_handlers` table, and any other
-        # reception calls the receiver's on_frame(packet, sender)
+        # record or the flood's table holds it past now, and any other
+        # reception, a unicast's too, calls the receiver's on_frame(packet, sender)
         self.routers = routers
         self.loss_rng = loss_rng
         # One whole-network position snapshot holds until _pos_until: the
@@ -254,16 +253,11 @@ class Radio:
                 ox, oy = position(addressee, now)
                 dx, dy = ox - sx, oy - sy
                 duration += delay_per_m * math.sqrt(dx * dx + dy * dy)
-            router = self.routers[addressee]
-            try:
-                handler = router._frame_handlers[kind]
-            except KeyError:
-                raise SimulationError(f"unknown packet type {packet!r}") from None
 
             # the one reception, booked by the rule of the delivery batch
-            # below and handed straight to the addressee's handler
+            # below and handed to the addressee's on_frame
             def deliver(
-                energy=energy, recv=addressee, handler=handler, router=router,
+                energy=energy, recv=addressee, on_frame=self.routers[addressee].on_frame,
                 packet=packet, sender=sender, rx=rx, amount_pj=rx_pj,
             ) -> None:
                 remaining = energy.remaining_pj
@@ -271,7 +265,7 @@ class Radio:
                 if left > 0:
                     remaining[recv] = left
                     energy.consumed_by[recv][rx] += amount_pj
-                    handler(router, packet, sender)
+                    on_frame(packet, sender)
                 else:
                     energy.debit(recv, rx, amount_pj)
 

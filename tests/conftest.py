@@ -2,7 +2,9 @@
 
 import copy
 import heapq
+import json
 import math
+from functools import partial
 from itertools import count
 from pathlib import Path
 
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import strategies as st
 
 from manetsim import Scenario
-from manetsim.energy import RX_CONTROL
-from manetsim.engine import TIME_EPSILON, SimulationError
+from manetsim.energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA
+from manetsim.engine import TIME_EPSILON, EventKind, SimulationError
 from manetsim.mobility import MobilityModel, WaypointLeg
-from manetsim.proto_common import Rrep
+from manetsim.proto_common import Data, Hello, Rrep, Rreq
 from manetsim.runner import build_network, run_scenario
+from manetsim.sweep import report_row
 from manetsim.traffic import FlowSpec, TrafficSource
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.scn"
@@ -79,6 +82,13 @@ def departing_model(positions, movers: dict) -> MobilityModel:
         else:
             schedules.append([WaypointLeg(p, p, 0.0, 0.0, 1e12)])
     return MobilityModel(schedules)
+
+
+def run_outcome(sc):
+    """One traced run of `sc`: its trace digest and its report row as sorted JSON."""
+    result = run_scenario(sc, with_trace=True)
+    row = json.dumps(report_row(sc, result.report), sort_keys=True, default=repr)
+    return result.trace.digest(), row
 
 
 def run_static(positions, flows, duration=30.0, protocol="aodv", mobility=None, **proto_kw):
@@ -153,6 +163,89 @@ class HeapEngine:
                 processed += 1
         self.now, self.processed = t_end, self.processed + processed
         return processed
+
+
+class ReferenceRadio:
+    """The reference for Radio, written from the README's model notes: the
+    exact range test on the mobility model's positions at every query, every
+    charge booked by EnergyLedger.debit, and one delivery event per receiver,
+    in ascending id order. It keeps no view, snapshot, hold or price table.
+    Its loss draws, trace lines and airtimes are those of Radio.send."""
+
+    def __init__(self, params, engine, mobility, energy, metrics, trace, routers, loss_rng):
+        self.params, self.engine, self.mobility = params, engine, mobility
+        self.energy, self.metrics, self.trace = energy, metrics, trace
+        self.routers, self.loss_rng = routers, loss_rng
+
+    def tx_duration(self, size_bytes):
+        return size_bytes * 8 / self.params.bandwidth
+
+    def offset(self, sender, recv):
+        """(dx, dy) from sender to recv at the engine's clock."""
+        now = self.engine.now
+        sx, sy = self.mobility.position(sender, now)
+        ox, oy = self.mobility.position(recv, now)
+        return ox - sx, oy - sy
+
+    def in_range(self, sender, recv):
+        """Whether recv, another node and alive, lies within range of sender."""
+        if recv == sender or not self.energy.alive(recv):
+            return False
+        dx, dy = self.offset(sender, recv)
+        return dx * dx + dy * dy <= self.params.range * self.params.range
+
+    def send(self, sender, packet, size_bytes, addressee=None):
+        now, energy, metrics = self.engine.now, self.energy, self.metrics
+        is_data = type(packet) is Data
+        tx, rx = (TX_DATA, RX_DATA) if is_data else (TX_CONTROL, RX_CONTROL)
+        duration = self.tx_duration(size_bytes)
+        # a dead node transmits nothing, and a battery drained mid-transmission
+        # never completes the frame; data is lost
+        if not energy.debit(sender, tx, energy.cost_pj(tx, duration)):
+            if is_data:
+                metrics.on_dropped(packet, "dead_node", now, sender)
+            return 0
+        if is_data:
+            metrics.on_data_tx()
+        else:
+            metrics.on_control_tx()
+        if self.trace.enabled:
+            event = f"tx_{type(packet).__name__.lower()}"
+            pid = packet.pkt_id if is_data else "-"
+            tgt = "*" if addressee is None else addressee
+            self.trace.emit(now, sender, event, pid, f"to={tgt}")
+        candidates = range(self.mobility.node_count) if addressee is None else [addressee]
+        receivers = [recv for recv in candidates if self.in_range(sender, recv)]
+        loss_p = self.params.per_frame_loss_prob
+        if loss_p > 0.0:  # one draw per receiver in range, in ascending id order
+            receivers = [recv for recv in receivers if not self.loss_rng.random() < loss_p]
+        if addressee is not None and not receivers and is_data:
+            metrics.on_dropped(packet, "link_break", now, sender)
+        rx_pj = energy.cost_pj(rx, duration)
+        for recv in receivers:
+            dx, dy = self.offset(sender, recv)
+            delay = duration + self.params.propagation_delay * math.sqrt(dx * dx + dy * dy)
+            self.engine.schedule(
+                now + delay,
+                EventKind.FRAME_DELIVERY,
+                partial(self.receive, recv, packet, sender, rx, rx_pj),
+            )
+        return len(receivers)
+
+    def receive(self, recv, packet, sender, rx, rx_pj):
+        """One reception, handled only by a receiver its charge leaves alive:
+        a hello is the write of its sender's deadline, a request copy goes no
+        further at a receiver on its route record or one its flood's table
+        holds past now, and every other frame reaches on_frame."""
+        if not self.energy.debit(recv, rx, rx_pj):
+            return
+        now, router = self.engine.now, self.routers[recv]
+        if type(packet) is Hello:
+            router.hello_deadline[sender] = now + self.routers[sender].hello_allowance
+        elif type(packet) is not Rreq or (
+            recv not in packet.route_record and packet.flood.get(recv, -1.0) <= now
+        ):
+            router.on_frame(packet, sender)
 
 
 def all_simple_paths(adjacency: dict, src, dst, max_hops: int) -> list[tuple]:

@@ -1,6 +1,5 @@
 import contextlib
 import gc
-import json
 import math
 import sys
 from unittest import mock
@@ -11,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 from manetsim import parse_scenario, runner
 from manetsim.engine import TIME_EPSILON, Engine, EventKind, RngStream, SimulationError
 from manetsim.runner import run_scenario
-from manetsim.sweep import report_row
 from manetsim.traffic import FlowSpec
 
-from conftest import BASELINE, HeapEngine, small_scenarios
+from conftest import BASELINE, HeapEngine, run_outcome, small_scenarios
 
 
 def test_events_processed_in_time_order():
@@ -324,9 +322,8 @@ def run_on(engine_cls, sc):
         return engines[-1]
 
     with mock.patch.object(runner, "Engine", make):
-        result = run_scenario(sc, with_trace=True)
-    row = json.dumps(report_row(sc, result.report), sort_keys=True, default=repr)
-    return result.trace.digest(), row, engines[0].processed
+        digest, row = run_outcome(sc)
+    return digest, row, engines[0].processed
 
 
 @settings(max_examples=100, deadline=None)

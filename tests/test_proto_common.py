@@ -1,5 +1,7 @@
 import gc
 import math
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,9 +10,10 @@ from manetsim import Scenario, parse_scenario
 from manetsim.engine import EventKind, SimulationError
 from manetsim.proto_common import HELLO, SEQ_SPACE, Data, RouterBase, fresher
 from manetsim.runner import build_network, run_scenario
-from manetsim.traffic import TrafficSource
+from manetsim.traffic import FlowSpec, TrafficSource
 
-from conftest import BASELINE, departing_model, pending_events, static_model
+from conftest import BASELINE, departing_model, pending_events, run_static, static_model
+from test_aodv import CHAIN
 from test_golden import assert_pin
 
 
@@ -142,9 +145,39 @@ def test_a_hello_never_reaches_on_frame(protocol):
     net = make_pair_net(protocol)
     with pytest.raises(SimulationError, match="unknown packet type"):
         net.routers[1].on_frame(HELLO, 0)
-    # nor a handler, when one is unicast
+    # nor a handler, when one is unicast: on_frame refuses it when it arrives
+    assert net.radio.send(0, HELLO, net.scenario.proto.control_bytes, addressee=1) == 1
     with pytest.raises(SimulationError, match="unknown packet type"):
-        net.radio.send(0, HELLO, net.scenario.proto.control_bytes, addressee=1)
+        net.engine.run_until(0.5)
+
+
+def frames_at_on_frame(protocol, mobility=None):
+    """One flow from 0 to 3 over the lossless chain 0-1-2-3 (moved by
+    `mobility` if given): its result, and the count by packet class of the
+    frames that reached RouterBase.on_frame."""
+    flows = [FlowSpec(0, 3, 512, 0.25, 1.0, 29.0)]
+    with mock.patch.object(
+        RouterBase, "on_frame", autospec=True, side_effect=RouterBase.on_frame
+    ) as spy:
+        result = run_static(CHAIN, flows, protocol=protocol, mobility=mobility)
+    return result, Counter(type(call.args[1]).__name__ for call in spy.call_args_list)
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "maodv"])
+def test_every_frame_but_a_hello_reaches_on_frame(protocol):
+    # every data frame is a unicast, and on a static chain each one arrives
+    result, frames = frames_at_on_frame(protocol)
+    assert frames["Data"] == result.report.data_transmissions > 0
+    assert "Hello" not in frames
+    if protocol == "aodv":  # AODV's replies are unicast too
+        assert frames["Rrep"] == result.trace.count("tx_rrep") > 0
+    else:  # and MAODV's route errors, once node 2 leaves at 10 s
+        departure = departing_model(CHAIN, movers={2: (10.0, (480.0, 1500.0), 50.0)})
+        result, frames = frames_at_on_frame(protocol, departure)
+        # node 2's error to node 1 leaves from out of range; node 1's to the
+        # source arrives
+        assert result.trace.count("tx_rerr") == 2
+        assert frames["Rerr"] == 1
 
 
 def test_a_stale_deadline_restarts_the_watch():

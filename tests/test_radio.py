@@ -1,11 +1,13 @@
 import math
 from functools import partial
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manetsim import runner
 from manetsim.energy import RX_CONTROL, RX_DATA, TX_CONTROL, TX_DATA, EnergyLedger, EnergyParams
 from manetsim.engine import Engine, RngStream
 from manetsim.metrics import PacketLedger
@@ -16,20 +18,15 @@ from manetsim.runner import build_network
 from manetsim.scenario import Scenario
 from manetsim.trace import Trace
 
-from conftest import pending_events, static_model
+from conftest import (
+    HeapEngine, ReferenceRadio, pending_events, run_outcome, small_scenarios, static_model,
+)
 
 
 def stub_routers(node_count, on_frame):
-    """Router stand-ins: a reception at node n calls on_frame(n, pkt, sender).
-    A broadcast reaches it through the router's on_frame, a unicast through
-    the handler the radio reads from the router's `_frame_handlers` table."""
-    handlers = dict.fromkeys(
-        (Data, Rreq, Rrep, Rerr), lambda router, pkt, sender: router.on_frame(pkt, sender)
-    )
-    return [
-        SimpleNamespace(on_frame=partial(on_frame, n), _frame_handlers=handlers)
-        for n in range(node_count)
-    ]
+    """Router stand-ins: a reception at node n, a broadcast's or a unicast's,
+    calls on_frame(n, pkt, sender) through the router's on_frame."""
+    return [SimpleNamespace(on_frame=partial(on_frame, n)) for n in range(node_count)]
 
 
 def make_radio(positions, params=None, initial_j=10.0):
@@ -772,3 +769,27 @@ def test_hello_batch_books_like_a_debit_and_a_deadline_per_receiver(
     assert deaths == ref_deaths
     assert [r.hello_deadline for r in net.routers] == [r.hello_deadline for r in ref.routers]
 
+
+@st.composite
+def reference_scenarios(draw):
+    """small_scenarios, some of them faster (so held links and ring members
+    change within a run) and some with batteries that run out mid-run (so
+    held links meet dead addressees)."""
+    sc = draw(small_scenarios())
+    if draw(st.booleans()):
+        sc = sc.variant(v_max=draw(st.sampled_from([1.0, 5.0, 20.0])))
+    if draw(st.booleans()):
+        sc = sc.variant(initial_energy=draw(st.sampled_from([0.05, 0.1, 0.2])))
+    return sc
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_scenarios())
+def test_whole_runs_match_on_the_reference_radio(sc):
+    # the reference has one delivery event per receiver, so Engine.processed
+    # differs by design and is not compared
+    outcome = run_outcome(sc)
+    with mock.patch.object(runner, "Radio", ReferenceRadio), mock.patch.object(
+        runner, "Engine", HeapEngine
+    ):
+        assert run_outcome(sc) == outcome
