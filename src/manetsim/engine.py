@@ -5,8 +5,8 @@ import hashlib
 import random
 from bisect import bisect_right
 from heapq import heappop, heappush
-from operator import itemgetter, length_hint
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable
 
 # Scheduling clamps a time at most this far behind the clock (float error in
 # a computed deadline) to the clock, and refuses anything earlier or NaN. It
@@ -31,7 +31,8 @@ class EventKind:
 
 # A pending event is its entry [time, seq, fn] in its instant's list, which is
 # also the handle the schedule methods return: ``fn`` runs when the clock
-# reaches ``time``, and cancel() sets it to None.
+# reaches ``time``, and cancel() sets it to None. The entry leaves the list
+# just before it runs.
 Handle = list
 
 _SEQ = itemgetter(1)
@@ -48,16 +49,15 @@ class Engine:
     time once, and ``_pending`` maps it to its entries in number order. Most
     events share their instant with others (hello ticks on whole seconds,
     their deliveries one airtime later), so the heap stays small and an
-    instant's events run from a plain list.
+    instant's events run from a plain list. Each entry is taken off the front
+    of that list just before it runs, so at every moment, inside a callback
+    too, the list holds exactly the entries of its instant that have not run.
     """
 
     def __init__(self) -> None:
         self.now = 0.0
         self._times: list[float] = []
         self._pending: dict[float, list[Handle]] = {}
-        # the instant being run and the iterator over it: the entries before
-        # the iterator's position have run
-        self._running: tuple[list[Handle], Iterator[Handle]] | tuple[()] = ()
         self._counter = 0
         self.processed = 0
 
@@ -99,12 +99,7 @@ class Engine:
             self._pending[time] = [entry]
             heappush(self._times, time)
             return entry
-        lo = 0
-        if self._running and self._running[0] is entries:
-            # land after the entries that have run: a rank below the running
-            # event's then runs next, as a heap would run it
-            lo = len(entries) - length_hint(self._running[1])
-        entries.insert(bisect_right(entries, rank, lo, key=_SEQ), entry)
+        entries.insert(bisect_right(entries, rank, key=_SEQ), entry)
         return entry
 
     def cancel(self, handle: Handle) -> None:
@@ -115,7 +110,6 @@ class Engine:
         """Drop every pending event (between runs, not from a callback)."""
         self._times.clear()
         self._pending.clear()
-        self._running = ()
 
     def run_until(self, t_end: float) -> int:
         """Process every event with time <= t_end; clock finishes at t_end.
@@ -139,25 +133,18 @@ class Engine:
                 time = times[0]
                 self.now = time
                 entries = pending[time]
-                run = iter(entries)
-                self._running = (entries, run)
-                try:
-                    # the iterator also reaches entries appended at `now` meanwhile
-                    for _, _, fn in run:
-                        if fn is not None:
-                            fn()
-                            processed += 1
-                except BaseException:
-                    # the raising event is spent; the rest of its instant stays pending
-                    del entries[: len(entries) - length_hint(run)]
-                    self._running = ()
-                    raise
+                # a raising entry is already off the list, and the rest of its
+                # instant stays pending; entries pushed to `now` meanwhile run too
+                while entries:
+                    fn = entries.pop(0)[2]
+                    if fn is not None:
+                        fn()
+                        processed += 1
                 heappop(times)
                 del pending[time]
         finally:
             if collecting:
                 gc.enable()
-        self._running = ()
         self.now = t_end
         self.processed += processed
         return processed

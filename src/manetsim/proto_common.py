@@ -90,9 +90,6 @@ class Data:
         return self.end if isinstance(self.end, str) else None
 
 
-Packet = Rreq | Rrep | Rerr | Hello | Data
-
-
 @dataclass(slots=True)
 class ProtocolParams:
     rreq_retries: int = 2

@@ -78,6 +78,20 @@ def test_destination_replies_with_incremented_seq():
     assert net.routers[1].seq == 8
 
 
+def test_an_equally_fresh_route_replaces_an_entry_only_when_shorter():
+    sc = Scenario(node_count=4, duration=1.0)
+    net = build_network(sc, mobility=static_model([(0, 0), (100, 0), (200, 0), (300, 0)]))
+    router = net.routers[0]
+    router._update_route(3, 1, 3, 5, 10.0)
+    router._update_route(3, 2, 4, 5, 10.0)
+    assert (router.table[3].next_hop, router.table[3].hop_count) == (1, 3)
+    router._update_route(3, 2, 2, 5, 10.0)
+    assert (router.table[3].next_hop, router.table[3].hop_count) == (2, 2)
+    # a fresher route replaces it even when longer
+    router._update_route(3, 1, 3, 6, 10.0)
+    assert (router.table[3].next_hop, router.table[3].hop_count) == (1, 3)
+
+
 def test_a_discarded_request_copy_changes_nothing():
     # 0 - 1 - 2 in a line: node 1 relays 0's request once, then turns away
     # the copy 2 relays back, and 0 turns away its own request

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import math
 import sys
+import weakref
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from manetsim.engine import TIME_EPSILON, Engine, EventKind, RngStream, Simulati
 from manetsim.runner import run_scenario
 from manetsim.traffic import FlowSpec
 
-from conftest import BASELINE, HeapEngine, run_outcome, small_scenarios
+from conftest import BASELINE, HeapEngine, pending_events, run_outcome, small_scenarios
 
 
 def test_events_processed_in_time_order():
@@ -122,6 +123,37 @@ def test_cancelling_a_fired_event_is_a_noop():
     assert eng.run_until(5.0) == 1
     assert fired == [1.0, 2.0]
     assert eng.processed == 2
+
+
+def test_a_running_instant_lists_only_the_events_that_have_not_run():
+    eng = Engine()
+    seen = []
+    handles = [
+        eng.schedule(t, EventKind.TIMER, lambda: seen.append(pending_events(eng)))
+        for t in (1.0, 1.0, 1.0, 2.0)
+    ]
+    eng.run_until(2.0)
+    # the second event sees only the third and the fourth
+    assert seen == [handles[1:], handles[2:], handles[3:], []]
+
+
+def test_a_callback_is_freed_once_it_has_run():
+    class Callback:
+        def __call__(self):
+            pass
+
+    # the engine holds the only reference to the callback, and the next event
+    # at the same instant looks whether it is still alive
+    eng = Engine()
+    fn = Callback()
+    ref = weakref.ref(fn)
+    eng.schedule(1.0, EventKind.TIMER, fn)
+    del fn
+    alive = []
+    eng.schedule(1.0, EventKind.TIMER, lambda: alive.append(ref() is not None))
+    assert ref() is not None
+    eng.run_until(1.0)
+    assert alive == [False]
 
 
 def test_events_scheduled_during_run_are_processed():

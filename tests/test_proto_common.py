@@ -4,15 +4,19 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from manetsim import Scenario, parse_scenario
-from manetsim.engine import EventKind, SimulationError
+from manetsim.engine import EventKind, RngStream, SimulationError
+from manetsim.mobility import MobilityModel
 from manetsim.proto_common import HELLO, SEQ_SPACE, Data, RouterBase, fresher
 from manetsim.runner import build_network, run_scenario
 from manetsim.traffic import FlowSpec, TrafficSource
 
-from conftest import BASELINE, departing_model, pending_events, run_static, static_model
+from conftest import (
+    BASELINE, adjacency_from_positions, bfs_hops, departing_model, pending_events, run_static,
+    static_model,
+)
 from test_aodv import CHAIN
 from test_golden import assert_pin
 
@@ -391,3 +395,63 @@ def test_losing_a_neighbor_no_route_uses_changes_nothing(protocol):
     # the neighbor the flow runs through is a break
     source.on_neighbor_lost(1)
     assert any(" link_break " in line for line in net.trace.lines[lines:])
+
+
+@st.composite
+def static_scenarios(draw):
+    """Runs whose nodes stand at their placement for the whole run and never
+    die, and whose frames are neither lost nor delayed: the unit-disk graph of
+    the placement alone decides every route."""
+    return Scenario().variant(
+        protocol=draw(st.sampled_from(["aodv", "maodv"])),
+        master_seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+        node_count=draw(st.integers(min_value=3, max_value=40)),
+        area=(
+            draw(st.floats(min_value=100.0, max_value=1200.0)),
+            draw(st.floats(min_value=100.0, max_value=1200.0)),
+        ),
+        pause_time=30.0,
+        duration=30.0,
+        initial_energy=1000.0,
+        loss_prob=0.0,
+        propagation_delay=0.0,
+        flow_count=draw(st.integers(min_value=1, max_value=5)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(static_scenarios())
+def test_a_static_network_routes_on_shortest_paths_of_its_unit_disk_graph(sc):
+    result = run_scenario(sc)
+    mobility = MobilityModel.generate(
+        sc.node_count, sc.mobility, sc.duration, lambda label: RngStream(sc.master_seed, label)
+    )
+    adjacency = adjacency_from_positions(
+        [mobility.position(node, 0.0) for node in range(sc.node_count)], sc.radio.range
+    )
+    hops = {f.flow_id: bfs_hops(adjacency, f.src, f.dest) for f in result.flows}
+    # An AODV node that holds a fresh enough route answers a request itself
+    # (RFC 3561 6.6.2), and a fresher route always replaces an older one. A
+    # second flow that starts or ends at a destination hands other nodes a
+    # route to it, so a request for it may be answered over a longer route
+    # than the graph's, or the destination's fresher reply may come over one.
+    # Such a flow is held only to the graph's bound.
+    ends = Counter(node for f in result.flows for node in (f.src, f.dest))
+    bound_only = {
+        f.flow_id for f in result.flows if sc.protocol == "aodv" and ends[f.dest] > 1
+    }
+    for pkt in result.report.records:
+        shortest = hops[pkt.flow_id]
+        if shortest is None:
+            assert pkt.end == "no_route"
+        elif pkt.delivered_at is not None:
+            path = pkt.traversed
+            assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
+            if pkt.flow_id in bound_only:
+                assert len(path) - 1 >= shortest
+            else:
+                assert len(path) - 1 == shortest
+        else:  # a connected flow's packet is never dropped
+            assert pkt.end is None
+    # at most each connected flow's last send, at the run's end, is in flight
+    assert result.report.in_flight <= sum(h is not None for h in hops.values())
